@@ -29,10 +29,6 @@ def bits_list(mask: int) -> list[int]:
     return list(iter_bits(mask))
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def lowest_bit(mask: int) -> int:
     """Index of the lowest set bit; mask must be nonzero."""
     return (mask & -mask).bit_length() - 1

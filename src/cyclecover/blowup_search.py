@@ -213,7 +213,8 @@ def find_blowup(host: Graph, F: Graph, t: int, frame: SetFamily | None = None, *
             for i in range(s)]
     nbrs = [bits_list(F.adj[i]) for i in range(s)]
     order = sorted(range(s), key=lambda i: (-F.degree(i), i))
-    key = _order_key(host)
+    adj = host.adj
+    negdeg = [-row.bit_count() for row in adj]
 
     for restart in range(restart_budget + 1):
         jitter = None
@@ -227,16 +228,18 @@ def find_blowup(host: Graph, F: Graph, t: int, frame: SetFamily | None = None, *
         for _round in range(t):
             for i in order:
                 pool = cand[i] & ~used
+                free = [cand[j] & ~used for j in nbrs[i]]
                 best = None
                 best_rank = None
                 for x in iter_bits(pool):
-                    if nbrs[i]:
-                        value = min((cand[j] & host.adj[x] & ~used).bit_count()
-                                    for j in nbrs[i])
+                    if free:
+                        row = adj[x]
+                        value = min((f & row).bit_count() for f in free)
                     else:
                         value = host.n
+                    # same order as _order_key: higher degree, then lower id
                     rank = (-value, jitter[x] if jitter is not None else 0.0,
-                            key(x)[0], key(x)[1])
+                            negdeg[x], x)
                     if best_rank is None or rank < best_rank:
                         best, best_rank = x, rank
                 if best is None:

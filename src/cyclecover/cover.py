@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .bitset import mask_from
+from .bitset import iter_bits, mask_from
 from .core import (
     BALANCE_QUASI,
     BALANCE_WITHIN,
@@ -36,13 +36,15 @@ from .core import (
 )
 from .blowup_search import connect_clusters, find_blowup, rooted_blowup
 from .inheritance import PropertySpec, property_membership
-from .seeding import mix, spawn
+from .seeding import draw_subset, mix, spawn
 from .tiling import TilingParams, almost_perfect_tiling
 
 ALMOST = "ALMOST"
 SIMPLE = "SIMPLE"
 
 _EPS = 1e-9
+# relabelled reruns of a failed pipeline run before its failure is returned
+_RELABEL_RETRIES = 2
 
 
 class AbsorptionError(RuntimeError):
@@ -572,10 +574,6 @@ def _quasi_declaration(lo: int, hi: int) -> tuple[int, float]:
 # simple cover
 
 
-def _complete_to(G: Graph, v: int, mask: int) -> bool:
-    return (mask & ~G.adj[v]) == 0
-
-
 def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     """Partition V(G) into quasi-balanced blow-up families.
 
@@ -619,26 +617,42 @@ def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
             leftover.remove(v)
         chunk_round += 1
 
+    def join_masks(fi: int) -> list[tuple[int, int]]:
+        # (ci, need) for each cluster of family fi that can take one more
+        # vertex and keep a split plan; need is the union of the clusters
+        # that vertex must be complete to
+        R = reds[fi]
+        cms = [mask_from(c) for c in fams[fi]]
+        grown = sizes_of(fi)
+        out = []
+        for ci in range(len(cms)):
+            grown[ci] += 1
+            ok = splittable(grown)
+            grown[ci] -= 1
+            if not ok:
+                continue
+            need = 0
+            for cj, cm in enumerate(cms):
+                if cj != ci and R.has_edge(ci, cj):
+                    need |= cm
+            out.append((ci, need))
+        return out
+
     def insert_sweep() -> None:
         # a vertex complete to every cluster its target must join costs
-        # nothing, while a pickup steals (s-1) covered vertices
+        # nothing, while a pickup steals (s-1) covered vertices. Join masks
+        # change only when their family grows; pickups between sweeps
+        # reshape donor families, so every sweep starts from fresh masks
+        joins = [join_masks(fi) for fi in range(len(fams))]
         progress = True
         while leftover and progress:
             progress = False
             for u in list(leftover):
+                miss = ~G.adj[u]
                 best = None
-                for fi in range(len(fams)):
-                    R = reds[fi]
-                    for ci in range(len(fams[fi])):
-                        need = 0
-                        for cj in range(len(fams[fi])):
-                            if cj != ci and R.has_edge(ci, cj):
-                                need |= mask_from(fams[fi][cj])
-                        if not _complete_to(G, u, need):
-                            continue
-                        grown = sizes_of(fi)
-                        grown[ci] += 1
-                        if not splittable(grown):
+                for fi, entries in enumerate(joins):
+                    for ci, need in entries:
+                        if need & miss:
                             continue
                         key = (len(fams[fi][ci]), fi, ci)
                         if best is None or key < best:
@@ -647,6 +661,7 @@ def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
                     _, fi, ci = best
                     fams[fi][ci] = sorted(fams[fi][ci] + [u])
                     leftover.remove(u)
+                    joins[fi] = join_masks(fi)
                     progress = True
 
     # insertion and per-vertex pickups interleave: each pickup reshapes the
@@ -948,12 +963,44 @@ def spanning_cycle_blowup(G: Graph, params: CoverParams):
     Cover, absorb, connect, wind; the resulting certificate is re-verified
     against G before it is returned, so a PASS is always independently
     checkable and a failure at any stage comes back as a PipelineFailure
-    naming the stage. Hosts below the configured order floor are refused
-    outright (exhaustive search is the right tool there).
+    naming the stage. A failed run is retried on up to _RELABEL_RETRIES
+    copies of G relabelled by permutations drawn from params.seed; a
+    certificate found there is mapped back and re-verified against G. When
+    every retry fails too, the first failure is returned. Hosts below the
+    configured order floor are refused outright (exhaustive search is the
+    right tool there).
     """
-    n = G.n
-    if n < params.n_floor:
+    if G.n < params.n_floor:
         raise ValueError("host order below n_floor")
+    first = _solve(G, params)
+    if not isinstance(first, PipelineFailure):
+        return first
+    for k in range(_RELABEL_RETRIES):
+        perm = draw_subset(spawn(params.seed, "relabel", k), range(G.n), G.n)
+        res = _solve(_relabel(G, perm), params)
+        if isinstance(res, PipelineFailure):
+            continue
+        name_of = [0] * G.n
+        for v, pv in enumerate(perm):
+            name_of[pv] = v
+        back = [[name_of[v] for v in c] for c in res.clusters]
+        cert = CycleBlowupCertificate(res.n, res.c, res.eta, canonical_cycle(back))
+        if verify_cycle_blowup(G, cert).status == PASS:
+            return cert
+    return first
+
+
+def _relabel(G: Graph, perm: Sequence[int]) -> Graph:
+    """Copy of G in which vertex v is called perm[v]."""
+    adj = [0] * G.n
+    for v, row in enumerate(G.adj):
+        adj[perm[v]] = mask_from(perm[u] for u in iter_bits(row))
+    return Graph(G.n, adj)
+
+
+def _solve(G: Graph, params: CoverParams):
+    """One pass of the pipeline over G as labelled; see spanning_cycle_blowup."""
+    n = G.n
     _, m1, m2, _ = params.scales(n)
 
     cover = simple_blowup_cover(G, params)

@@ -10,7 +10,7 @@ and the result is finalized with a splitmix64 step.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Sequence
+from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
 
@@ -65,8 +65,3 @@ def draw_subset(rng: random.Random, pool: Sequence[int], k: int) -> list[int]:
 def trial_rng(seed: int, label: str, index: int) -> random.Random:
     """Per-trial generator; trial i is reproducible without replaying 0..i-1."""
     return random.Random(mix(seed, label, index))
-
-
-def iter_trial_rngs(seed: int, label: str, trials: int) -> Iterator[random.Random]:
-    for i in range(trials):
-        yield trial_rng(seed, label, i)

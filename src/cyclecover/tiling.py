@@ -323,7 +323,8 @@ def check_lower_regular(P: Hypergraph, parts: Sequence[Iterable[int]],
     EXHAUSTIVE returns PASS or FAIL with a witness, never UNKNOWN; the
     reduced enumeration must fit the state budget. SAMPLED hunts witnesses
     (lowest partite degree first, then uniform draws) and returns FAIL with
-    a confirmed witness or UNKNOWN, never PASS.
+    a confirmed witness or UNKNOWN, never PASS. When d - rho is not positive
+    no density can fall below it, so SAMPLED returns UNKNOWN without a hunt.
     """
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie in (0, 1)")
@@ -344,6 +345,8 @@ def check_lower_regular(P: Hypergraph, parts: Sequence[Iterable[int]],
         raise ValueError(f"unknown mode {mode!r}")
 
     thresh = d - rho
+    if thresh <= _EPS:
+        return Verdict(UNKNOWN, "no witness found")
     sub_space = 1
     for k in ks:
         sub_space *= k

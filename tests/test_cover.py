@@ -40,7 +40,7 @@ from cyclecover.cover import (
     subdivide_and_wind,
     verify_cover,
 )
-from cyclecover.generators import GNP_REPAIRED, GeneratorSpec, generate
+from cyclecover.generators import DIRAC_EXTREMAL, GNP_REPAIRED, GeneratorSpec, generate
 
 from oracles import brute_hamilton_cycle
 
@@ -492,3 +492,23 @@ def test_pipeline_dense_random_host_reproducible():
     assert again == first
     covered = sorted(v for c in first.clusters for v in c)
     assert covered == list(range(300))
+
+
+def test_pipeline_retries_relabelled_after_endgame_stuck():
+    # the cover endgame strands vertices on this host as labelled; a seeded
+    # relabelling passes, and the mapped-back certificate verifies on G
+    G = generate(GeneratorSpec(kind=GNP_REPAIRED, n=600, p=0.8,
+                               delta_target=420, seed=90002))
+    cert = spanning_cycle_blowup(G, DESK)
+    assert not isinstance(cert, PipelineFailure), cert
+    assert verify_cycle_blowup(G, cert).status == "PASS"
+    assert cert.to_json() == spanning_cycle_blowup(G, DESK).to_json()
+
+
+def test_pipeline_retry_rescues_extremal_host():
+    # consecutive-id tiling blocks fall into different cliques here
+    G = generate(GeneratorSpec(kind=DIRAC_EXTREMAL, n=300, delta_target=225,
+                               seed=0))
+    cert = spanning_cycle_blowup(G, DESK)
+    assert not isinstance(cert, PipelineFailure), cert
+    assert verify_cycle_blowup(G, cert).status == "PASS"

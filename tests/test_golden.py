@@ -1,0 +1,38 @@
+"""Golden certificate digests.
+
+Pins the SHA-256 of to_json() for a few pipeline runs, so any change that
+moves a random stream, a tie-break or a search decision shows up as a
+failing digest rather than as a silently different certificate. A change
+that alters these bytes on purpose updates the table and says so.
+"""
+
+import hashlib
+
+import pytest
+
+from cyclecover.core import CycleBlowupCertificate
+from cyclecover.cover import PRESETS, spanning_cycle_blowup
+from cyclecover.generators import GNP_REPAIRED, GeneratorSpec, generate
+
+GOLDEN = [
+    # (n, p, delta_target, graph seed, sha256 of the certificate JSON)
+    (200, 0.97, 150, 0,
+     "dbcd58d4e5accdb51a58b97c70f8711709928953a017f364f11d7230ac2b26dc"),
+    (200, 0.97, 150, 1,
+     "00f3b2d3fccd1c8dd0bd81ce07d0965a60fc5ddc3cb3eaefe5e0292d0eaab5d8"),
+    (200, 0.97, 150, 2,
+     "e0cf5cb9e14861714a9b6c67592b893e05ee0dfe483d9c1f3ecdf26077a8a519"),
+    (300, 0.8, 210, 0,
+     "28e6c6c7b40f7585640b14f04e188f40838df7f6c168eaafc6f32c3a5c30c6ae"),
+    (300, 0.8, 210, 1,
+     "7dcc7933ca75a5b1a053668382e7a024384b1a9be7b913b707ba8269235b4dc5"),
+]
+
+
+@pytest.mark.parametrize("n,p,delta,seed,digest", GOLDEN)
+def test_certificate_digest(n, p, delta, seed, digest):
+    G = generate(GeneratorSpec(kind=GNP_REPAIRED, n=n, p=p,
+                               delta_target=delta, seed=seed))
+    cert = spanning_cycle_blowup(G, PRESETS["desk"])
+    assert isinstance(cert, CycleBlowupCertificate), cert
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == digest

@@ -193,6 +193,21 @@ def test_sampled_never_passes():
     assert v.status == UNKNOWN
 
 
+def test_sampled_vacuous_threshold_skips_the_hunt():
+    # d - rho = 0: no sub-tuple can fall below it, so no oracle call is spent
+    calls = []
+
+    def member(e):
+        calls.append(e)
+        return True
+
+    P = Hypergraph.from_oracle(3, range(18), member)
+    parts = [list(range(6)), list(range(6, 12)), list(range(12, 18))]
+    v = check_lower_regular(P, parts, rho=0.5, d=0.5, mode=SAMPLED, trials=400)
+    assert v.status == UNKNOWN
+    assert calls == []
+
+
 def test_sampled_on_oracle_host_confirms_witness():
     corner = ({0, 1}, {6, 7}, {12, 13})
 
