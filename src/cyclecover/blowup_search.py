@@ -26,14 +26,11 @@ from .core import (
     is_complete_bipartite,
     verify_blowup_hosted,
 )
-from .inheritance import ABSOLUTE, PropertySpec, inherits_degree
+from .inheritance import PropertySpec, inherits_degree
 from .seeding import draw_subset, spawn
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 _TINY_ENUM = 200_000
-
-EXACT = "EXACT"
-SAMPLED = "SAMPLED"
 
 
 def _order_key(G: Graph):
@@ -121,77 +118,6 @@ def find_biclique(req: BicliqueRequest, node_budget: int | None = DEFAULT_NODE_B
         return None
 
     return dfs(0, [], amask)
-
-
-@dataclass(frozen=True)
-class CopyCounter:
-    """How to count labelled copies of a small pattern inside a host."""
-
-    pattern: Graph
-    frame: SetFamily | None = None
-    mode: str = EXACT
-    trials: int = 10_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.pattern.n > 8:
-            raise ValueError("pattern too large; at most 8 vertices")
-        if self.frame is not None and len(self.frame.clusters) != self.pattern.n:
-            raise ValueError("frame must have one part per pattern vertex")
-        if self.mode not in (EXACT, SAMPLED):
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-
-def count_copies(counter: CopyCounter, host: Graph) -> float:
-    """Count labelled, edge-preserving, injective embeddings of the pattern.
-
-    With a frame, pattern vertex i must land inside frame part i. EXACT
-    refuses when the naive state space passes 1e8; SAMPLED returns an
-    unbiased estimate over the labelled product space.
-    """
-    F = counter.pattern
-    s = F.n
-    if counter.frame is not None:
-        parts = [sorted(c) for c in counter.frame.clusters]
-    else:
-        parts = [list(range(host.n))] * s
-    space = 1
-    for part in parts:
-        space *= max(1, len(part))
-
-    if counter.mode == EXACT:
-        if space > 10 ** 8:
-            raise ValueError("state space too large; use SAMPLED")
-        part_masks = [mask_from(p) for p in parts]
-        count = 0
-
-        def rec(i: int, used: int, image: list[int]):
-            nonlocal count
-            if i == s:
-                count += 1
-                return
-            cand = part_masks[i] & ~used
-            for u in range(i):
-                if F.has_edge(u, i):
-                    cand &= host.adj[image[u]]
-            for v in iter_bits(cand):
-                image.append(v)
-                rec(i + 1, used | (1 << v), image)
-                image.pop()
-
-        rec(0, 0, [])
-        return float(count)
-
-    # SAMPLED: uniform over the labelled product space, collisions miss
-    hits = 0
-    for t in range(counter.trials):
-        rng = spawn(counter.seed, "copy-count", t)
-        image = [part[rng.randrange(len(part))] for part in parts]
-        if len(set(image)) != s:
-            continue
-        if all(host.has_edge(image[u], image[v]) for u, v in F.edges()):
-            hits += 1
-    return hits / counter.trials * space
 
 
 def find_blowup(host: Graph, F: Graph, t: int, frame: SetFamily | None = None, *,
@@ -378,7 +304,7 @@ def _bucket_reduced_graph(Gp: Graph, root_pool: Sequence[int], outside_pool: Seq
     """Sample inheriting s-sets with exactly one root vertex and return the
     most frequent labelled induced graph (root labelled 0, the rest by
     ascending id)."""
-    spec = PropertySpec(Gp, s, eps, ABSOLUTE)
+    spec = PropertySpec(Gp, s, eps)
     counts: Counter = Counter()
     out_sorted = sorted(outside_pool)
     root_sorted = sorted(root_pool)

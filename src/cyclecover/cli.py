@@ -45,8 +45,7 @@ from .generators import (
     generate,
 )
 from .inheritance import PropertySpec, property_degree_estimate, property_membership
-from .seeding import mix
-from .tiling import TilingParams, almost_perfect_tiling, hypergraph_perfect_matching
+from .tiling import hypergraph_perfect_matching
 
 SCHEMA_LINE = "# schema=1"
 ROW_HEADER = "n,seed,preset,outcome,clusters,size_mode,c_effective,wall_ms"
@@ -261,33 +260,6 @@ def cmd_biclique(args) -> int:
     return 0
 
 
-def _property_hypergraph(G: Graph, params) -> Hypergraph:
-    spec = PropertySpec(G, params.s, params.eps)
-    return Hypergraph.from_oracle(params.s, range(G.n),
-                                  property_membership(spec))
-
-
-def cmd_tile(args) -> int:
-    G = _read_graph(args.graph)
-    params = _params(args)
-    P = _property_hypergraph(G, params)
-    block = max(params.s, int(params.alpha * G.n))
-    tp = TilingParams(s=params.s, eta=params.eta, rho=params.rho,
-                      alpha=params.alpha, block_size=block, fresh_size=block,
-                      check_trials=params.check_trials,
-                      density_trials=params.density_trials,
-                      seed=mix(args.seed, "cli", "tile"))
-    tiling = almost_perfect_tiling(P, tp)
-    lines = [f"tuples {len(tiling.tuples)}",
-             f"covered {tiling.covered}",
-             f"rounds {len(tiling.telemetry)}"]
-    for tup in tiling.tuples:
-        lines.append(" ".join(",".join(map(str, sorted(p)))
-                              for p in tup.parts))
-    _emit(args, "\n".join(lines))
-    return 0
-
-
 def cmd_match(args) -> int:
     G = _read_graph(args.graph)
     params = _params(args)
@@ -402,12 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side-b", default=None)
     p.add_argument("-p", type=int, default=2)
     p.set_defaults(func=cmd_biclique)
-
-    p = subs.add_parser("tile", help="almost perfect tiling of the property "
-                        "hypergraph")
-    _common_flags(p)
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_tile)
 
     p = subs.add_parser("match", help="perfect matching of the property "
                         "hypergraph")

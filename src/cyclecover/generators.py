@@ -2,7 +2,9 @@
 
 All kinds are deterministic functions of their GeneratorSpec, including the
 repair pass; edges are sampled in ascending pair order so the stream layout
-never depends on interpreter details.
+never depends on interpreter details. Only GNP_REPAIRED draws randomness:
+DIRAC_EXTREMAL and CLIQUE_UNION_PLUS ignore the seed, so a seed sweep over
+them repeats one host.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ class GeneratorSpec:
     n: int = 0
     p: float = 0.5
     delta_target: int | None = None
-    seed: int = 0
+    seed: int = 0                # GNP_REPAIRED only; other kinds ignore it
     overlap: int | None = None   # DIRAC_EXTREMAL half-overlap, derived if None
     pieces: int = 3              # CLIQUE_UNION_PLUS clique count
     path: str | None = None      # FROM_FILE source

@@ -1,12 +1,10 @@
 """Degree inheritance on sampled s-sets, and the deviation bound that
 controls how often sampling misses.
 
-A vertex set S inherits the host's degree condition in one of two senses:
-ABSOLUTE asks the induced subgraph for minimum degree (1/2 + eps/2)|S|,
-RELATIVE asks every vertex to keep its normalized host degree up to an eps
-loss. The inheriting s-sets form a property hypergraph that is never
-materialized; callers probe it through inherits_degree or estimate degrees
-by seeded sampling.
+A vertex set S inherits the host's degree condition when the induced
+subgraph has minimum degree at least (1/2 + eps/2)|S|. The inheriting
+s-sets form a property hypergraph that is never materialized; callers
+probe it through inherits_degree or estimate degrees by seeded sampling.
 """
 
 from __future__ import annotations
@@ -17,30 +15,24 @@ from typing import Iterable
 
 from .core import Graph
 from .bitset import mask_from
-from .seeding import draw_subset, trial_rng
-
-ABSOLUTE = "ABSOLUTE"
-RELATIVE = "RELATIVE"
+from .seeding import draw_subset, spawn
 
 _EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class PropertySpec:
-    """Host graph plus the inheritance parameters (s, eps, mode)."""
+    """Host graph plus the inheritance parameters (s, eps)."""
 
     host: Graph
     s: int
     eps: float
-    mode: str = ABSOLUTE
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
             raise ValueError("eps must lie in (0, 1)")
         if not (2 <= self.s <= self.host.n):
             raise ValueError("s must satisfy 2 <= s <= n")
-        if self.mode not in (ABSOLUTE, RELATIVE):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -55,36 +47,18 @@ class DegreeEstimate:
 
 
 def inherits_degree(spec: PropertySpec, S: Iterable[int]) -> bool:
-    """Does the s-set S inherit the degree condition of the host?
-
-    ABSOLUTE: min degree of G[S] at least (1/2 + eps/2) s.
-    RELATIVE: for every v in S,
-        deg_{G[S]}(v) / (s-1)  >=  deg_G(v) / (n-1)  -  eps.
-    """
+    """Does the s-set S inherit the degree condition of the host, i.e. is
+    the minimum degree of G[S] at least (1/2 + eps/2) s?"""
     G = spec.host
     sm = mask_from(S)
     if sm.bit_count() != spec.s:
         raise ValueError(f"expected an s-set of size {spec.s}")
-    if spec.mode == ABSOLUTE:
-        thresh = (0.5 + spec.eps / 2.0) * spec.s - _EPS
-        m = sm
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            if (G.adj[v] & sm).bit_count() < thresh:
-                return False
-            m ^= low
-        return True
-    # RELATIVE
-    denom_in = spec.s - 1
-    denom_host = G.n - 1
+    thresh = (0.5 + spec.eps / 2.0) * spec.s - _EPS
     m = sm
     while m:
         low = m & -m
         v = low.bit_length() - 1
-        lhs = (G.adj[v] & sm).bit_count() / denom_in
-        rhs = G.adj[v].bit_count() / denom_host - spec.eps
-        if lhs < rhs - _EPS:
+        if (G.adj[v] & sm).bit_count() < thresh:
             return False
         m ^= low
     return True
@@ -112,7 +86,7 @@ def property_degree_estimate(spec: PropertySpec, v: int, trials: int, seed: int 
     pool = [u for u in range(spec.host.n) if u != v]
     successes = 0
     for i in range(trials):
-        rng = trial_rng(seed, f"degree-estimate:{v}", i)
+        rng = spawn(seed, f"degree-estimate:{v}", i)
         rest = draw_subset(rng, pool, spec.s - 1)
         if inherits_degree(spec, rest + [v]):
             successes += 1

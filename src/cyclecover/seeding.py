@@ -61,7 +61,3 @@ def draw_subset(rng: random.Random, pool: Sequence[int], k: int) -> list[int]:
         a[i], a[j] = a[j], a[i]
     return a[:k]
 
-
-def trial_rng(seed: int, label: str, index: int) -> random.Random:
-    """Per-trial generator; trial i is reproducible without replaying 0..i-1."""
-    return random.Random(mix(seed, label, index))

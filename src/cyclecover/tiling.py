@@ -1,4 +1,8 @@
-"""Lower-regular tuples, hypergraph matchings, and almost perfect tilings.
+"""Partite densities, lower-regular tuples, and hypergraph matchings.
+
+The cover pipeline uses tuple_density for its one partition density guard;
+the regularity check, the regular-tuple finder and the matcher are library
+routines that the acceptance criteria exercise.
 
 The quantified regularity notion: an s-tuple of disjoint parts is
 (rho, d)-lower-regular when every choice of sub-parts of relative size at
@@ -14,7 +18,7 @@ randomness from per-call seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterable, Sequence
 
@@ -35,16 +39,6 @@ _STATE_BUDGET = 10 ** 7
 _EPS = 1e-9
 
 
-class IncrementStalled(Exception):
-    """A tiling increment could not make progress; diagnostics attached."""
-
-    def __init__(self, round_index: int, stage: str, details: dict | None = None):
-        self.round_index = round_index
-        self.stage = stage
-        self.details = details or {}
-        super().__init__(f"increment stalled at round {round_index}: {stage}")
-
-
 @dataclass(frozen=True)
 class RegularTuple:
     """Ordered disjoint parts with the certification they were given."""
@@ -62,85 +56,10 @@ class RegularTuple:
 
 
 @dataclass(frozen=True)
-class Tiling:
-    """Vertex-disjoint regular tuples plus the covered vertex count."""
-
-    tuples: tuple[RegularTuple, ...]
-    covered: int
-    telemetry: tuple = field(default=(), compare=False)
-
-    def validate(self) -> Verdict:
-        seen: set[int] = set()
-        total = 0
-        for ti, tup in enumerate(self.tuples):
-            for part in tup.parts:
-                if seen & part:
-                    return Verdict(FAIL, "tuples overlap", ti)
-                seen |= part
-                total += len(part)
-        if total != self.covered:
-            return Verdict(FAIL, "covered count mismatch", (total, self.covered))
-        return Verdict(PASS)
-
-
-@dataclass(frozen=True)
 class Matching:
     """Disjoint s-edges of the host hypergraph."""
 
     edges: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class TilingParams:
-    """Dials for the tiling machinery.
-
-    Derived defaults follow the shrinking schedule: slack mu capped at 1/2,
-    round densities d_i = (mu/16) / 2^i, epsilons half of that, and the
-    retention rate gamma_i floored at gamma_floor since exp(-eps^(-2s))
-    underflows to zero at any realistic scale. block_size and fresh_size
-    override the derived block dials for coarse runs.
-    """
-
-    s: int
-    eta: float
-    rho: float | None = None
-    alpha: float = 0.25
-    mu: float | None = None
-    gamma_floor: float = 0.05
-    t_max: int | None = None
-    block_size: int | None = None
-    fresh_size: int | None = None
-    d0: float | None = None
-    check_trials: int = 10_000
-    density_trials: int = 512
-    partition_retries: int = 50
-    exchange_budget: int = 200_000
-    check_mode: str = "AUTO"
-    seed: int = 0
-
-    def mu_value(self) -> float:
-        return self.mu if self.mu is not None else min(16.0 * self.eta, 0.5)
-
-    def rho_value(self) -> float:
-        return self.rho if self.rho is not None else self.eta / 2.0
-
-    def rounds(self) -> int:
-        return self.t_max if self.t_max is not None else max(1, math.ceil(self.eta ** -2))
-
-    def d_at(self, i: int) -> float:
-        base = self.d0 if self.d0 is not None else self.mu_value() / 16.0
-        return base / (2 ** i)
-
-    def eps_at(self, i: int) -> float:
-        return self.d_at(i) / 2.0
-
-    def gamma_at(self, i: int) -> float:
-        eps = self.eps_at(i)
-        try:
-            raw = math.exp(-(eps ** (-2 * self.s)))
-        except OverflowError:
-            raw = 0.0
-        return max(raw, self.gamma_floor)
 
 
 # -- densities ----------------------------------------------------------
@@ -572,167 +491,3 @@ def _match_one_partition(P: Hypergraph, parts, partite, exchange_budget):
         pool = [(e, flag) for e, flag in rest if e not in removed]
         pool.extend((e, False) for e in new_edges)
     return [e for e, _flag in pool]
-
-
-# -- tiling increments ---------------------------------------------------
-
-
-def _chunk(seq: Sequence[int], size: int) -> list[list[int]]:
-    out = []
-    for off in range(0, len(seq) - size + 1, size):
-        out.append(list(seq[off: off + size]))
-    return out
-
-
-def tiling_increment(P: Hypergraph, Q1: Tiling, params: TilingParams,
-                     round_index: int = 0) -> Tiling:
-    """One densification round: block the vertex set, match dense block
-    s-sets in a reduced hypergraph, then pull certified fresh tuples out of
-    every matched block group and recycle the previous tuples' remainders.
-
-    Raises IncrementStalled when the reduced matching or the block
-    construction cannot proceed; the caller decides how to surface that.
-    """
-    s = params.s
-    mu = params.mu_value()
-    nu = mu / 16.0
-    rho = params.rho_value()
-    d_i = params.d_at(round_index)
-    uni = sorted(P.universe)
-    n = len(uni)
-
-    covered_old = set()
-    for tup in Q1.tuples:
-        for part in tup.parts:
-            covered_old |= part
-
-    if params.block_size is not None:
-        m2 = params.block_size
-    else:
-        base_scale = n if not Q1.tuples else min(min(tup.sizes()) for tup in Q1.tuples)
-        m2 = max(s, int((mu / 8.0) * base_scale))
-    if m2 < 1:
-        raise IncrementStalled(round_index, "degenerate block size", {"m2": m2})
-
-    blocks: list[list[int]] = []
-    for tup in Q1.tuples:
-        for part in tup.parts:
-            blocks.extend(_chunk(sorted(part), m2))
-    outside = [v for v in uni if v not in covered_old]
-    blocks.extend(_chunk(outside, m2))
-    drop = len(blocks) % s
-    if drop:
-        blocks = blocks[: len(blocks) - drop]
-    r = len(blocks)
-    if r < s:
-        raise IncrementStalled(round_index, "no blocks", {"blocks": r, "m2": m2})
-    if math.comb(r, s) > 20_000:
-        raise IncrementStalled(round_index, "reduced graph too large", {"blocks": r})
-
-    # reduced hypergraph: a block s-set is an edge when its partite edge
-    # count clears 4 nu m2^s
-    edge_threshold = 4.0 * nu
-    reduced_edges = []
-    for combo in combinations(range(r), s):
-        sub = [blocks[i] for i in combo]
-        dens = _subset_density(P, sub, trials=params.density_trials,
-                               seed=mix(params.seed, "reduced-edge", *combo))
-        if dens >= edge_threshold - _EPS:
-            reduced_edges.append(combo)
-    R = Hypergraph.from_edges(s, range(r), reduced_edges)
-
-    deg_floor = (1.0 - 1.0 / s + mu / 2.0) * math.comb(r - 1, s - 1)
-    reduced_min_deg = 0
-    if reduced_edges:
-        counts = {v: 0 for v in range(r)}
-        for e in reduced_edges:
-            for v in e:
-                counts[v] += 1
-        reduced_min_deg = min(counts.values())
-
-    M = hypergraph_perfect_matching(R, eps=mu, seed=spawn_seed(params.seed, round_index),
-                                    partition_retries=params.partition_retries,
-                                    exchange_budget=params.exchange_budget)
-    if M is None:
-        raise IncrementStalled(round_index, "reduced matching", {
-            "blocks": r, "reduced_edges": len(reduced_edges),
-            "reduced_min_degree": reduced_min_deg, "degree_floor": deg_floor})
-
-    fresh_size = params.fresh_size
-    if fresh_size is None:
-        beta = nu * params.eta / 2.0
-        fresh_size = max(1, int(beta * m2))
-    fresh_size = min(fresh_size, m2)
-
-    fresh: list[RegularTuple] = []
-    consumed: set[int] = set()
-    for mi, medge in enumerate(M.edges):
-        group = [sorted(blocks[b]) for b in medge]
-        while True:
-            unused = [[v for v in g if v not in consumed] for g in group]
-            if any(len(u) < fresh_size for u in unused):
-                break
-            candidate = None
-            for ci in range(8):
-                rng = spawn(params.seed, "fresh-candidate", round_index, mi, len(fresh), ci)
-                subs = [sorted(draw_subset(rng, u, fresh_size)) for u in unused]
-                cd = _subset_density(P, subs, trials=params.density_trials,
-                                     seed=spawn_seed(params.seed, 3_000 + ci))
-                if cd >= d_i - _EPS:
-                    candidate = subs
-                    break
-            if candidate is None:
-                break
-            got = find_lower_regular_tuple(
-                P, candidate, rho, d_i, mode=params.check_mode,
-                trials=params.check_trials,
-                density_trials=params.density_trials,
-                seed=spawn_seed(params.seed, 5_000 + mi))
-            for sub in candidate:
-                consumed.update(sub)
-            if got is None:
-                break
-            fresh.append(got)
-
-    recycled: list[RegularTuple] = []
-    for tup in Q1.tuples:
-        remains = [sorted(p - consumed) for p in tup.parts]
-        m_rec = min(len(x) for x in remains)
-        if m_rec < 1:
-            continue
-        trimmed = tuple(frozenset(x[:m_rec]) for x in remains)
-        recycled.append(RegularTuple(trimmed, tup.rho, tup.d, UNCERTIFIED))
-
-    tuples = tuple(fresh) + tuple(recycled)
-    covered = sum(t.total() for t in tuples)
-    if covered < Q1.covered:
-        # never regress; keep the previous tiling if this round lost ground
-        return Tiling(Q1.tuples, Q1.covered,
-                      Q1.telemetry + ({"round": round_index, "no_gain": True},))
-    tel = {"round": round_index, "d": d_i, "blocks": r,
-           "reduced_edges": len(reduced_edges),
-           "reduced_min_degree": reduced_min_deg,
-           "degree_floor": deg_floor, "fresh": len(fresh),
-           "recycled": len(recycled), "covered": covered}
-    return Tiling(tuples, covered, Q1.telemetry + (tel,))
-
-
-def almost_perfect_tiling(P: Hypergraph, params: TilingParams) -> Tiling:
-    """Iterate increments until uncovered <= eta n or the round cap.
-
-    A stalled increment is recorded in the telemetry with its round index
-    and the surviving tiling is returned rather than raised away.
-    """
-    n = len(P.universe)
-    target = params.eta * n
-    Q = Tiling((), 0)
-    for i in range(params.rounds()):
-        try:
-            Q = tiling_increment(P, Q, params, round_index=i)
-        except IncrementStalled as stall:
-            tel = Q.telemetry + ({"round": stall.round_index, "stalled": stall.stage,
-                                  "details": stall.details},)
-            return Tiling(Q.tuples, Q.covered, tel)
-        if n - Q.covered <= target:
-            break
-    return Q

@@ -8,7 +8,7 @@ tests only; none of this ships in the library API.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 from cyclecover.core import Graph
 
@@ -49,21 +49,6 @@ def brute_biclique(G: Graph, A, B, p):
 
 def brute_biclique_exists(G: Graph, A, B, p) -> bool:
     return brute_biclique(G, A, B, p) is not None
-
-
-def brute_count_labelled_copies(pattern: Graph, host: Graph, frame=None) -> int:
-    """Count injective maps preserving pattern edges (non-edges are free).
-
-    With a frame, image vertex i must land in frame[i].
-    """
-    parts = frame if frame is not None else [range(host.n)] * pattern.n
-    count = 0
-    for image in permutations(range(host.n), pattern.n):
-        if frame is not None and any(image[i] not in parts[i] for i in range(pattern.n)):
-            continue
-        if all(host.has_edge(image[u], image[v]) for u, v in pattern.edges()):
-            count += 1
-    return count
 
 
 def brute_connect(G: Graph, U, V, W, m_prime):

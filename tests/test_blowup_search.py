@@ -1,5 +1,4 @@
-"""Search module tests: bicliques, copy counts, blow-ups, connections,
-rooted blow-ups. Exhaustive oracles pin completeness on small instances."""
+"""Search module tests: bicliques, blow-ups, connections, rooted blow-ups. Exhaustive oracles pin completeness on small instances."""
 
 from itertools import combinations
 
@@ -15,11 +14,7 @@ from cyclecover.core import (
 )
 from cyclecover.blowup_search import (
     BicliqueRequest,
-    CopyCounter,
-    EXACT,
-    SAMPLED,
     connect_clusters,
-    count_copies,
     find_biclique,
     find_blowup,
     rooted_blowup,
@@ -27,11 +22,7 @@ from cyclecover.blowup_search import (
 from cyclecover.generators import GNP_REPAIRED, GeneratorSpec, generate
 from cyclecover.seeding import spawn
 
-from oracles import (
-    brute_biclique_exists,
-    brute_connect_exists,
-    brute_count_labelled_copies,
-)
+from oracles import brute_biclique_exists, brute_connect_exists
 
 
 def random_graph(n, p, seed):
@@ -79,44 +70,6 @@ class TestFindBiclique:
         G = Graph.complete_multipartite([3, 3])
         got = find_biclique(BicliqueRequest.of(G, {0, 1, 2}, {3, 4, 5}, 3))
         assert got == ((0, 1, 2), (3, 4, 5))
-
-
-class TestCountCopies:
-    def test_single_edge_in_k4(self):
-        assert count_copies(CopyCounter(Graph.complete(2)), Graph.complete(4)) == 12
-
-    def test_labelled_triangles_in_k4(self):
-        assert count_copies(CopyCounter(Graph.complete(3)), Graph.complete(4)) == 24
-
-    def test_matches_brute_force(self):
-        pattern = Graph.from_edges(3, [(0, 1), (1, 2)])  # path
-        for seed in range(8):
-            host = random_graph(7, 0.5, seed + 500)
-            expect = brute_count_labelled_copies(pattern, host)
-            assert count_copies(CopyCounter(pattern), host) == expect
-
-    def test_framed_counts(self):
-        host = Graph.complete_multipartite([3, 3])
-        frame = SetFamily.of([{0, 1, 2}, {3, 4, 5}], BALANCE_EXACT, m=3)
-        got = count_copies(CopyCounter(Graph.complete(2), frame=frame), host)
-        expect = brute_count_labelled_copies(
-            Graph.complete(2), host, frame=[{0, 1, 2}, {3, 4, 5}])
-        assert got == expect == 9
-
-    def test_budget_refusal(self):
-        with pytest.raises(ValueError, match="SAMPLED"):
-            count_copies(CopyCounter(Graph.complete(8)), Graph.complete(64))
-
-    def test_sampled_tracks_exact(self):
-        host = random_graph(10, 0.6, 3)
-        pattern = Graph.complete(3)
-        exact = count_copies(CopyCounter(pattern), host)
-        est = count_copies(CopyCounter(pattern, mode=SAMPLED, trials=20000, seed=1), host)
-        assert abs(est - exact) / exact < 0.2
-
-    def test_pattern_size_cap(self):
-        with pytest.raises(ValueError, match="at most 8"):
-            CopyCounter(Graph.complete(9))
 
 
 class TestFindBlowup:

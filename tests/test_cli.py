@@ -156,15 +156,7 @@ def test_biclique_found_and_absent(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# tile / match / inherit-scan
-
-
-def test_tile_covers_complete_host(tmp_path, capsys):
-    g = write_graph(tmp_path / "g.txt", Graph.complete(20))
-    rc = main(["tile", g])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "covered 20" in out
+# match / inherit-scan
 
 
 def test_match_complete_host(tmp_path, capsys):

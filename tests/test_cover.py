@@ -506,7 +506,7 @@ def test_pipeline_retries_relabelled_after_endgame_stuck():
 
 
 def test_pipeline_retry_rescues_extremal_host():
-    # consecutive-id tiling blocks fall into different cliques here
+    # the consecutive-id partition blocks fall into different cliques here
     G = generate(GeneratorSpec(kind=DIRAC_EXTREMAL, n=300, delta_target=225,
                                seed=0))
     cert = spanning_cycle_blowup(G, DESK)

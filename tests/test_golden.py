@@ -12,26 +12,34 @@ import pytest
 
 from cyclecover.core import CycleBlowupCertificate
 from cyclecover.cover import PRESETS, spanning_cycle_blowup
-from cyclecover.generators import GNP_REPAIRED, GeneratorSpec, generate
+from cyclecover.generators import DIRAC_EXTREMAL, GNP_REPAIRED, GeneratorSpec, generate
 
 GOLDEN = [
-    # (n, p, delta_target, graph seed, sha256 of the certificate JSON)
+    # (n, p, delta_target, graph seed, sha256 of the certificate JSON, kind)
     (200, 0.97, 150, 0,
-     "dbcd58d4e5accdb51a58b97c70f8711709928953a017f364f11d7230ac2b26dc"),
+     "dbcd58d4e5accdb51a58b97c70f8711709928953a017f364f11d7230ac2b26dc", GNP_REPAIRED),
     (200, 0.97, 150, 1,
-     "00f3b2d3fccd1c8dd0bd81ce07d0965a60fc5ddc3cb3eaefe5e0292d0eaab5d8"),
+     "00f3b2d3fccd1c8dd0bd81ce07d0965a60fc5ddc3cb3eaefe5e0292d0eaab5d8", GNP_REPAIRED),
     (200, 0.97, 150, 2,
-     "e0cf5cb9e14861714a9b6c67592b893e05ee0dfe483d9c1f3ecdf26077a8a519"),
+     "e0cf5cb9e14861714a9b6c67592b893e05ee0dfe483d9c1f3ecdf26077a8a519", GNP_REPAIRED),
     (300, 0.8, 210, 0,
-     "28e6c6c7b40f7585640b14f04e188f40838df7f6c168eaafc6f32c3a5c30c6ae"),
+     "28e6c6c7b40f7585640b14f04e188f40838df7f6c168eaafc6f32c3a5c30c6ae", GNP_REPAIRED),
     (300, 0.8, 210, 1,
-     "7dcc7933ca75a5b1a053668382e7a024384b1a9be7b913b707ba8269235b4dc5"),
+     "7dcc7933ca75a5b1a053668382e7a024384b1a9be7b913b707ba8269235b4dc5", GNP_REPAIRED),
+    # the partition density guard rejects this host as labelled (its blocks
+    # fall into different cliques); a relabelled rerun certifies it
+    (300, None, 225, 0,
+     "640b385dbc2ea2039aa003a990bd3bba6065c6ba14f2d0ae32e5ed76d22b78ce", DIRAC_EXTREMAL),
+    # the cover endgame strands vertices as labelled; a relabelled rerun
+    # certifies it
+    (600, 0.8, 420, 90002,
+     "85ac6ae859f8102cea17f265bfaff6b8751d57d78108ca698bccc1cffede568d", GNP_REPAIRED),
 ]
 
 
-@pytest.mark.parametrize("n,p,delta,seed,digest", GOLDEN)
-def test_certificate_digest(n, p, delta, seed, digest):
-    G = generate(GeneratorSpec(kind=GNP_REPAIRED, n=n, p=p,
+@pytest.mark.parametrize("n,p,delta,seed,digest,kind", GOLDEN)
+def test_certificate_digest(n, p, delta, seed, digest, kind):
+    G = generate(GeneratorSpec(kind=kind, n=n, p=p,
                                delta_target=delta, seed=seed))
     cert = spanning_cycle_blowup(G, PRESETS["desk"])
     assert isinstance(cert, CycleBlowupCertificate), cert

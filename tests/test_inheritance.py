@@ -8,8 +8,6 @@ import pytest
 from cyclecover.core import Graph
 from cyclecover.generators import GNP_REPAIRED, GeneratorSpec, generate
 from cyclecover.inheritance import (
-    ABSOLUTE,
-    RELATIVE,
     PropertySpec,
     hypergeometric_tail_bound,
     inherits_degree,
@@ -31,49 +29,28 @@ def k10_minus_perfect_matching():
 
 class TestInheritsDegree:
     def test_complete_always_inherits(self):
-        spec = PropertySpec(Graph.complete(12), 4, 0.25, ABSOLUTE)
+        spec = PropertySpec(Graph.complete(12), 4, 0.25)
         assert inherits_degree(spec, [0, 3, 7, 11])
 
     def test_matching_deleted_counterexample(self):
         # two matched pairs: induced min degree 2 < (1/2 + 0.1) * 4 = 2.4
         G = k10_minus_perfect_matching()
-        spec = PropertySpec(G, 4, 0.2, ABSOLUTE)
+        spec = PropertySpec(G, 4, 0.2)
         assert not inherits_degree(spec, [0, 1, 2, 3])
 
     def test_matching_avoided_inherits(self):
         G = k10_minus_perfect_matching()
-        spec = PropertySpec(G, 4, 0.2, ABSOLUTE)
+        spec = PropertySpec(G, 4, 0.2)
         assert inherits_degree(spec, [0, 2, 4, 6])
 
     def test_absolute_threshold_is_k4_at_desk_dials(self):
         # at s = 4, eps = 0.25 the threshold is 2.5, so inheriting sets are
         # exactly the K4 subsets
         G = generate(GeneratorSpec(GNP_REPAIRED, n=16, p=0.6, seed=9))
-        spec = PropertySpec(G, 4, 0.25, ABSOLUTE)
+        spec = PropertySpec(G, 4, 0.25)
         for S in combinations(range(10), 4):
             expect = all(G.has_edge(a, b) for a, b in combinations(S, 2))
             assert inherits_degree(spec, S) == expect
-
-    def test_relative_edgeless(self):
-        spec = PropertySpec(Graph.empty(9), 3, 0.3, RELATIVE)
-        assert inherits_degree(spec, [0, 4, 8])
-
-    def test_relative_detects_starved_vertex(self):
-        # leaves of the star keep none of their (normalized) host degree
-        # when the centre is left out; eps = 0.1 is below the 1/8 they lose
-        G = Graph.complete_multipartite([1, 8])
-        spec = PropertySpec(G, 3, 0.1, RELATIVE)
-        assert not inherits_degree(spec, [1, 2, 3])
-
-    def test_relative_basic_violation(self):
-        # star K_{1,8}: the centre needs 0.9ish of its normalized degree kept
-        G = Graph.from_edges(9, [(0, i) for i in range(1, 9)])
-        spec = PropertySpec(G, 3, 0.2, RELATIVE)
-        # centre keeps 2 of 2 possible: 1.0 >= 1.0 - 0.2, leaves keep >= 0
-        assert inherits_degree(spec, [0, 1, 2])
-        # without the centre, leaves have induced degree 0 and host degree
-        # 1/8 = 0.125; 0 >= 0.125 - 0.2 holds, so it still inherits
-        assert inherits_degree(spec, [1, 2, 3])
 
     def test_wrong_size_raises(self):
         spec = PropertySpec(Graph.complete(8), 4, 0.25)
@@ -86,7 +63,7 @@ class TestInheritsDegree:
         for S in combinations(range(9), 4):
             last = True
             for eps in (0.05, 0.25, 0.45, 0.65, 0.85):
-                spec = PropertySpec(G, 4, eps, ABSOLUTE)
+                spec = PropertySpec(G, 4, eps)
                 cur = inherits_degree(spec, S)
                 if not last:
                     assert not cur
@@ -99,14 +76,12 @@ class TestInheritsDegree:
             PropertySpec(Graph.complete(5), 6, 0.2)
         with pytest.raises(ValueError):
             PropertySpec(Graph.complete(5), 3, 0.0)
-        with pytest.raises(ValueError):
-            PropertySpec(Graph.complete(5), 3, 0.2, "SOMETIMES")
 
 
 class TestDegreeEstimate:
     def test_deterministic_given_seed(self):
         G = generate(GeneratorSpec(GNP_REPAIRED, n=30, p=0.6, seed=2))
-        spec = PropertySpec(G, 4, 0.25, ABSOLUTE)
+        spec = PropertySpec(G, 4, 0.25)
         a = property_degree_estimate(spec, 5, trials=200, seed=17)
         b = property_degree_estimate(spec, 5, trials=200, seed=17)
         assert a == b
@@ -114,14 +89,14 @@ class TestDegreeEstimate:
         assert a != c
 
     def test_complete_graph_fraction_one(self):
-        spec = PropertySpec(Graph.complete(20), 5, 0.4, ABSOLUTE)
+        spec = PropertySpec(Graph.complete(20), 5, 0.4)
         est = property_degree_estimate(spec, 0, trials=100, seed=0)
         assert est.estimate == 1.0
 
     def test_estimate_tracks_enumeration(self):
         # small host: exhaustive fraction vs 3 standard errors
         G = generate(GeneratorSpec(GNP_REPAIRED, n=12, p=0.75, seed=6))
-        spec = PropertySpec(G, 4, 0.25, ABSOLUTE)
+        spec = PropertySpec(G, 4, 0.25)
         for v in (0, 5, 11):
             exact = enumerate_inheriting_fraction(G, v, 4, 0.25)
             est = property_degree_estimate(spec, v, trials=2000, seed=5)

@@ -1,4 +1,4 @@
-"""Tests for lower-regularity checks, the matcher, and tiling rounds."""
+"""Tests for partite densities, lower-regularity checks and the matcher."""
 
 import math
 from itertools import combinations
@@ -9,18 +9,13 @@ from cyclecover.core import FAIL, Hypergraph, PASS, UNKNOWN
 from cyclecover.seeding import spawn
 from cyclecover.tiling import (
     EXHAUSTIVE,
-    IncrementStalled,
     Matching,
     RegularTuple,
     SAMPLED,
-    Tiling,
-    TilingParams,
     UNCERTIFIED,
-    almost_perfect_tiling,
     check_lower_regular,
     find_lower_regular_tuple,
     hypergraph_perfect_matching,
-    tiling_increment,
     tuple_density,
 )
 
@@ -356,139 +351,8 @@ def test_matching_determinism():
     assert a == b
 
 
-# -- increments and the driver ------------------------------------------
-
-
-def test_increment_complete_host_covers_almost_everything():
-    P = complete_3graph(30)
-    params = TilingParams(s=3, eta=0.25, block_size=3, fresh_size=3,
-                          density_trials=64, check_trials=100, seed=2)
-    Q = tiling_increment(P, Tiling((), 0), params)
-    assert Q.validate().ok
-    # 10 blocks trimmed to 9 for divisibility, all consumed by fresh tuples
-    assert Q.covered >= 30 - 3 * 3
-    for tup in Q.tuples:
-        assert tup.mode in (EXHAUSTIVE, SAMPLED)
-
-
-def test_increment_stalls_on_edgeless_host():
-    P = Hypergraph.from_edges(3, range(12), [])
-    params = TilingParams(s=3, eta=0.25, block_size=2, seed=0)
-    with pytest.raises(IncrementStalled) as exc:
-        tiling_increment(P, Tiling((), 0), params)
-    assert exc.value.stage == "reduced matching"
-    assert exc.value.details["reduced_edges"] == 0
-
-
-def test_increment_requires_enough_blocks():
-    P = complete_3graph(6)
-    params = TilingParams(s=3, eta=0.25, block_size=5, seed=0)
-    with pytest.raises(IncrementStalled) as exc:
-        tiling_increment(P, Tiling((), 0), params)
-    assert exc.value.stage == "no blocks"
-
-
-def test_increment_recycles_previous_tuples():
-    P = complete_3graph(24)
-    p0 = TilingParams(s=3, eta=0.25, block_size=4, fresh_size=4,
-                      density_trials=64, check_trials=60, seed=7)
-    Q1 = tiling_increment(P, Tiling((), 0), p0)
-    assert Q1.covered == 24
-    p1 = TilingParams(s=3, eta=0.25, block_size=2, fresh_size=2,
-                      density_trials=64, check_trials=60, seed=7)
-    Q2 = tiling_increment(P, Q1, p1, round_index=1)
-    assert Q2.validate().ok
-    assert Q2.covered >= Q1.covered - 6
-
-
-def test_increment_never_regresses_coverage():
-    P = complete_3graph(24)
-    p0 = TilingParams(s=3, eta=0.25, block_size=4, fresh_size=4,
-                      density_trials=64, check_trials=60, seed=3)
-    Q1 = tiling_increment(P, Tiling((), 0), p0)
-    p_bad = TilingParams(s=3, eta=0.25, block_size=4, fresh_size=4,
-                         d0=2.5, density_trials=64, check_trials=60, seed=3)
-    Q2 = tiling_increment(P, Q1, p_bad, round_index=1)
-    assert Q2.covered >= Q1.covered
-
-
-def test_increment_oracle_host_sampled_route():
-    P = Hypergraph.from_oracle(3, range(18), lambda e: True)
-    params = TilingParams(s=3, eta=0.25, block_size=3, fresh_size=3,
-                          density_trials=64, check_trials=60, seed=5)
-    Q = tiling_increment(P, Tiling((), 0), params)
-    assert Q.validate().ok
-    assert Q.covered == 18
-    assert all(tup.mode in (EXHAUSTIVE, SAMPLED) for tup in Q.tuples)
-
-
-def test_driver_reaches_eta_target_on_complete_host():
-    P = complete_3graph(30)
-    params = TilingParams(s=3, eta=0.3, block_size=3, fresh_size=3,
-                          density_trials=64, check_trials=60, seed=9)
-    Q = almost_perfect_tiling(P, params)
-    assert Q.validate().ok
-    assert 30 - Q.covered <= 0.3 * 30
-    assert Q.telemetry
-
-
-def test_driver_returns_empty_tiling_with_stall_diagnostics():
-    P = Hypergraph.from_edges(3, range(12), [])
-    params = TilingParams(s=3, eta=0.25, block_size=2, seed=0)
-    Q = almost_perfect_tiling(P, params)
-    assert Q.tuples == ()
-    assert Q.covered == 0
-    stalls = [row for row in Q.telemetry if "stalled" in row]
-    assert stalls and stalls[0]["stalled"] == "reduced matching"
-    assert stalls[0]["round"] == 0
-
-
-def test_driver_determinism():
-    P = complete_3graph(24)
-    params = TilingParams(s=3, eta=0.25, block_size=4, fresh_size=4,
-                          density_trials=64, check_trials=60, seed=13)
-    a = almost_perfect_tiling(P, params)
-    b = almost_perfect_tiling(P, params)
-    assert a == b  # telemetry is excluded from equality, tuples are not
-    assert a.tuples == b.tuples
-
-
-# -- parameter schedules -------------------------------------------------
-
-
-def test_schedule_defaults():
-    p = TilingParams(s=4, eta=0.25)
-    assert p.mu_value() == pytest.approx(0.5)
-    assert p.rho_value() == pytest.approx(0.125)
-    assert p.rounds() == 16
-    assert p.d_at(0) == pytest.approx(0.5 / 16)
-    assert p.d_at(3) == pytest.approx(0.5 / 16 / 8)
-    assert p.eps_at(0) == pytest.approx(p.d_at(0) / 2)
-    assert p.gamma_at(0) == pytest.approx(0.05)
-
-
-def test_schedule_mu_cap():
-    p = TilingParams(s=3, eta=0.01)
-    assert p.mu_value() == pytest.approx(0.16)
-    assert p.rounds() == 10_000
-
-
 def test_regular_tuple_shapes():
     t = RegularTuple((frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6})),
                      0.5, 0.25, UNCERTIFIED)
     assert t.sizes() == (2, 2, 2)
     assert t.total() == 6
-
-
-def test_tiling_validate_catches_overlap():
-    t1 = RegularTuple((frozenset({1}), frozenset({2}), frozenset({3})), 0.5, 0.2)
-    t2 = RegularTuple((frozenset({3}), frozenset({4}), frozenset({5})), 0.5, 0.2)
-    bad = Tiling((t1, t2), 6)
-    v = bad.validate()
-    assert v.status == FAIL and v.reason == "tuples overlap"
-
-
-def test_tiling_validate_catches_count_mismatch():
-    t1 = RegularTuple((frozenset({1}), frozenset({2}), frozenset({3})), 0.5, 0.2)
-    bad = Tiling((t1,), 5)
-    assert bad.validate().status == FAIL
