@@ -90,7 +90,12 @@ def _emit(args, text: str) -> None:
 
 
 def _read_graph(path: str) -> Graph:
-    return graph_from_text(Path(path).read_text())
+    """Parse a graph file; a malformed one ends the command with exit code 2."""
+    try:
+        return graph_from_text(Path(path).read_text())
+    except ValueError as exc:
+        print(f"bad graph file {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _id_list(raw: str) -> list[int]:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .bitset import bits_list, iter_bits, lowest_bit, mask_from
+from .bitset import bits_list, iter_bits, lowest_bit, mask_from, matrix_from_rows, rows_from_matrix
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -430,34 +430,99 @@ def verify_cycle_blowup(G: Graph, cert: CycleBlowupCertificate) -> Verdict:
 # -- plain text graph files ---------------------------------------------
 
 def graph_to_text(G: Graph) -> str:
-    lines = [f"{G.n} {G.edge_count()}"]
-    lines.extend(f"{u} {v}" for u, v in G.edges())
+    """The 'n m' header, then one 'u v' line per edge in G.edges() order."""
+    import numpy as np
+
+    n = G.n
+    us, vs = np.nonzero(np.triu(matrix_from_rows(G.adj, n), 1))
+    cuts = np.searchsorted(us, np.arange(n + 1)).tolist()
+    vs = vs.tolist()
+    names = [str(i) for i in range(n)]
+    lines = [f"{n} {G.edge_count()}"]
+    for u in range(n):
+        if cuts[u] < cuts[u + 1]:
+            pre = names[u] + " "
+            lines.append(pre + ("\n" + pre).join([names[v] for v in vs[cuts[u]:cuts[u + 1]]]))
     return "\n".join(lines) + "\n"
+
+
+def _scan_lines(raw: bytes):
+    """Whole-text passes over graph text that ends in a newline.
+
+    Returns (starts, ends, comment, data, wrong): line k is the byte span
+    [starts[k], ends[k]) before its newline; comment marks the lines whose
+    first token starts with '#'; data lists the other lines that hold a
+    token, ascending; wrong lists the data lines that do not hold exactly
+    two tokens of ASCII digits, ascending.
+    """
+    import numpy as np
+
+    b = np.frombuffer(raw, dtype=np.uint8)
+    newline = b == 10
+    ends = np.flatnonzero(newline)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    space = newline | (b == 32) | (b == 9) | (b == 13)
+    head = ~space
+    head[1:] &= space[:-1]                       # first byte of each token
+    counts = np.add.reduceat(head.view(np.uint8), starts, dtype=np.int32)
+    filled = counts > 0
+    first_token = np.flatnonzero(head)[(np.cumsum(counts) - counts)[filled]]
+    comment = np.zeros(len(starts), dtype=bool)
+    comment[filled] = b[first_token] == ord("#")
+    data = filled & ~comment
+    digit = np.subtract(b, ord("0"), dtype=np.uint8) < 10
+    foreign = np.zeros(len(starts), dtype=bool)
+    foreign[np.searchsorted(ends, np.flatnonzero(~(space | digit)))] = True
+    wrong = data & (foreign | (counts != 2))
+    return starts, ends, comment, np.flatnonzero(data), np.flatnonzero(wrong)
 
 
 def graph_from_text(text: str) -> Graph:
     """Parse the 'n m' header plus one 'u v' line per edge, 0-based ids.
 
-    Lines starting with '#' and blank lines are skipped anywhere.
+    Ids are ASCII decimal digits separated by spaces or tabs, and lines end
+    in '\\n'; a carriage return counts as a space, so '\\r\\n' ends work too.
+    Blank lines, and lines whose first non-blank character is '#', are
+    skipped anywhere. A line holding anything else, such as a sign, an
+    underscore or a non-ASCII digit, is a bad header or bad edge line, even
+    where Python's int() would take the token. Duplicate edge lines are
+    allowed, and the header counts them.
     """
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(line)
-    if not rows:
+    import numpy as np
+
+    raw = text.encode("utf-8", "surrogatepass")
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    starts, ends, comment, data, wrong = _scan_lines(raw)
+
+    def line(k: int) -> bytes:
+        return raw[starts[k]:ends[k]]
+
+    if len(data) == 0:
         raise ValueError("no header line")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ValueError(f"bad header {rows[0]!r}")
-    n, m = int(head[0]), int(head[1])
-    edges = []
-    for line in rows[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    if len(edges) != m:
-        raise ValueError(f"header claims {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    if len(wrong):
+        what = "bad header" if wrong[0] == data[0] else "bad edge line"
+        quoted = line(wrong[0]).decode("utf-8", "surrogatepass").strip()
+        raise ValueError(f"{what} {quoted!r}")
+    n, m = map(int, line(data[0]).split())
+    if len(data) - 1 != m:
+        raise ValueError(f"header claims {m} edges, found {len(data) - 1}")
+    body = raw
+    if comment.any():  # fromstring reads every token, so blank the comments
+        blanked = np.frombuffer(raw, dtype=np.uint8).copy()
+        blanked[np.repeat(comment, ends - starts + 1)] = ord(" ")
+        body = blanked.tobytes()
+    # int64 saturates on ids past its range; those read as outside 0..n-1,
+    # and the message below re-reads the line with exact ints
+    ids = np.fromstring(body, dtype=np.int64, sep=" ")
+    u, v = ids[2::2], ids[3::2]
+    bad = np.flatnonzero((u == v) | (u >= n) | (v >= n))
+    if len(bad):
+        a, c = map(int, line(data[bad[0] + 1]).split())
+        if a == c:
+            raise ValueError(f"loop at vertex {a}")
+        raise ValueError(f"edge ({a}, {c}) outside 0..{n - 1}")
+    A = np.zeros((n, n), dtype=bool)
+    A[u, v] = True
+    A[v, u] = True
+    return Graph(n, rows_from_matrix(A))

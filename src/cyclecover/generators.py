@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .bitset import rows_from_matrix
 from .core import Graph, graph_from_text, min_degree
 from .seeding import spawn
 
@@ -53,14 +54,21 @@ def _repair_to_min_degree(adj: list[int], n: int, target: int) -> None:
 
 
 def _gnp_repaired(spec: GeneratorSpec) -> Graph:
+    import numpy as np
+
     n = spec.n
-    rng = spawn(spec.seed, "gnp", n)
-    adj = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < spec.p:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
+    draw = spawn(spec.seed, "gnp", n).random
+    A = np.zeros((n, n), dtype=bool)
+    buf = np.empty(n)
+    # one row of draws at a time, mirrored into its column as it lands: a
+    # list of the whole triangle's floats, or a transposed copy of A, would
+    # raise the peak memory of a solve run
+    for u in range(n - 1):
+        k = n - 1 - u
+        buf[:k] = [draw() for _ in range(k)]
+        np.less(buf[:k], spec.p, out=A[u, u + 1:])
+        A[u + 1:, u] = A[u, u + 1:]
+    adj = rows_from_matrix(A)
     if spec.delta_target is not None:
         _repair_to_min_degree(adj, n, spec.delta_target)
     return Graph(n, adj)

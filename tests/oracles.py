@@ -179,3 +179,36 @@ def enumerate_inheriting_fraction(G: Graph, v: int, s: int, eps: float) -> float
         if ok:
             hits += 1
     return hits / total
+
+
+def reference_graph_to_text(G: Graph) -> str:
+    """The line-by-line writer the numpy one in core must match byte for byte."""
+    lines = [f"{G.n} {G.edge_count()}"]
+    lines.extend(f"{u} {v}" for u, v in G.edges())
+    return "\n".join(lines) + "\n"
+
+
+def reference_graph_from_text(text: str) -> Graph:
+    """The line-by-line parser the numpy one in core must agree with, on the
+    graphs it returns and on the messages it raises."""
+    rows = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        rows.append(line)
+    if not rows:
+        raise ValueError("no header line")
+    head = rows[0].split()
+    if len(head) != 2:
+        raise ValueError(f"bad header {rows[0]!r}")
+    n, m = int(head[0]), int(head[1])
+    edges = []
+    for line in rows[1:]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"bad edge line {line!r}")
+        edges.append((int(parts[0]), int(parts[1])))
+    if len(edges) != m:
+        raise ValueError(f"header claims {m} edges, found {len(edges)}")
+    return Graph.from_edges(n, edges)

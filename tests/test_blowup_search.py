@@ -1,7 +1,5 @@
 """Search module tests: bicliques, blow-ups, connections, rooted blow-ups. Exhaustive oracles pin completeness on small instances."""
 
-from itertools import combinations
-
 import pytest
 
 from cyclecover.core import (

@@ -107,6 +107,25 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("FAIL")
 
 
+def test_verify_reads_graph_text_grammar(tmp_path, capsys):
+    # ln 12 = 2.4849, c = 1.2, eta = 0.25 pins every size to exactly 3
+    cert = CycleBlowupCertificate(12, 1.2, 0.25, ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(cert.to_json())
+    head, *edges = graph_to_text(Graph.complete(12)).splitlines()
+    lines = ["# K12, CRLF endings", "", head, "  # edges follow", "\t"]
+    lines += [e.replace(" ", "\t ") + " " for e in edges]
+    g = tmp_path / "g.txt"
+    g.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    assert main(["verify", str(g), str(cert_path)]) == 0
+    assert capsys.readouterr().out == "PASS\n"
+    g.write_bytes("\n".join(lines[:-1] + ["10 11 # last"]).encode() + b"\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(g), str(cert_path)])
+    assert exc.value.code == 2
+    assert "bad edge line '10 11 # last'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # cover / connect / biclique
 

@@ -23,7 +23,6 @@ from cyclecover.cover import (
     ALMOST,
     SIMPLE,
     AbsorptionError,
-    CoverParams,
     CoverResult,
     PipelineFailure,
     PRESETS,

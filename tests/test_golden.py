@@ -3,14 +3,16 @@
 Pins the SHA-256 of to_json() for a few pipeline runs, so any change that
 moves a random stream, a tie-break or a search decision shows up as a
 failing digest rather than as a silently different certificate. A change
-that alters these bytes on purpose updates the table and says so.
+that alters these bytes on purpose updates the table and says so. The
+graph text of a few generated hosts is pinned the same way, which holds
+both the generator's random stream and the writer's bytes.
 """
 
 import hashlib
 
 import pytest
 
-from cyclecover.core import CycleBlowupCertificate
+from cyclecover.core import CycleBlowupCertificate, graph_to_text
 from cyclecover.cover import PRESETS, spanning_cycle_blowup
 from cyclecover.generators import DIRAC_EXTREMAL, GNP_REPAIRED, GeneratorSpec, generate
 
@@ -44,3 +46,23 @@ def test_certificate_digest(n, p, delta, seed, digest, kind):
     cert = spanning_cycle_blowup(G, PRESETS["desk"])
     assert isinstance(cert, CycleBlowupCertificate), cert
     assert hashlib.sha256(cert.to_json().encode()).hexdigest() == digest
+
+
+GRAPH_TEXT = [
+    # (n, p, delta_target, graph seed, sha256 of graph_to_text)
+    (300, 0.97, 225, 0,
+     "9c4dcdc8947e870997e485edd02ac9978878ed56da05b32aa64852147ce346e6"),
+    (300, 0.5, None, 3,
+     "75d57183e3a225a99bfb476b80f6fa5ac7bf00f0dc2bca5fcbe4c16de789c4eb"),
+    (600, 0.8, 420, 0,
+     "bf45e48a4a84b078e1a87faf473babe8784e61b4663f92c9daf0e84c895c85f2"),
+    (1000, 0.97, 750, 0,
+     "506de74e83fc7ba73456a8eaa6d0542b0dbf2e6378b80dd0704c8efc856c1b8a"),
+]
+
+
+@pytest.mark.parametrize("n,p,delta,seed,digest", GRAPH_TEXT)
+def test_graph_text_digest(n, p, delta, seed, digest):
+    G = generate(GeneratorSpec(kind=GNP_REPAIRED, n=n, p=p,
+                               delta_target=delta, seed=seed))
+    assert hashlib.sha256(graph_to_text(G).encode()).hexdigest() == digest

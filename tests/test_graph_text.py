@@ -1,0 +1,124 @@
+"""Graph text files: the numpy writer and parser in core against the
+line-by-line reference in oracles, on clean texts, on texts mutated within
+the grammar, and on malformed ones."""
+
+import pytest
+
+from cyclecover.core import Graph, graph_from_text, graph_to_text
+from cyclecover.seeding import spawn
+
+from oracles import reference_graph_from_text, reference_graph_to_text
+
+
+def random_graph(n, p, seed):
+    rng = spawn(seed, "test-graph-text")
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph.from_edges(n, edges)
+
+
+DENSITIES = (0.0, 0.1, 0.5, 0.97, 1.0)
+SPECIAL = [Graph.empty(0), Graph.empty(1), Graph.complete(7), Graph.cycle(9)]
+
+
+def sample_graphs(p):
+    return [random_graph(n, p, 1000 * n + int(100 * p)) for n in range(81)]
+
+
+@pytest.mark.parametrize("p", DENSITIES)
+def test_writer_and_parser_match_reference(p):
+    for G in sample_graphs(p) + SPECIAL:
+        text = graph_to_text(G)
+        assert text == reference_graph_to_text(G)
+        assert graph_from_text(text) == reference_graph_from_text(text) == G
+
+
+def mutate(text, rng):
+    """The same graph in another spelling the grammar allows: comment and
+    blank lines anywhere, CRLF endings, tabs and runs of spaces between and
+    around tokens, duplicated edge lines (the header counts them) and
+    sometimes no final newline."""
+    head, *edges = text.splitlines()
+    edges += [rng.choice(edges) for _ in range(rng.randrange(3))] if edges else []
+    rng.shuffle(edges)
+    n = head.split()[0]
+    lines = [f"{n} {len(edges)}"] + edges
+    fillers = ["", "   ", "\t", "# a comment", "  #indented comment 1 2 3",
+               "#", "# café ∑ -1 +3 x_y"]
+    out = []
+    for line in lines:
+        while rng.random() < 0.3:
+            out.append(rng.choice(fillers))
+        sep = rng.choice([" ", "\t", "  ", " \t "])
+        lead = rng.choice(["", " ", "\t"])
+        trail = rng.choice(["", " ", "\t ", "  "])
+        out.append(lead + sep.join(line.split()) + trail)
+    if rng.random() < 0.5:
+        out.append(rng.choice(fillers))
+    end = rng.choice(["\n", "\r\n"])
+    mutated = end.join(out)
+    return mutated if rng.random() < 0.3 else mutated + end
+
+
+@pytest.mark.parametrize("p", DENSITIES)
+def test_parser_matches_reference_on_mutated_text(p):
+    rng = spawn(int(100 * p), "test-graph-text-mutate")
+    for G in sample_graphs(p)[::4] + SPECIAL:
+        for _ in range(3):
+            text = mutate(graph_to_text(G), rng)
+            assert graph_from_text(text) == reference_graph_from_text(text) == G, text
+
+
+MALFORMED = {
+    "header with 3 tokens": "3 2 1\n0 1\n1 2\n",
+    "header with 1 token": "# c\n3\n0 1\n",
+    "edge line with 1 token": "3 2\n0 1\n1\n",
+    "edge line with 3 tokens": "3 2\n0 1\n1 2 0\n",
+    "header count one high": "3 2\n0 1\n",
+    "header count one low": "3 2\n0 1\n1 2\n0 2\n",
+    "loop": "3 2\n0 1\n2 2\n",
+    "out-of-range id": "3 2\n0 1\n1 3\n",
+    "first bad line wins": "3 2\n0 1 2\n1\n",
+    "bad header before bad edge line": "3 2 1\n0 1\n1\n",
+    "first offending edge wins": "4 3\n0 1\n3 4\n2 2\n",
+    "loop outside the range": "3 1\n5 5\n",
+    "id past int64": "3 1\n0 99999999999999999999999\n",
+    "line shape before count": "3 5\n1 1\n0 1 2\n",
+    "line shape before loop": "3 2\n1 1\n0 1 2\n",
+    "CRLF edge line": "3 2\r\n0 1\r\n1 2 0\r\n",
+    "tab-separated bad line": "3 2\n0\t1\n\t1\t2\t0\t\n",
+    "edges on a zero-vertex graph": "0 1\n0 1\n",
+    "empty text": "",
+    "comment-only text": "# a\n\n   # b\n\t\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_text_raises_reference_message(text):
+    with pytest.raises(ValueError) as expected:
+        reference_graph_from_text(text)
+    with pytest.raises(ValueError) as got:
+        graph_from_text(text)
+    assert str(got.value) == str(expected.value)
+
+
+def test_leading_zeros_parse_as_decimal():
+    text = "003 02\n000 0001\n01 2\n"
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert graph_from_text(text) == reference_graph_from_text(text) == path
+
+
+# Tokens that Python's int() takes but the ASCII grammar does not: the
+# line-by-line parser read them as numbers (or, for -1, as an id outside
+# 0..n-1); the numpy parser reports the line.
+NON_GRAMMAR = ["+1 2", "1_0 2", "-1 2", "١ 2", "1 ２"]
+
+
+@pytest.mark.parametrize("line", NON_GRAMMAR)
+def test_tokens_outside_the_grammar_are_bad_lines(line):
+    text = f"12 2\n0 1\n{line}\n"
+    with pytest.raises(ValueError) as got:
+        graph_from_text(text)
+    assert str(got.value) == f"bad edge line {line!r}"
+    with pytest.raises(ValueError) as got:
+        graph_from_text(f"# c\n{line}\n")
+    assert str(got.value) == f"bad header {line!r}"

@@ -1,6 +1,5 @@
 """Tests for partite densities, lower-regularity checks and the matcher."""
 
-import math
 from itertools import combinations
 
 import pytest
@@ -19,7 +18,7 @@ from cyclecover.tiling import (
     tuple_density,
 )
 
-from oracles import brute_lower_regular, brute_partite_count, brute_perfect_matching
+from oracles import brute_lower_regular, brute_perfect_matching
 
 
 def complete_3graph(n):
