@@ -4,10 +4,12 @@ Library layout:
   core           graphs, hypergraphs, cluster families, verifiers
   inheritance    degree inheritance tests, estimates, tail bound
   blowup_search  biclique / blow-up / connection / rooted searches
-  tiling         partite densities, lower-regular tuples, matchings
   cover          s-block partition and its density guard, cover pipelines,
                  the spanning cycle blow-up driver
   generators     seeded instance generators
+  tiling         lemma library: partite densities, lower-regular tuples,
+                 hypergraph matchings; the pipeline modules above do not
+                 import it
   cli            command line entry points
 """
 
@@ -29,7 +31,6 @@ from .core import (
     Hypergraph,
     PASS,
     SetFamily,
-    UNKNOWN,
     Verdict,
     canonical_cycle,
     graph_from_text,
@@ -73,14 +74,11 @@ from .inheritance import (
     hypergeometric_tail_bound,
     inherits_degree,
     property_degree_estimate,
-    property_membership,
 )
 from .tiling import (
     EXHAUSTIVE,
     Matching,
     RegularTuple,
-    SAMPLED,
-    UNCERTIFIED,
     check_lower_regular,
     find_lower_regular_tuple,
     hypergraph_perfect_matching,
@@ -116,11 +114,8 @@ __all__ = [
     "PipelineFailure",
     "PropertySpec",
     "RegularTuple",
-    "SAMPLED",
     "SIMPLE",
     "SetFamily",
-    "UNCERTIFIED",
-    "UNKNOWN",
     "Verdict",
     "WoundPiece",
     "absorb_singleton",
@@ -142,7 +137,6 @@ __all__ = [
     "is_complete_bipartite",
     "min_degree",
     "property_degree_estimate",
-    "property_membership",
     "rooted_blowup",
     "simple_blowup_cover",
     "spanning_cycle_blowup",

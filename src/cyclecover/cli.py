@@ -44,7 +44,7 @@ from .generators import (
     GeneratorSpec,
     generate,
 )
-from .inheritance import PropertySpec, property_degree_estimate, property_membership
+from .inheritance import PropertySpec, inherits_degree, property_degree_estimate
 from .tiling import hypergraph_perfect_matching
 
 SCHEMA_LINE = "# schema=1"
@@ -90,10 +90,11 @@ def _emit(args, text: str) -> None:
 
 
 def _read_graph(path: str) -> Graph:
-    """Parse a graph file; a malformed one ends the command with exit code 2."""
+    """Parse a graph file; an unreadable or malformed one ends the command
+    with exit code 2."""
     try:
         return graph_from_text(Path(path).read_text())
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"bad graph file {path}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
@@ -200,7 +201,14 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     G = _read_graph(args.graph)
-    cert = CycleBlowupCertificate.from_json(Path(args.certificate).read_text())
+    try:
+        cert = CycleBlowupCertificate.from_json(Path(args.certificate).read_text())
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # ValueError covers bad JSON and bad numbers, KeyError a missing
+        # field, TypeError a field of the wrong JSON type
+        print(f"bad certificate file {args.certificate}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 2
     verdict = verify_cycle_blowup(G, cert)
     if verdict.status == "PASS":
         print("PASS")
@@ -270,8 +278,7 @@ def cmd_match(args) -> int:
     params = _params(args)
     s = args.s if args.s is not None else params.s
     spec = PropertySpec(G, s, params.eps)
-    member = property_membership(spec)
-    edges = [S for S in combinations(range(G.n), s) if member(frozenset(S))]
+    edges = [S for S in combinations(range(G.n), s) if inherits_degree(spec, S)]
     P = Hypergraph.from_edges(s, range(G.n), edges)
     try:
         matching = hypergraph_perfect_matching(P, seed=args.seed)

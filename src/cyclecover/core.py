@@ -1,12 +1,12 @@
 """Graphs, uniform hypergraphs, cluster families, and the verifiers.
 
 Everything downstream reduces to the objects here: a Graph with bitmask
-adjacency rows, an s-uniform Hypergraph that is either an explicit edge set
-or a membership oracle, a SetFamily of disjoint vertex clusters with a
-declared balance shape, a Blowup pairing a reduced graph with a family, and
-a CycleBlowupCertificate that can be re-checked from scratch against a host
-graph. Verifiers return Verdict values with witnesses instead of raising,
-except where a precondition is plainly violated.
+adjacency rows, an s-uniform Hypergraph with an explicit edge set, a
+SetFamily of disjoint vertex clusters with a declared balance shape, a
+Blowup pairing a reduced graph with a family, and a CycleBlowupCertificate
+that can be re-checked from scratch against a host graph. Verifiers
+return Verdict values with witnesses instead of raising, except where a
+precondition is plainly violated.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bitset import bits_list, iter_bits, lowest_bit, mask_from, matrix_from_rows, rows_from_matrix
 
 PASS = "PASS"
 FAIL = "FAIL"
-UNKNOWN = "UNKNOWN"
 
 # Balance shapes a SetFamily may declare.
 BALANCE_EXACT = "exact"      # every cluster has exactly m vertices
@@ -32,7 +31,7 @@ _EPS = 1e-9
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a verification: PASS, FAIL with a witness, or UNKNOWN."""
+    """Outcome of a verification: PASS, or FAIL with a witness."""
 
     status: str
     reason: str = ""
@@ -114,9 +113,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def deg_in(self, v: int, mask: int) -> int:
-        return (self.adj[v] & mask).bit_count()
-
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> v) & 1 == 1
 
@@ -137,6 +133,14 @@ class Graph:
         adj = list(self.adj)
         for v in bits_list(mask):
             adj[v] &= ~mask
+        return Graph(self.n, adj)
+
+    def relabel(self, perm: Sequence[int]) -> "Graph":
+        """Copy in which vertex v is called perm[v]; perm must be a
+        permutation of 0..n-1."""
+        adj = [0] * self.n
+        for v, row in enumerate(self.adj):
+            adj[perm[v]] = mask_from(perm[u] for u in iter_bits(row))
         return Graph(self.n, adj)
 
     def __eq__(self, other: object) -> bool:
@@ -175,21 +179,15 @@ def is_complete_bipartite(G: Graph, A: Iterable[int], B: Iterable[int]) -> Verdi
 
 
 class Hypergraph:
-    """s-uniform hypergraph, explicit or oracle-backed.
+    """s-uniform hypergraph with an explicit frozen edge set; edges are
+    stored as sorted tuples."""
 
-    Explicit instances carry a frozen edge set (edges stored as sorted
-    tuples). Oracle instances carry a membership callable over frozensets
-    and never materialize their edges; degree queries are refused for them.
-    """
+    __slots__ = ("s", "universe", "edge_set")
 
-    __slots__ = ("s", "universe", "edge_set", "member", "explicit")
-
-    def __init__(self, s, universe, edge_set, member, explicit):
+    def __init__(self, s, universe, edge_set):
         self.s = s
         self.universe = universe
         self.edge_set = edge_set
-        self.member = member
-        self.explicit = explicit
 
     @classmethod
     def from_edges(cls, s: int, universe: Iterable[int], edges: Iterable[Iterable[int]]) -> "Hypergraph":
@@ -204,29 +202,14 @@ class Hypergraph:
             if not all(v in uni for v in t):
                 raise ValueError(f"edge {t} leaves the universe")
             edge_set.add(t)
-        return cls(s, uni, frozenset(edge_set), None, True)
-
-    @classmethod
-    def from_oracle(cls, s: int, universe: Iterable[int], member: Callable[[frozenset], bool]) -> "Hypergraph":
-        return cls(s, frozenset(universe), None, member, False)
-
-    def has_edge(self, S: Iterable[int]) -> bool:
-        t = tuple(sorted(S))
-        if len(set(t)) != self.s:
-            return False
-        if self.explicit:
-            return t in self.edge_set
-        return bool(self.member(frozenset(t)))
+        return cls(s, uni, frozenset(edge_set))
 
     def __repr__(self) -> str:
-        kind = "explicit" if self.explicit else "oracle"
-        return f"Hypergraph(s={self.s}, |V|={len(self.universe)}, {kind})"
+        return f"Hypergraph(s={self.s}, |V|={len(self.universe)}, |E|={len(self.edge_set)})"
 
 
 def hypergraph_min_degree(P: Hypergraph) -> int:
-    """Minimum vertex degree of an explicit hypergraph."""
-    if not P.explicit:
-        raise ValueError("degree requires explicit edges or use property_degree_estimate")
+    """Minimum vertex degree of a hypergraph."""
     counts = {v: 0 for v in P.universe}
     for e in P.edge_set:
         for v in e:
@@ -402,7 +385,10 @@ def verify_cycle_blowup(G: Graph, cert: CycleBlowupCertificate) -> Verdict:
     for i, cl in enumerate(cert.clusters):
         if len(cl) == 0:
             return Verdict(FAIL, "empty cluster", i)
-        cm = mask_from(cl)
+        try:
+            cm = mask_from(cl)
+        except ValueError:  # a negative id has no bit to shift to
+            return Verdict(FAIL, "vertex outside host", i)
         if cm.bit_count() != len(cl):
             return Verdict(FAIL, "repeated vertex inside cluster", i)
         if cm & ~vmask:

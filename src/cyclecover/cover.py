@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .bitset import iter_bits, mask_from
+from .bitset import mask_from
 from .core import (
     BALANCE_QUASI,
     BALANCE_WITHIN,
@@ -25,7 +25,6 @@ from .core import (
     CycleBlowupCertificate,
     FAIL,
     Graph,
-    Hypergraph,
     PASS,
     SetFamily,
     Verdict,
@@ -35,9 +34,7 @@ from .core import (
     verify_cycle_blowup,
 )
 from .blowup_search import connect_clusters, find_blowup, rooted_blowup
-from .inheritance import PropertySpec, property_membership
 from .seeding import draw_subset, mix, spawn
-from .tiling import tuple_density
 
 ALMOST = "ALMOST"
 SIMPLE = "SIMPLE"
@@ -59,16 +56,16 @@ class AbsorptionError(RuntimeError):
 class CoverParams:
     """Dials for the cover and cycle pipeline.
 
-    The four scale coefficients set cluster sizes m = floor(c ln n),
-    m_i = floor(c_i ln n): c drives bulk extraction, c1 the cover pieces,
-    c2 the connectors and the certificate declaration, c3 the pickups.
-    c1/c2 must be a positive integer; it caps the winding pass count. The
-    certificate produced downstream declares bounds (c2, 4 eta).
+    The three scale coefficients set cluster sizes m_i = floor(c_i ln n):
+    c1 the cover pieces, c2 the connectors and the certificate declaration,
+    c3 the pickups. c1/c2 must be a positive integer; it caps the winding
+    pass count. The certificate produced downstream declares bounds
+    (c2, 4 eta). density_trials is the sample count of the partition
+    density guard in almost_blowup_cover.
     """
 
     eps: float = 0.25
     s: int = 4
-    c: float = 2.46
     c1: float = 1.2
     c2: float = 0.4
     c3: float = 0.4
@@ -80,13 +77,13 @@ class CoverParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        if not (0.0 < self.eps < 1.0):
+            raise ValueError("eps must lie in (0, 1)")
         if self.s < 3:
             raise ValueError("s must be at least 3")
         if not (0.0 < self.eta < 1.0):
             raise ValueError("eta must lie in (0, 1)")
-        for name in ("c", "c1", "c2", "c3"):
+        for name in ("c1", "c2", "c3"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         r = self.c1 / self.c2
@@ -101,12 +98,12 @@ class CoverParams:
     def rho(self) -> float:
         return self.eta / 2.0
 
-    def scales(self, n: int) -> tuple[int, int, int, int]:
-        """(m, m1, m2, m3) at order n; every scale must stay >= 1."""
+    def scales(self, n: int) -> tuple[int, int, int]:
+        """(m1, m2, m3) at order n; every scale must stay >= 1."""
         if n < 2:
             raise ValueError("need at least two vertices")
         ln = math.log(n)
-        out = tuple(int(c * ln + 1e-12) for c in (self.c, self.c1, self.c2, self.c3))
+        out = tuple(int(c * ln + 1e-12) for c in (self.c1, self.c2, self.c3))
         if min(out) < 1:
             raise ValueError("a cluster scale collapsed below 1; n is too small")
         return out
@@ -347,6 +344,19 @@ def absorb_singleton(B: Blowup) -> AbsorbResult:
 # almost cover
 
 
+def _inheriting_shape(G: Graph, pick: Sequence[int],
+                      floor_deg: float) -> tuple[tuple[int, int], ...] | None:
+    """Edges (a, b), a < b, of G[pick] labelled by position in pick, or
+    None when some vertex of pick has fewer than floor_deg neighbours in
+    pick. The vertices of pick must be distinct."""
+    within = mask_from(pick)
+    if any((G.adj[v] & within).bit_count() < floor_deg for v in pick):
+        return None
+    s = len(pick)
+    return tuple((a, b) for a in range(s) for b in range(a + 1, s)
+                 if G.has_edge(pick[a], pick[b]))
+
+
 def _template_shape(G: Graph, parts: Sequence[Sequence[int]], eps: float,
                     rng, trials: int) -> Graph | None:
     """Most frequent labelled inheriting shape across sampled partite
@@ -355,23 +365,10 @@ def _template_shape(G: Graph, parts: Sequence[Sequence[int]], eps: float,
     counts: dict[tuple[tuple[int, int], ...], int] = {}
     floor_deg = (0.5 + eps / 2.0) * s - _EPS
     for _ in range(trials):
-        pick = [part[rng.randrange(len(part))] for part in parts]
-        mask = mask_from(pick)
-        key = []
-        ok = True
-        for a in range(s):
-            deg = 0
-            for b in range(s):
-                if a != b and G.has_edge(pick[a], pick[b]):
-                    deg += 1
-                    if a < b:
-                        key.append((a, b))
-            if deg < floor_deg:
-                ok = False
-                break
-        if ok:
-            tk = tuple(key)
-            counts[tk] = counts.get(tk, 0) + 1
+        key = _inheriting_shape(G, [part[rng.randrange(len(part))] for part in parts],
+                                floor_deg)
+        if key is not None:
+            counts[key] = counts.get(key, 0) + 1
     if not counts:
         return None
     best = max(sorted(counts), key=lambda k: counts[k])
@@ -384,32 +381,37 @@ def almost_blowup_cover(G: Graph, params: CoverParams, *,
 
     The vertex set is cut into s blocks of floor(n/s) consecutive ids; the
     n mod s highest ids are left uncovered. One density guard decides
-    whether the blocks are used: the sampled fraction of partite s-sets
-    that inherit the degree condition must reach min(16 eta, 1/2) / 4.
-    When it does, the most frequent inheriting shape across the blocks
-    becomes the pattern, and framed extraction pulls blow-ups at the cover
-    scale until the unused fraction of every block drops below rho. A
-    rejected guard or a stall leaves a partial cover plus diagnostics,
-    never an invalid structure. scale overrides the default cluster size
+    whether the blocks are used: of density_trials sampled s-sets with one
+    vertex per block, the fraction that inherits the degree condition must
+    reach min(16 eta, 1/2) / 4. When it does, the most frequent inheriting
+    shape across the blocks becomes the pattern, and framed extraction
+    pulls blow-ups at the cover scale until the unused fraction of every
+    block drops below rho. A rejected guard or a stall leaves a partial
+    cover plus diagnostics, never an invalid structure. scale overrides the default cluster size
     m1 = floor(c1 ln n).
     """
     n = G.n
     s = params.s
-    _, m1, _, _ = params.scales(n)
+    m1, _, _ = params.scales(n)
     t_scale = m1 if scale is None else scale
     if t_scale < 1:
         raise ValueError("cluster scale must be at least 1")
 
     block = n // s
     parts = [list(range(i * block, (i + 1) * block)) for i in range(s)]
-    P = Hypergraph.from_oracle(s, range(n),
-                               property_membership(PropertySpec(G, s, params.eps)))
     floor = min(16.0 * params.eta, 0.5) / 4.0
-    # the seed labels here and the 0 in the shape and extract labels below
-    # are pinned by the golden certificate digests
-    density = tuple_density(P, parts, trials=params.density_trials,
-                            seed=mix(mix(params.seed, "cover", "tiling"),
-                                     "reduced-edge", *range(s)))
+    floor_deg = (0.5 + params.eps / 2.0) * s - _EPS
+    # the seed labels here, the one-vertex-per-block draw order, and the 0
+    # in the shape and extract labels below are pinned by the golden
+    # certificate digests
+    guard_seed = mix(mix(params.seed, "cover", "tiling"), "reduced-edge", *range(s))
+    hits = 0
+    for t in range(params.density_trials):
+        rng = spawn(guard_seed, "tuple-density", t)
+        pick = [p[rng.randrange(len(p))] for p in parts]
+        if _inheriting_shape(G, pick, floor_deg) is not None:
+            hits += 1
+    density = hits / params.density_trials
     diags: list = [("partition", {"block": block, "density": density,
                                   "floor": floor})]
 
@@ -450,7 +452,7 @@ def _piece_band(params: CoverParams, n: int) -> tuple[int, int]:
     certificate window, whose upper bound floor((1 + 4 eta) c2 ln n) every
     surviving cluster must respect.
     """
-    _, _, _, m3 = params.scales(n)
+    _, _, m3 = params.scales(n)
     hi_cert = int((1.0 + 4.0 * params.eta) * params.c2 * math.log(n) + _EPS)
     lo = max(2, m3)
     hi = min(hi_cert, max(2 * m3, lo + 1))
@@ -569,7 +571,7 @@ def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     """
     n = G.n
     s = params.s
-    _, m1, m2, m3 = params.scales(n)
+    m1, m2, m3 = params.scales(n)
     lo_p, hi_p = _piece_band(params, n)
 
     base = almost_blowup_cover(G, params, scale=m1)
@@ -960,7 +962,7 @@ def spanning_cycle_blowup(G: Graph, params: CoverParams):
         return first
     for k in range(_RELABEL_RETRIES):
         perm = draw_subset(spawn(params.seed, "relabel", k), range(G.n), G.n)
-        res = _solve(_relabel(G, perm), params)
+        res = _solve(G.relabel(perm), params)
         if isinstance(res, PipelineFailure):
             continue
         name_of = [0] * G.n
@@ -973,18 +975,10 @@ def spanning_cycle_blowup(G: Graph, params: CoverParams):
     return first
 
 
-def _relabel(G: Graph, perm: Sequence[int]) -> Graph:
-    """Copy of G in which vertex v is called perm[v]."""
-    adj = [0] * G.n
-    for v, row in enumerate(G.adj):
-        adj[perm[v]] = mask_from(perm[u] for u in iter_bits(row))
-    return Graph(G.n, adj)
-
-
 def _solve(G: Graph, params: CoverParams):
     """One pass of the pipeline over G as labelled; see spanning_cycle_blowup."""
     n = G.n
-    _, m1, m2, _ = params.scales(n)
+    m1, m2, _ = params.scales(n)
 
     cover = simple_blowup_cover(G, params)
     if cover.kind != SIMPLE:

@@ -2,9 +2,11 @@
 
 All kinds are deterministic functions of their GeneratorSpec, including the
 repair pass; edges are sampled in ascending pair order so the stream layout
-never depends on interpreter details. Only GNP_REPAIRED draws randomness:
-DIRAC_EXTREMAL and CLIQUE_UNION_PLUS ignore the seed, so a seed sweep over
-them repeats one host.
+never depends on interpreter details. GNP_REPAIRED draws its edges from the
+seed. DIRAC_EXTREMAL and CLIQUE_UNION_PLUS build one fixed host and then
+rename its vertices by a permutation drawn from the seed, so a seed sweep
+over them visits isomorphic copies under different labellings; seed 0 keeps
+the construction's own labels.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 from .bitset import rows_from_matrix
 from .core import Graph, graph_from_text, min_degree
-from .seeding import spawn
+from .seeding import draw_subset, spawn
 
 GNP_REPAIRED = "GNP_REPAIRED"
 DIRAC_EXTREMAL = "DIRAC_EXTREMAL"
@@ -31,7 +33,7 @@ class GeneratorSpec:
     n: int = 0
     p: float = 0.5
     delta_target: int | None = None
-    seed: int = 0                # GNP_REPAIRED only; other kinds ignore it
+    seed: int = 0                # edge draws (GNP_REPAIRED) or relabelling
     overlap: int | None = None   # DIRAC_EXTREMAL half-overlap, derived if None
     pieces: int = 3              # CLIQUE_UNION_PLUS clique count
     path: str | None = None      # FROM_FILE source
@@ -115,15 +117,23 @@ def _clique_union_plus(spec: GeneratorSpec) -> Graph:
     return Graph(n, adj)
 
 
+def _seeded_labels(G: Graph, seed: int) -> Graph:
+    """G itself at seed 0, else G with its vertices renamed by a
+    permutation drawn from the seed."""
+    if seed == 0:
+        return G
+    return G.relabel(draw_subset(spawn(seed, "generator-relabel", G.n), range(G.n), G.n))
+
+
 def generate(spec: GeneratorSpec) -> Graph:
     """Build the graph for a spec; the degree floor, when given, is verified
     before the graph is returned."""
     if spec.kind == GNP_REPAIRED:
         G = _gnp_repaired(spec)
     elif spec.kind == DIRAC_EXTREMAL:
-        G = _dirac_extremal(spec)
+        G = _seeded_labels(_dirac_extremal(spec), spec.seed)
     elif spec.kind == CLIQUE_UNION_PLUS:
-        G = _clique_union_plus(spec)
+        G = _seeded_labels(_clique_union_plus(spec), spec.seed)
     elif spec.kind == FROM_FILE:
         if spec.path is None:
             raise ValueError("FROM_FILE needs a path")

@@ -3,8 +3,8 @@ controls how often sampling misses.
 
 A vertex set S inherits the host's degree condition when the induced
 subgraph has minimum degree at least (1/2 + eps/2)|S|. The inheriting
-s-sets form a property hypergraph that is never materialized; callers
-probe it through inherits_degree or estimate degrees by seeded sampling.
+s-sets form a property hypergraph; callers probe it through
+inherits_degree or estimate its degrees by seeded sampling.
 """
 
 from __future__ import annotations
@@ -62,13 +62,6 @@ def inherits_degree(spec: PropertySpec, S: Iterable[int]) -> bool:
             return False
         m ^= low
     return True
-
-
-def property_membership(spec: PropertySpec):
-    """Membership callable for the property hypergraph over V(host)."""
-    def member(S: frozenset) -> bool:
-        return inherits_degree(spec, S)
-    return member
 
 
 def property_degree_estimate(spec: PropertySpec, v: int, trials: int, seed: int = 0) -> DegreeEstimate:

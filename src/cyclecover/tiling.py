@@ -1,18 +1,17 @@
 """Partite densities, lower-regular tuples, and hypergraph matchings.
 
-The cover pipeline uses tuple_density for its one partition density guard;
-the regularity check, the regular-tuple finder and the matcher are library
-routines that the acceptance criteria exercise.
+A lemma library over explicit uniform hypergraphs: the acceptance criteria
+exercise the regular-tuple finder and the matcher, and the cover pipeline
+imports nothing from here.
 
 The quantified regularity notion: an s-tuple of disjoint parts is
 (rho, d)-lower-regular when every choice of sub-parts of relative size at
-least rho spans partite density at least d - rho. Complete certification
-runs through an averaging reduction: a violating choice of large sub-parts
+least rho spans partite density at least d - rho. Certification runs
+through an averaging reduction: a violating choice of large sub-parts
 exists exactly when one of minimal size ceil(rho |V_i|) does, so only
 exact-size subsets are enumerated and the budget is charged on that reduced
-state count. Witness searches, density estimates on oracle-backed
-hypergraphs, and the partition retries of the matcher all derive their
-randomness from per-call seeds.
+state count. The partition retries of the matcher derive their randomness
+from per-call seeds.
 """
 
 from __future__ import annotations
@@ -24,16 +23,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import FAIL, Hypergraph, PASS, UNKNOWN, Verdict
-from .seeding import draw_subset, mix, spawn
-
-
-def spawn_seed(seed: int, salt: int) -> int:
-    return mix(seed, "check-seed", salt)
+from .core import FAIL, Hypergraph, PASS, Verdict
+from .seeding import draw_subset, spawn
 
 EXHAUSTIVE = "EXHAUSTIVE"
-SAMPLED = "SAMPLED"
-UNCERTIFIED = "UNCERTIFIED"
 
 _STATE_BUDGET = 10 ** 7
 _EPS = 1e-9
@@ -41,12 +34,11 @@ _EPS = 1e-9
 
 @dataclass(frozen=True)
 class RegularTuple:
-    """Ordered disjoint parts with the certification they were given."""
+    """Ordered disjoint parts, certified (rho, d)-lower-regular."""
 
     parts: tuple[frozenset, ...]
     rho: float
     d: float
-    mode: str = UNCERTIFIED
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.parts)
@@ -99,14 +91,9 @@ def _partite_edges(P: Hypergraph, parts: Sequence[Iterable[int]]):
     return lists, out
 
 
-def tuple_density(P: Hypergraph, parts: Sequence[Iterable[int]], *,
-                  trials: int | None = None, seed: int = 0) -> float:
-    """Partite edge density of an ordered tuple of disjoint parts.
-
-    Explicit hypergraphs are counted exactly. Oracle-backed ones need a
-    trial count and return the sampled fraction of the part product that
-    the membership oracle accepts.
-    """
+def tuple_density(P: Hypergraph, parts: Sequence[Iterable[int]]) -> float:
+    """Partite edge density of an ordered tuple of disjoint parts: the
+    fraction of the part product that is an edge of P, counted exactly."""
     if len(parts) != P.s:
         raise ValueError("tuple arity must equal the uniformity")
     lists = [sorted(p) for p in parts]
@@ -115,34 +102,8 @@ def tuple_density(P: Hypergraph, parts: Sequence[Iterable[int]], *,
     space = 1
     for p in lists:
         space *= len(p)
-    if P.explicit:
-        _, edges = _partite_edges(P, lists)
-        return len(edges) / space
-    if trials is None:
-        raise ValueError("oracle-backed density needs a trial count")
-    hits = 0
-    for t in range(trials):
-        rng = spawn(seed, "tuple-density", t)
-        pick = [p[rng.randrange(len(p))] for p in lists]
-        if len(set(pick)) == len(pick) and P.has_edge(pick):
-            hits += 1
-    return hits / trials
-
-
-def _materialized(P: Hypergraph, parts: Sequence[Sequence[int]]) -> Hypergraph:
-    """Explicit copy of an oracle hypergraph restricted to the given parts."""
-    lists = [sorted(p) for p in parts]
-    space = 1
-    for p in lists:
-        space *= len(p)
-    if space > 10 ** 6:
-        raise ValueError("oracle too large to materialize; use SAMPLED")
-    edges = []
-    universe = sorted(set().union(*[set(p) for p in lists]))
-    for pick in product(*lists):
-        if len(set(pick)) == len(pick) and P.has_edge(pick):
-            edges.append(tuple(sorted(pick)))
-    return Hypergraph.from_edges(P.s, universe, set(edges))
+    _, edges = _partite_edges(P, lists)
+    return len(edges) / space
 
 
 # -- the lower-regularity check -----------------------------------------
@@ -226,25 +187,18 @@ def _exhaustive_check(P: Hypergraph, lists, ks, rho, d) -> Verdict:
     return Verdict(FAIL, "violating sub-tuple", wit)
 
 
-def _subset_density(P: Hypergraph, subs: Sequence[Sequence[int]], *,
-                    trials: int, seed: int) -> float:
-    if P.explicit:
-        return tuple_density(P, subs)
-    return tuple_density(P, subs, trials=trials, seed=seed)
-
-
 def check_lower_regular(P: Hypergraph, parts: Sequence[Iterable[int]],
                         rho: float, d: float, mode: str = EXHAUSTIVE, *,
-                        trials: int = 10_000, density_trials: int = 512,
-                        seed: int = 0, budget: int = _STATE_BUDGET) -> Verdict:
+                        budget: int = _STATE_BUDGET) -> Verdict:
     """Is the tuple (rho, d)-lower-regular?
 
-    EXHAUSTIVE returns PASS or FAIL with a witness, never UNKNOWN; the
-    reduced enumeration must fit the state budget. SAMPLED hunts witnesses
-    (lowest partite degree first, then uniform draws) and returns FAIL with
-    a confirmed witness or UNKNOWN, never PASS. When d - rho is not positive
-    no density can fall below it, so SAMPLED returns UNKNOWN without a hunt.
+    Returns PASS, or FAIL with a violating exact-size sub-tuple as witness.
+    The reduced enumeration must fit the state budget, or ValueError is
+    raised. EXHAUSTIVE is the only mode; the argument stays because
+    acceptance criterion 6 passes it.
     """
+    if mode != EXHAUSTIVE:
+        raise ValueError(f"unknown mode {mode!r}")
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie in (0, 1)")
     lists = [sorted(p) for p in parts]
@@ -253,69 +207,14 @@ def check_lower_regular(P: Hypergraph, parts: Sequence[Iterable[int]],
     if any(len(p) == 0 for p in lists):
         raise ValueError("empty part")
     ks = [max(1, math.ceil(rho * len(p) - _EPS)) for p in lists]
-
-    if mode == EXHAUSTIVE:
-        host = P if P.explicit else _materialized(P, lists)
-        if _reduced_states([len(p) for p in lists], ks) > budget:
-            raise ValueError("exhaustive budget exceeded; use SAMPLED")
-        return _exhaustive_check(host, lists, ks, rho, d)
-
-    if mode != SAMPLED:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    thresh = d - rho
-    if thresh <= _EPS:
-        return Verdict(UNKNOWN, "no witness found")
-    sub_space = 1
-    for k in ks:
-        sub_space *= k
-
-    def confirmed(subs) -> bool:
-        if P.explicit:
-            return tuple_density(P, subs) < thresh - _EPS
-        if sub_space > 10 ** 6:
-            return False  # cannot confirm, refuse to report a FAIL
-        hits = 0
-        for pick in product(*[sorted(x) for x in subs]):
-            if len(set(pick)) == len(pick) and P.has_edge(pick):
-                hits += 1
-        return hits / sub_space < thresh - _EPS
-
-    def candidates():
-        if P.explicit:
-            # lowest partite degree vertices are the likeliest witnesses
-            _, edges = _partite_edges(P, lists)
-            degs = [dict((i, 0) for i in range(len(p))) for p in lists]
-            for e in edges:
-                for pi, vi in enumerate(e):
-                    degs[pi][vi] += 1
-            biased = []
-            for pi, p in enumerate(lists):
-                order = sorted(range(len(p)), key=lambda i: (degs[pi][i], i))
-                biased.append([p[i] for i in order[: ks[pi]]])
-            yield biased
-        for t in range(trials):
-            rng = spawn(seed, "regular-witness", t)
-            yield [draw_subset(rng, p, k) for p, k in zip(lists, ks)]
-
-    for ci, subs in enumerate(candidates()):
-        if P.explicit:
-            if confirmed(subs):
-                return Verdict(FAIL, "violating sub-tuple",
-                               tuple(tuple(sorted(x)) for x in subs))
-            continue
-        est = tuple_density(P, subs, trials=max(64, density_trials // 4),
-                            seed=spawn_seed(seed, ci))
-        if est < thresh + 0.05 and confirmed(subs):
-            return Verdict(FAIL, "violating sub-tuple",
-                           tuple(tuple(sorted(x)) for x in subs))
-    return Verdict(UNKNOWN, "no witness found")
+    if _reduced_states([len(p) for p in lists], ks) > budget:
+        raise ValueError("exhaustive budget exceeded")
+    return _exhaustive_check(P, lists, ks, rho, d)
 
 
 def find_lower_regular_tuple(P: Hypergraph, parts: Sequence[Iterable[int]],
-                             rho: float, d: float, *, mode: str = "AUTO",
-                             trials: int = 2_000, density_trials: int = 512,
-                             seed: int = 0, telemetry: list | None = None,
+                             rho: float, d: float, *, seed: int = 0,
+                             telemetry: list | None = None,
                              max_iters: int = 60) -> RegularTuple | None:
     """Shrink toward a certified (rho, d)-lower-regular tuple.
 
@@ -324,30 +223,22 @@ def find_lower_regular_tuple(P: Hypergraph, parts: Sequence[Iterable[int]],
     exact-size witness blocks, partitions the rest of every part into
     blocks of the same size, and recurses into the densest block tuple; by
     averaging that density never drops. NONE only when parts would shrink
-    below s vertices.
+    below s vertices. Every round is certified by check_lower_regular, so a
+    tuple over its state budget raises ValueError. The search draws no
+    randomness; seed is accepted and ignored because acceptance criterion 6
+    passes it.
     """
     lists = [sorted(p) for p in parts]
-    dens = _subset_density(P, lists, trials=density_trials, seed=spawn_seed(seed, 1))
+    dens = tuple_density(P, lists)
     if dens < d - _EPS:
         raise ValueError("density precondition")
 
     for it in range(max_iters):
         sizes = [len(p) for p in lists]
         ks = [max(1, math.ceil(rho * m - _EPS)) for m in sizes]
-        use_mode = mode
-        if mode == "AUTO":
-            small = _reduced_states(sizes, ks) <= _STATE_BUDGET
-            space = 1
-            for m in sizes:
-                space *= m
-            use_mode = EXHAUSTIVE if small and (P.explicit or space <= 10 ** 6) else SAMPLED
-        verdict = check_lower_regular(P, lists, rho, d, use_mode,
-                                      trials=trials, density_trials=density_trials,
-                                      seed=spawn_seed(seed, 100 + it))
+        verdict = check_lower_regular(P, lists, rho, d)
         if verdict.status == PASS:
-            return RegularTuple(tuple(frozenset(p) for p in lists), rho, d, EXHAUSTIVE)
-        if verdict.status == UNKNOWN:
-            return RegularTuple(tuple(frozenset(p) for p in lists), rho, d, SAMPLED)
+            return RegularTuple(tuple(frozenset(p) for p in lists), rho, d)
 
         witness = verdict.witness
         if any(k < P.s for k in ks):
@@ -363,9 +254,8 @@ def find_lower_regular_tuple(P: Hypergraph, parts: Sequence[Iterable[int]],
             block_lists.append(blocks)
         best = None
         best_dens = -1.0
-        for combo_idx, combo in enumerate(product(*block_lists)):
-            cd = _subset_density(P, combo, trials=density_trials,
-                                 seed=spawn_seed(seed, 10_000 + 97 * it + combo_idx))
+        for combo in product(*block_lists):
+            cd = tuple_density(P, combo)
             if cd > best_dens + _EPS:
                 best, best_dens = combo, cd
         if telemetry is not None:
@@ -401,7 +291,7 @@ def _partite_info(P: Hypergraph, parts: Sequence[Sequence[int]]):
 def hypergraph_perfect_matching(P: Hypergraph, *, eps: float = 0.1, seed: int = 0,
                                 partition_retries: int = 50,
                                 exchange_budget: int = 200_000) -> Matching | None:
-    """Perfect matching in an explicit uniform hypergraph.
+    """Perfect matching in a uniform hypergraph.
 
     Strategy: random equipartitions are retried until the partite minimum
     degree clears (1 - 1/s + eps/2) m^(s-1), falling back to the best seen;
@@ -410,8 +300,6 @@ def hypergraph_perfect_matching(P: Hypergraph, *, eps: float = 0.1, seed: int = 
     s-1 matched edges plus the uncovered vertices into s real edges. Every
     partition that fails to finish triggers a retry; None after the budget.
     """
-    if not P.explicit:
-        raise ValueError("matching needs explicit edges")
     uni = sorted(P.universe)
     n = len(uni)
     s = P.s

@@ -126,6 +126,26 @@ def test_verify_reads_graph_text_grammar(tmp_path, capsys):
     assert "bad edge line '10 11 # last'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 3',                                   # truncated JSON
+    '{"n": 12, "c": 1.2, "eta": 0.25}',          # no "clusters" key
+])
+def test_verify_bad_certificate_exits_two(tmp_path, capsys, text):
+    g = write_graph(tmp_path / "g.txt", Graph.complete(12))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(text)
+    assert main(["verify", g, str(cert_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"bad certificate file {cert_path}: ")
+
+
+def test_missing_graph_file_exits_two(tmp_path, capsys):
+    missing = tmp_path / "absent.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(missing)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"bad graph file {missing}: ")
+
+
 # ---------------------------------------------------------------------------
 # cover / connect / biclique
 

@@ -120,11 +120,6 @@ class TestHypergraphDegree:
         P = Hypergraph.from_edges(3, range(7), edges)
         assert hypergraph_min_degree(P) == expected == 3
 
-    def test_oracle_backed_refuses(self):
-        P = Hypergraph.from_oracle(3, range(9), lambda S: True)
-        with pytest.raises(ValueError, match="property_degree_estimate"):
-            hypergraph_min_degree(P)
-
     def test_bad_edge_rejected(self):
         with pytest.raises(ValueError):
             Hypergraph.from_edges(3, range(4), [(0, 1)])
@@ -219,6 +214,13 @@ class TestVerifyCycleBlowup:
         cert = CycleBlowupCertificate(12, 1.2, 0.25, clusters)
         v = verify_cycle_blowup(Graph.complete(12), cert)
         assert v.status == FAIL and v.reason == "size out of range"
+
+    def test_negative_vertex_is_outside_host(self):
+        clusters = ((-1, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11))
+        cert = CycleBlowupCertificate(12, 1.2, 0.25, clusters)
+        v = verify_cycle_blowup(Graph.complete(12), cert)
+        assert v.status == FAIL and v.reason == "vertex outside host"
+        assert v.witness == 0
 
     def test_disjointness_violation(self):
         clusters = ((0, 1, 2), (2, 4, 5), (6, 7, 8), (9, 10, 11))

@@ -23,6 +23,7 @@ from cyclecover.cover import (
     ALMOST,
     SIMPLE,
     AbsorptionError,
+    CoverParams,
     CoverResult,
     PipelineFailure,
     PRESETS,
@@ -299,6 +300,25 @@ def test_almost_cover_bipartite_host_stays_best_effort():
     assert res.uncovered == frozenset(range(60))
     assert res.kind == ALMOST
     assert verify_cover(G, res, DESK).status == "PASS"
+
+
+@pytest.mark.parametrize("spec,density", [
+    # the blocks of consecutive ids split the two cliques: the guard rejects
+    (GeneratorSpec(DIRAC_EXTREMAL, n=300, delta_target=225, seed=0), 0.046875),
+    (GeneratorSpec(GNP_REPAIRED, n=600, p=0.8, delta_target=420, seed=90002), 0.203125),
+])
+def test_partition_guard_density_is_pinned(spec, density):
+    # the guard's seed and draw order feed every later random stream
+    res = almost_blowup_cover(generate(spec), DESK)
+    assert res.diagnostics[0] == ("partition", {"block": spec.n // DESK.s,
+                                                "density": density, "floor": 0.125})
+    assert (res.blowups == ()) == (density < 0.125)
+
+
+def test_cover_params_refuse_eps_outside_unit_interval():
+    for eps in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="eps"):
+            CoverParams(eps=eps)
 
 
 # ---------------------------------------------------------------------------

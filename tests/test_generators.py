@@ -1,6 +1,7 @@
 """Generator determinism and degree-floor contracts."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -88,6 +89,17 @@ class TestFromFile:
     def test_missing_path(self):
         with pytest.raises(ValueError):
             generate(GeneratorSpec(FROM_FILE))
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(DIRAC_EXTREMAL, n=300, delta_target=225),
+    GeneratorSpec(CLIQUE_UNION_PLUS, n=60, pieces=3, delta_target=30),
+])
+def test_seed_relabels_fixed_constructions(spec):
+    graphs = [generate(replace(spec, seed=seed)) for seed in range(3)]
+    assert len({graph_to_text(G) for G in graphs}) == 3
+    degrees = [sorted(G.degree(v) for v in range(G.n)) for G in graphs]
+    assert degrees[1] == degrees[0] and degrees[2] == degrees[0]
 
 
 def test_unknown_kind():

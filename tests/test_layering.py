@@ -1,0 +1,60 @@
+"""Static checks on the package source: the pipeline modules stay off the
+lemma library, and no module keeps an import it does not use."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cyclecover"
+
+# modules the solve path and the verifier run; the lemma library (tiling)
+# is exercised by the acceptance criteria only
+PIPELINE = ("cover", "blowup_search", "seeding", "inheritance", "core", "bitset",
+            "generators")
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Package-relative names of every module the tree imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name.removeprefix("cyclecover.") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module and not node.module.startswith("cyclecover"):
+                continue
+            base = (node.module or "").removeprefix("cyclecover").lstrip(".")
+            if base:
+                out.add(base)
+            else:  # from . import x, or from cyclecover import x
+                out.update(a.name for a in node.names)
+    return out
+
+
+@pytest.mark.parametrize("module", PIPELINE)
+def test_pipeline_module_does_not_import_the_lemma_library(module):
+    assert "tiling" not in _imported_modules(_tree(PACKAGE / f"{module}.py"))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = _tree(path)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                bound[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                bound[a.asname or a.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):  # names re-exported through __all__
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(e.value for e in node.value.elts)
+    unused = sorted((line, name) for name, line in bound.items() if name not in used)
+    assert not unused, f"{path.name}: unused imports (line, name) {unused}"

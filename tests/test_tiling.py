@@ -4,14 +4,11 @@ from itertools import combinations
 
 import pytest
 
-from cyclecover.core import FAIL, Hypergraph, PASS, UNKNOWN
+from cyclecover.core import FAIL, Hypergraph, PASS
 from cyclecover.seeding import spawn
 from cyclecover.tiling import (
-    EXHAUSTIVE,
     Matching,
     RegularTuple,
-    SAMPLED,
-    UNCERTIFIED,
     check_lower_regular,
     find_lower_regular_tuple,
     hypergraph_perfect_matching,
@@ -69,18 +66,6 @@ def test_density_empty_part():
     P = complete_3graph(6)
     with pytest.raises(ValueError):
         tuple_density(P, [{0, 1}, set(), {4, 5}])
-
-
-def test_density_oracle_needs_trials():
-    P = Hypergraph.from_oracle(3, range(9), lambda e: True)
-    with pytest.raises(ValueError):
-        tuple_density(P, [{0, 1}, {2, 3}, {4, 5}])
-
-
-def test_density_oracle_sampled_exact_on_complete():
-    P = Hypergraph.from_oracle(3, range(9), lambda e: True)
-    got = tuple_density(P, [{0, 1, 2}, {3, 4, 5}, {6, 7, 8}], trials=200, seed=5)
-    assert got == pytest.approx(1.0)
 
 
 # -- lower-regularity check ---------------------------------------------
@@ -173,48 +158,6 @@ def test_check_budget_refusal():
         check_lower_regular(P, parts, rho=0.5, d=0.5)
 
 
-def test_sampled_finds_planted_corner():
-    P, parts, corner = planted_corner_instance()
-    v = check_lower_regular(P, parts, rho=0.5, d=0.6, mode=SAMPLED, trials=50)
-    assert v.status == FAIL
-    assert tuple_density(P, [set(x) for x in v.witness]) < 0.1
-
-
-def test_sampled_never_passes():
-    parts = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
-    P = complete_partite_3graph(parts)
-    v = check_lower_regular(P, parts, rho=0.5, d=0.5, mode=SAMPLED, trials=30)
-    assert v.status == UNKNOWN
-
-
-def test_sampled_vacuous_threshold_skips_the_hunt():
-    # d - rho = 0: no sub-tuple can fall below it, so no oracle call is spent
-    calls = []
-
-    def member(e):
-        calls.append(e)
-        return True
-
-    P = Hypergraph.from_oracle(3, range(18), member)
-    parts = [list(range(6)), list(range(6, 12)), list(range(12, 18))]
-    v = check_lower_regular(P, parts, rho=0.5, d=0.5, mode=SAMPLED, trials=400)
-    assert v.status == UNKNOWN
-    assert calls == []
-
-
-def test_sampled_on_oracle_host_confirms_witness():
-    corner = ({0, 1}, {6, 7}, {12, 13})
-
-    def member(e):
-        return not all(any(v in c for v in e) for c in corner)
-
-    P = Hypergraph.from_oracle(3, range(18), member)
-    parts = [list(range(6)), list(range(6, 12)), list(range(12, 18))]
-    v = check_lower_regular(P, parts, rho=1 / 3, d=0.5, mode=SAMPLED,
-                            trials=400, seed=3)
-    assert v.status == FAIL
-
-
 # -- shrinking search ----------------------------------------------------
 
 
@@ -223,9 +166,17 @@ def test_find_tuple_certifies_complete_host_immediately():
     P = complete_partite_3graph(parts)
     tup = find_lower_regular_tuple(P, parts, rho=0.5, d=0.5)
     assert tup is not None
-    assert tup.mode == EXHAUSTIVE
     assert tup.sizes() == (4, 4, 4)
     assert [sorted(p) for p in tup.parts] == parts
+
+
+def test_find_tuple_refuses_parts_over_the_state_budget():
+    # C(40, 20)^2 reduced states: the finder raises rather than returning
+    # a tuple it could not certify
+    parts = [list(range(40)), list(range(40, 80)), list(range(80, 120))]
+    P = complete_partite_3graph(parts)
+    with pytest.raises(ValueError, match="budget"):
+        find_lower_regular_tuple(P, parts, rho=0.5, d=0.5)
 
 
 def test_find_tuple_density_precondition():
@@ -352,6 +303,6 @@ def test_matching_determinism():
 
 def test_regular_tuple_shapes():
     t = RegularTuple((frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6})),
-                     0.5, 0.25, UNCERTIFIED)
+                     0.5, 0.25)
     assert t.sizes() == (2, 2, 2)
     assert t.total() == 6
