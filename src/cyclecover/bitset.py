@@ -2,14 +2,18 @@
 
 Vertices are nonnegative ints; bit i set means vertex i is in the set.
 Python ints give us branch-free intersection/union and a fast popcount,
-which is what every search loop in this package leans on. Whole-graph work
-(reading and writing graph files, generating random hosts) goes through a
-numpy bool matrix instead, converted to and from bitmask rows here.
+which is what every search loop in this package leans on. Scoring many
+candidates at once (the picks of find_blowup, the side counts of
+connect_clusters) runs on the packed uint64 view of Graph.packed instead,
+with masks converted to its word layout and to index arrays here.
+Whole-graph work (reading and writing graph files, generating random
+hosts) goes through a numpy bool matrix, converted to and from bitmask
+rows here.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def mask_from(vertices: Iterable[int]) -> int:
@@ -40,6 +44,24 @@ def lowest_bit(mask: int) -> int:
 # module of the package imports this one, and loading numpy first, before the
 # rest of the package, raised the peak memory of `import cyclecover` from
 # 28.2 to 31.0 MB (Python 3.11, numpy 2.4).
+
+def mask_words(masks: Sequence[int], words: int):
+    """The masks as the rows of a uint64 array of `words` little-endian words
+    each, the row layout of Graph.packed; every mask must fit in 64 * words
+    bits."""
+    import numpy as np
+
+    buf = b"".join(m.to_bytes(8 * words, "little") for m in masks)
+    return np.frombuffer(buf, dtype="<u8").reshape(len(masks), words)
+
+
+def mask_indices(mask: int, n: int):
+    """Ascending int64 array of the set bits of mask, all below n."""
+    import numpy as np
+
+    packed = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(packed, bitorder="little"))
+
 
 def rows_from_matrix(A) -> list[int]:
     """Bitmask rows of a square bool matrix: bit j of row i is A[i, j]."""

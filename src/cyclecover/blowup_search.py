@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .bitset import bits_list, iter_bits, mask_from
+from .bitset import bits_list, mask_from, mask_indices, mask_words
 from .core import (
     BALANCE_EXACT,
     BALANCE_QUASI,
@@ -27,7 +27,7 @@ from .core import (
     verify_blowup_hosted,
 )
 from .inheritance import PropertySpec, inherits_degree
-from .seeding import draw_subset, spawn
+from .seeding import draw_subset, spawner
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 _TINY_ENUM = 200_000
@@ -126,27 +126,34 @@ def find_blowup(host: Graph, F: Graph, t: int, frame: SetFamily | None = None, *
 
     Clusters are grown simultaneously, one vertex per pattern position per
     round, always taking the candidate that keeps the scarcest neighbouring
-    pool largest. Candidate pools only shrink; a dead pool aborts the pass
-    and a jittered restart reorders the tie-break.
+    pool largest; ties go to the higher degree, then the lower id. Candidate
+    pools only shrink; a dead pool aborts the pass and a jittered restart
+    breaks value ties by jitter first. Each pick scores its whole pool at
+    once on the host's packed view.
     """
+    import numpy as np
+
     if t < 1:
         raise ValueError("t must be at least 1")
     if frame is not None and len(frame.clusters) != F.n:
         raise ValueError("frame must have one part per pattern vertex")
     s = F.n
+    n = host.n
     full = host.vertices_mask() & ~avoid
     base = [mask_from(frame.clusters[i]) & full if frame is not None else full
             for i in range(s)]
     nbrs = [bits_list(F.adj[i]) for i in range(s)]
     order = sorted(range(s), key=lambda i: (-F.degree(i), i))
     adj = host.adj
-    negdeg = [-row.bit_count() for row in adj]
+    rows, deg = host.packed()
+    restart_rng = spawner(seed, "blowup-restart")
 
     for restart in range(restart_budget + 1):
         jitter = None
         if restart > 0:
-            rng = spawn(seed, "blowup-restart", restart)
-            jitter = {v: rng.random() for v in bits_list(full)}
+            rng = restart_rng(restart)
+            jitter = np.zeros(n)
+            jitter[mask_indices(full, n)] = [rng.random() for _ in range(full.bit_count())]
         cand = list(base)
         clusters: list[list[int]] = [[] for _ in range(s)]
         used = 0
@@ -154,27 +161,29 @@ def find_blowup(host: Graph, F: Graph, t: int, frame: SetFamily | None = None, *
         for _round in range(t):
             for i in order:
                 pool = cand[i] & ~used
-                free = [cand[j] & ~used for j in nbrs[i]]
-                best = None
-                best_rank = None
-                for x in iter_bits(pool):
-                    if free:
-                        row = adj[x]
-                        value = min((f & row).bit_count() for f in free)
-                    else:
-                        value = host.n
-                    # same order as _order_key: higher degree, then lower id
-                    rank = (-value, jitter[x] if jitter is not None else 0.0,
-                            negdeg[x], x)
-                    if best_rank is None or rank < best_rank:
-                        best, best_rank = x, rank
-                if best is None:
+                if not pool:
                     dead = True
                     break
+                X = mask_indices(pool, n)
+                if nbrs[i]:
+                    free = mask_words([cand[j] & ~used for j in nbrs[i]], rows.shape[1])
+                    value = np.bitwise_count(rows[X][:, None, :] & free).sum(
+                        axis=2, dtype=np.int64).min(axis=1)
+                else:
+                    value = None  # every candidate scores n
+                if jitter is None:
+                    # rank (-value, -deg, id): the first maximum is the lowest id
+                    key = deg[X] if value is None else value * (n + 1) + deg[X]
+                    best = int(X[np.argmax(key)])
+                else:
+                    top = X if value is None else X[value == value.max()]
+                    jt = jitter[top]
+                    top = top[jt == jt.min()]
+                    best = int(top[np.argmax(deg[top])])
                 clusters[i].append(best)
                 used |= 1 << best
                 for j in nbrs[i]:
-                    cand[j] &= host.adj[best]
+                    cand[j] &= adj[best]
                 need = t - len(clusters[i])
                 if (cand[i] & ~used).bit_count() < need:
                     dead = True
@@ -205,6 +214,8 @@ def connect_clusters(G: Graph, U: Iterable[int], V: Iterable[int], W: Iterable[i
     loses nothing whenever m_prime clears the threshold. Pool sizes land in
     the telemetry dict when one is supplied.
     """
+    import numpy as np
+
     u_list = sorted(U)
     v_list = sorted(V)
     w_list = sorted(W)
@@ -217,17 +228,31 @@ def connect_clusters(G: Graph, U: Iterable[int], V: Iterable[int], W: Iterable[i
     vmask = mask_from(v_list)
     if umask & vmask:
         raise ValueError("U and V overlap")
-    if mask_from(w_list) & (umask | vmask):
+    wmask = mask_from(w_list)
+    if wmask & (umask | vmask):
         raise ValueError("W overlaps an endpoint side")
+    if (umask | vmask | wmask) >> G.n:
+        raise ValueError("vertex outside the host")
     thresh = eps * m / 8.0
-    w_u = [w for w in w_list if (G.adj[w] & umask).bit_count() >= thresh]
-    w_v = [w for w in w_list if (G.adj[w] & vmask).bit_count() >= thresh]
-    star = sorted(set(w_u) & set(w_v))
+    # neighbours of every W vertex on each side, counted on the packed view
+    rows, deg = G.packed()
+    W_idx = np.array(w_list, dtype=np.int64)
+    sides = mask_words([umask, vmask], rows.shape[1])
+    cu, cv = np.bitwise_count(rows[W_idx][:, None, :] & sides).sum(axis=2, dtype=np.int64).T
+    on_u = cu >= thresh
+    on_v = cv >= thresh
+    both = on_u & on_v
+    # the vertices that clear both sides, once each (W may repeat one), in
+    # (-min(cu, cv), -deg, id) order: with score = min(cu, cv) (n + 1) + deg
+    # and 0 <= id < n, the int key id - score n sorts in that order
+    n = G.n
+    score = np.minimum(cu, cv)[both] * (n + 1) + deg[W_idx[both]]
+    order = [k % n for k in sorted(set((W_idx[both] - score * n).tolist()))]
     if telemetry is not None:
         telemetry["n_prime"] = len(u_list) + len(v_list) + len(w_list)
-        telemetry["w_u"] = len(w_u)
-        telemetry["w_v"] = len(w_v)
-        telemetry["w_star"] = len(star)
+        telemetry["w_u"] = int(on_u.sum())
+        telemetry["w_v"] = int(on_v.sum())
+        telemetry["w_star"] = len(order)
     key = _order_key(G)
 
     def finish(wset: Sequence[int], inter_u: int, inter_v: int):
@@ -237,10 +262,6 @@ def connect_clusters(G: Graph, U: Iterable[int], V: Iterable[int], W: Iterable[i
         assert is_complete_bipartite(G, u_side, w_side).status == PASS
         assert is_complete_bipartite(G, v_side, w_side).status == PASS
         return tuple(u_side), tuple(v_side), w_side
-
-    order = sorted(star, key=lambda w: (-min((G.adj[w] & umask).bit_count(),
-                                             (G.adj[w] & vmask).bit_count()),
-                                        key(w)))
 
     if comb(len(order), m_prime) <= _TINY_ENUM:
         for chosen in combinations(order, m_prime):
@@ -310,8 +331,9 @@ def _bucket_reduced_graph(Gp: Graph, root_pool: Sequence[int], outside_pool: Seq
     root_sorted = sorted(root_pool)
     if len(out_sorted) < s - 1 or not root_sorted:
         return None
+    trial_rng = spawner(seed, "rooted-bucket")
     for i in range(samples):
-        rng = spawn(seed, "rooted-bucket", i)
+        rng = trial_rng(i)
         u = root_sorted[rng.randrange(len(root_sorted))]
         rest = sorted(draw_subset(rng, out_sorted, s - 1))
         S = [u] + rest

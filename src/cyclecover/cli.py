@@ -243,8 +243,12 @@ def cmd_connect(args) -> int:
     else:
         used = set(U) | set(V)
         W = [v for v in range(G.n) if v not in used]
-    res = connect_clusters(G, U, V, W, args.m_prime, eps=params.eps,
-                           node_budget=params.node_budget)
+    try:
+        res = connect_clusters(G, U, V, W, args.m_prime, eps=params.eps,
+                               node_budget=params.node_budget)
+    except ValueError as exc:  # overlapping, unbalanced or out-of-host sides
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
     if res is None:
         print("FAILURE no connecting triple", file=sys.stderr)
         return 2

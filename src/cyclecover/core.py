@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .bitset import bits_list, iter_bits, lowest_bit, mask_from, matrix_from_rows, rows_from_matrix
+from .bitset import (bits_list, iter_bits, lowest_bit, mask_from, mask_words, matrix_from_rows,
+                     rows_from_matrix)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -54,10 +55,12 @@ class Graph:
 
     Adjacency is a tuple of int bitmasks, one row per vertex. Rows are
     symmetric and loop-free; construct through the classmethods unless the
-    rows are already known to be valid.
+    rows are already known to be valid. The searches that score many
+    vertices at once read the same rows as a packed numpy array, built on
+    the first call of packed().
     """
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "_packed")
 
     def __init__(self, n: int, adj: Sequence[int]):
         if n < 0:
@@ -66,6 +69,7 @@ class Graph:
             raise ValueError("adjacency length mismatch")
         self.n = n
         self.adj = tuple(adj)
+        self._packed = None
 
     # -- construction ---------------------------------------------------
 
@@ -118,6 +122,19 @@ class Graph:
 
     def vertices_mask(self) -> int:
         return (1 << self.n) - 1
+
+    def packed(self):
+        """(rows, deg): rows is the read-only n x ceil(n/64) uint64 array
+        whose row v holds adj[v] in little-endian 64-bit words
+        (bitset.mask_words), deg the int64 degrees. Built on the first call
+        and kept, so graphs that are only read and verified never pay for
+        it."""
+        if self._packed is None:
+            import numpy as np
+
+            rows = mask_words(self.adj, (self.n + 63) // 64)
+            self._packed = (rows, np.bitwise_count(rows).sum(axis=1, dtype=np.int64))
+        return self._packed
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
@@ -347,9 +364,16 @@ class CycleBlowupCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "CycleBlowupCertificate":
+        """Parse to_json output. The order and every vertex id must be JSON
+        integers: a fractional or boolean one raises ValueError instead of
+        being truncated to a different vertex."""
         obj = json.loads(text)
-        clusters = tuple(tuple(int(v) for v in cl) for cl in obj["clusters"])
-        return cls(int(obj["n"]), float(obj["c"]), float(obj["eta"]), clusters)
+        n = obj["n"]
+        clusters = tuple(tuple(cl) for cl in obj["clusters"])
+        # type() and not isinstance(): True and False are ints to isinstance
+        if type(n) is not int or any(type(v) is not int for cl in clusters for v in cl):
+            raise ValueError("certificate order and vertex ids must be JSON integers")
+        return cls(n, float(obj["c"]), float(obj["eta"]), clusters)
 
 
 def canonical_cycle(clusters: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

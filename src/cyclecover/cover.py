@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .bitset import mask_from
+from .bitset import mask_from, mask_indices
 from .core import (
     BALANCE_QUASI,
     BALANCE_WITHIN,
@@ -34,7 +34,7 @@ from .core import (
     verify_cycle_blowup,
 )
 from .blowup_search import connect_clusters, find_blowup, rooted_blowup
-from .seeding import draw_subset, mix, spawn
+from .seeding import draw_subset, mix, spawn, spawner
 
 ALMOST = "ALMOST"
 SIMPLE = "SIMPLE"
@@ -404,10 +404,11 @@ def almost_blowup_cover(G: Graph, params: CoverParams, *,
     # the seed labels here, the one-vertex-per-block draw order, and the 0
     # in the shape and extract labels below are pinned by the golden
     # certificate digests
-    guard_seed = mix(mix(params.seed, "cover", "tiling"), "reduced-edge", *range(s))
+    guard_rng = spawner(mix(mix(params.seed, "cover", "tiling"), "reduced-edge", *range(s)),
+                        "tuple-density")
     hits = 0
     for t in range(params.density_trials):
-        rng = spawn(guard_seed, "tuple-density", t)
+        rng = guard_rng(t)
         pick = [p[rng.randrange(len(p))] for p in parts]
         if _inheriting_shape(G, pick, floor_deg) is not None:
             hits += 1
@@ -1032,6 +1033,23 @@ def _solve(G: Graph, params: CoverParams):
     K_mask = 0
     connectors: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
     cap = params.eta * m1
+    owner = {v: (fj, cj) for fj in range(t) for cj, cl in enumerate(clusters[fj]) for v in cl}
+
+    def donation(fj: int, cj: int) -> int:
+        """Mask of the vertices cluster (fj, cj) may give to a middle side:
+        its lowest ids, less a reserve, until its carve count reaches cap."""
+        if carve.get((fj, cj), 0) >= cap:
+            return 0
+        reserve = 1 + (m_conn if (fj, cj) in pending else 0)
+        room = len(clusters[fj][cj]) - reserve
+        return mask_from(sorted(clusters[fj][cj])[:room]) if room > 0 else 0
+
+    # clusters are disjoint, so their donations are too; only the clusters a
+    # connector carves change theirs
+    donor = {(fj, cj): donation(fj, cj) for fj in range(t) for cj in range(len(clusters[fj]))}
+    donated = 0
+    for m in donor.values():
+        donated |= m
     for i in range(t):
         nxt = (i + 1) % t
         tail_cl = clusters[i][exit_[i]]
@@ -1041,27 +1059,12 @@ def _solve(G: Graph, params: CoverParams):
             return PipelineFailure("connect", i, {"trim": k_trim})
         U = sorted(tail_cl)[:k_trim]
         V = sorted(head_cl)[:k_trim]
-        pool: list[int] = []
-        owner: dict[int, tuple[int, int]] = {}
-        for fj in range(t):
-            for cj in range(len(clusters[fj])):
-                if (fj, cj) in ((i, exit_[i]), (nxt, entry[nxt])):
-                    continue
-                cnt = carve.get((fj, cj), 0)
-                if cnt >= cap:
-                    continue
-                reserve = 1 + (m_conn if (fj, cj) in pending else 0)
-                room = len(clusters[fj][cj]) - reserve
-                if room <= 0:
-                    continue
-                for v in sorted(clusters[fj][cj])[:room]:
-                    pool.append(v)
-                    owner[v] = (fj, cj)
-        res = connect_clusters(G, U, V, sorted(pool), m_conn,
+        pool = donated & ~donor[i, exit_[i]] & ~donor[nxt, entry[nxt]]
+        res = connect_clusters(G, U, V, mask_indices(pool, n).tolist(), m_conn,
                                eps=params.eps, node_budget=params.node_budget)
         if res is None:
             return PipelineFailure("connect", i,
-                                   {"pool": len(pool), "trim": k_trim})
+                                   {"pool": pool.bit_count(), "trim": k_trim})
         W1, W3, W2 = sorted(res[0]), sorted(res[1]), sorted(res[2])
         w1m, w2m, w3m = mask_from(W1), mask_from(W2), mask_from(W3)
         clusters[i][exit_[i]] = [v for v in tail_cl if not (w1m >> v) & 1]
@@ -1074,6 +1077,10 @@ def _solve(G: Graph, params: CoverParams):
             fj, cj = owner[v]
             clusters[fj][cj] = [x for x in clusters[fj][cj] if x != v]
             carve[(fj, cj)] = carve.get((fj, cj), 0) + 1
+        for key in {(i, exit_[i]), (nxt, entry[nxt])} | {owner[v] for v in W2}:
+            m = donation(*key)
+            donated ^= donor[key] ^ m
+            donor[key] = m
         K_mask |= w1m | w2m | w3m
         connectors.append((tuple(W1), tuple(W2), tuple(W3)))
 

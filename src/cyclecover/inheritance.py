@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .core import Graph
 from .bitset import mask_from
-from .seeding import draw_subset, spawn
+from .seeding import draw_subset, spawner
 
 _EPS = 1e-12
 
@@ -78,8 +78,9 @@ def property_degree_estimate(spec: PropertySpec, v: int, trials: int, seed: int 
         raise ValueError("vertex outside host")
     pool = [u for u in range(spec.host.n) if u != v]
     successes = 0
+    trial_rng = spawner(seed, f"degree-estimate:{v}")
     for i in range(trials):
-        rng = spawn(seed, f"degree-estimate:{v}", i)
+        rng = trial_rng(i)
         rest = draw_subset(rng, pool, spec.s - 1)
         if inherits_degree(spec, rest + [v]):
             successes += 1

@@ -10,7 +10,7 @@ and the result is finalized with a splitmix64 step.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Callable, Sequence
 
 _MASK64 = (1 << 64) - 1
 
@@ -44,6 +44,13 @@ def mix(seed: int, *parts: int | str) -> int:
 def spawn(seed: int, *parts: int | str) -> random.Random:
     """A fresh Mersenne generator keyed by seed and labels."""
     return random.Random(mix(seed, *parts))
+
+
+def spawner(seed: int, *parts: int | str) -> Callable[[int], random.Random]:
+    """The map i -> spawn(seed, *parts, i) for per-trial generators, with
+    seed and labels folded once instead of on every trial."""
+    prefix = mix(seed, *parts)
+    return lambda i: random.Random(_splitmix(prefix ^ (i & _MASK64)))
 
 
 def draw_subset(rng: random.Random, pool: Sequence[int], k: int) -> list[int]:

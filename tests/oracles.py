@@ -4,11 +4,19 @@ Everything here is written against the definitions alone, with the dumbest
 correct algorithm available, and is kept free of imports from the package
 search modules so the two routes cannot collapse into one. Oracles are for
 tests only; none of this ships in the library API.
+
+The exception is the last section: verbatim copies of the scalar
+find_blowup and connect_clusters that scored one candidate at a time with
+Python int bitmasks. The package now scores on a packed numpy view, and the
+copies pin that every choice, tie-break and telemetry value is unchanged.
+They share the helpers the rewrite did not touch: the biclique fallback,
+the seeding streams and the core verifiers.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 from cyclecover.core import Graph
 
@@ -212,3 +220,182 @@ def reference_graph_from_text(text: str) -> Graph:
     if len(edges) != m:
         raise ValueError(f"header claims {m} edges, found {len(edges)}")
     return Graph.from_edges(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# reference copies of the scalar searches
+
+_TINY_ENUM = 200_000
+
+
+def _order_key(G: Graph):
+    return lambda v: (-G.degree(v), v)
+
+
+def scalar_find_blowup(host: Graph, F: Graph, t: int, frame=None, *,
+                       avoid: int = 0, restart_budget: int = 50, seed: int = 0):
+    """find_blowup as it scored one pool vertex per loop step."""
+    from cyclecover.bitset import bits_list, iter_bits, mask_from
+    from cyclecover.core import BALANCE_EXACT, PASS, Blowup, SetFamily, verify_blowup_hosted
+    from cyclecover.seeding import spawn
+
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    if frame is not None and len(frame.clusters) != F.n:
+        raise ValueError("frame must have one part per pattern vertex")
+    s = F.n
+    full = host.vertices_mask() & ~avoid
+    base = [mask_from(frame.clusters[i]) & full if frame is not None else full
+            for i in range(s)]
+    nbrs = [bits_list(F.adj[i]) for i in range(s)]
+    order = sorted(range(s), key=lambda i: (-F.degree(i), i))
+    adj = host.adj
+    negdeg = [-row.bit_count() for row in adj]
+
+    for restart in range(restart_budget + 1):
+        jitter = None
+        if restart > 0:
+            rng = spawn(seed, "blowup-restart", restart)
+            jitter = {v: rng.random() for v in bits_list(full)}
+        cand = list(base)
+        clusters: list[list[int]] = [[] for _ in range(s)]
+        used = 0
+        dead = False
+        for _round in range(t):
+            for i in order:
+                pool = cand[i] & ~used
+                free = [cand[j] & ~used for j in nbrs[i]]
+                best = None
+                best_rank = None
+                for x in iter_bits(pool):
+                    if free:
+                        row = adj[x]
+                        value = min((f & row).bit_count() for f in free)
+                    else:
+                        value = host.n
+                    rank = (-value, jitter[x] if jitter is not None else 0.0,
+                            negdeg[x], x)
+                    if best_rank is None or rank < best_rank:
+                        best, best_rank = x, rank
+                if best is None:
+                    dead = True
+                    break
+                clusters[i].append(best)
+                used |= 1 << best
+                for j in nbrs[i]:
+                    cand[j] &= host.adj[best]
+                need = t - len(clusters[i])
+                if (cand[i] & ~used).bit_count() < need:
+                    dead = True
+                    break
+            if dead:
+                break
+        if dead:
+            continue
+        fam = SetFamily.of(clusters, BALANCE_EXACT, m=t)
+        blow = Blowup(F, fam)
+        verdict = verify_blowup_hosted(host, blow)
+        if verdict.status != PASS:
+            raise AssertionError(f"blow-up failed self check: {verdict}")
+        return blow
+    return None
+
+
+def scalar_connect_clusters(G: Graph, U, V, W, m_prime: int, *, eps: float = 0.25,
+                            node_budget=10 ** 6, telemetry=None):
+    """connect_clusters as it counted side neighbours one W vertex at a time."""
+    from cyclecover.bitset import bits_list, mask_from
+    from cyclecover.blowup_search import BicliqueRequest, find_biclique
+    from cyclecover.core import PASS, is_complete_bipartite
+
+    u_list = sorted(U)
+    v_list = sorted(V)
+    w_list = sorted(W)
+    if len(u_list) != len(v_list):
+        raise ValueError("unbalanced connection request")
+    m = len(u_list)
+    if m_prime < 1 or m_prime > m:
+        raise ValueError("m_prime must lie in 1..|U|")
+    umask = mask_from(u_list)
+    vmask = mask_from(v_list)
+    if umask & vmask:
+        raise ValueError("U and V overlap")
+    if mask_from(w_list) & (umask | vmask):
+        raise ValueError("W overlaps an endpoint side")
+    thresh = eps * m / 8.0
+    w_u = [w for w in w_list if (G.adj[w] & umask).bit_count() >= thresh]
+    w_v = [w for w in w_list if (G.adj[w] & vmask).bit_count() >= thresh]
+    star = sorted(set(w_u) & set(w_v))
+    if telemetry is not None:
+        telemetry["n_prime"] = len(u_list) + len(v_list) + len(w_list)
+        telemetry["w_u"] = len(w_u)
+        telemetry["w_v"] = len(w_v)
+        telemetry["w_star"] = len(star)
+    key = _order_key(G)
+
+    def finish(wset, inter_u: int, inter_v: int):
+        u_side = sorted(sorted(bits_list(inter_u), key=key)[:m_prime])
+        v_side = sorted(sorted(bits_list(inter_v), key=key)[:m_prime])
+        w_side = tuple(sorted(wset))
+        assert is_complete_bipartite(G, u_side, w_side).status == PASS
+        assert is_complete_bipartite(G, v_side, w_side).status == PASS
+        return tuple(u_side), tuple(v_side), w_side
+
+    order = sorted(star, key=lambda w: (-min((G.adj[w] & umask).bit_count(),
+                                             (G.adj[w] & vmask).bit_count()),
+                                        key(w)))
+
+    if comb(len(order), m_prime) <= _TINY_ENUM:
+        for chosen in combinations(order, m_prime):
+            iu, iv = umask, vmask
+            for w in chosen:
+                iu &= G.adj[w]
+                iv &= G.adj[w]
+                if iu.bit_count() < m_prime or iv.bit_count() < m_prime:
+                    break
+            else:
+                return finish(chosen, iu, iv)
+        return None
+
+    nodes = 0
+
+    def dfs(start: int, chosen: list, iu: int, iv: int):
+        nonlocal nodes
+        if len(chosen) == m_prime:
+            return finish(chosen, iu, iv)
+        for idx in range(start, len(order)):
+            if node_budget is not None and nodes >= node_budget:
+                return None
+            nodes += 1
+            w = order[idx]
+            nu = iu & G.adj[w]
+            nv = iv & G.adj[w]
+            if nu.bit_count() < m_prime or nv.bit_count() < m_prime:
+                continue
+            res = dfs(idx + 1, chosen + [w], nu, nv)
+            if res is not None:
+                return res
+        return None
+
+    found = dfs(0, [], umask, vmask)
+    if found is not None:
+        return found
+
+    req_pool = list(order)
+    for _ in range(20):
+        if len(req_pool) < m_prime:
+            return None
+        got = find_biclique(BicliqueRequest.of(G, set(u_list), set(req_pool), m_prime),
+                            node_budget)
+        if got is None:
+            return None
+        u_side, w_side = got
+        iv = vmask
+        for w in w_side:
+            iv &= G.adj[w]
+        if iv.bit_count() >= m_prime:
+            v_side = sorted(sorted(bits_list(iv), key=key)[:m_prime])
+            assert is_complete_bipartite(G, v_side, w_side).status == PASS
+            return tuple(u_side), tuple(v_side), tuple(w_side)
+        req_pool.remove(w_side[0])
+    return None

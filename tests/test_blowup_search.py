@@ -159,6 +159,12 @@ class TestConnectClusters:
         with pytest.raises(ValueError, match="endpoint side"):
             connect_clusters(G, {0, 1}, {2, 3}, {3, 4, 5}, 1)
 
+    @pytest.mark.parametrize("U,V,W", [({0, 8}, {2, 3}, {4, 5}), ({0, 1}, {2, 300}, {4, 5}),
+                                       ({0, 1}, {2, 3}, {4, 8})])
+    def test_vertex_outside_host_rejected(self, U, V, W):
+        with pytest.raises(ValueError, match="outside the host"):
+            connect_clusters(Graph.complete(8), U, V, W, 1)
+
 
 class TestRootedBlowup:
     def test_single_root_extension(self):

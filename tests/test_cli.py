@@ -129,6 +129,10 @@ def test_verify_reads_graph_text_grammar(tmp_path, capsys):
 @pytest.mark.parametrize("text", [
     '{"n": 3',                                   # truncated JSON
     '{"n": 12, "c": 1.2, "eta": 0.25}',          # no "clusters" key
+    # fractional or boolean order and ids, which int() used to truncate
+    '{"n": 12.9, "c": 1.2, "eta": 0.25, "clusters": [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]}',
+    '{"n": 12, "c": 1.2, "eta": 0.25, "clusters": [[0.7, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]}',
+    '{"n": 12, "c": 1.2, "eta": 0.25, "clusters": [[true, 0, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]}',
 ])
 def test_verify_bad_certificate_exits_two(tmp_path, capsys, text):
     g = write_graph(tmp_path / "g.txt", Graph.complete(12))
@@ -179,6 +183,14 @@ def test_connect_failure_exit_code(tmp_path, capsys):
                "--m-prime", "1"])
     assert rc == 2
     assert "FAILURE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side_b,reason", [("1,2", "overlap"), ("2,40", "outside the host")])
+def test_connect_bad_sides_exit_two(tmp_path, capsys, side_b, reason):
+    g = write_graph(tmp_path / "g.txt", Graph.complete(12))
+    assert main(["connect", g, "--side-a", "0,1", "--side-b", side_b]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and reason in err
 
 
 def test_biclique_found_and_absent(tmp_path, capsys):

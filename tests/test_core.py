@@ -1,5 +1,6 @@
 """Graph, hypergraph, family, and verifier contract tests."""
 
+import json
 import math
 
 import pytest
@@ -279,6 +280,18 @@ class TestSerialization:
         again = CycleBlowupCertificate.from_json(cert.to_json())
         assert again == cert
         assert again.to_json() == cert.to_json()
+
+    @pytest.mark.parametrize("field,value", [
+        ("n", 12.9), ("n", 12.0), ("n", True), ("id", 0.7), ("id", 1.0), ("id", False)])
+    def test_certificate_refuses_non_integer_numbers(self, field, value):
+        blob = {"n": 12, "c": 1.2, "eta": 0.25,
+                "clusters": [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]}
+        if field == "n":
+            blob["n"] = value
+        else:
+            blob["clusters"][0][0] = value
+        with pytest.raises(ValueError, match="JSON integers"):
+            CycleBlowupCertificate.from_json(json.dumps(blob))
 
     def test_canonical_cycle_rotation(self):
         clusters = [(6, 7), (0, 1), (2, 3), (4, 5)]

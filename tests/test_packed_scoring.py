@@ -1,0 +1,171 @@
+"""The packed numpy view of a graph, and the searches that score on it.
+
+find_blowup and connect_clusters score whole candidate pools at once on
+Graph.packed. Each must return what the scalar versions kept in
+tests/oracles.py return, with the same telemetry, on every path: frames,
+avoid masks, jittered restarts, isolated pattern vertices, t = 1, an empty
+or repeating W, the exhaustive enumeration, the DFS and the biclique fallback, and
+hosts whose order sits on either side of a 64-bit word boundary.
+"""
+
+import hashlib
+
+import pytest
+
+from cyclecover.bitset import mask_from
+from cyclecover.blowup_search import connect_clusters, find_blowup
+from cyclecover.core import BALANCE_WITHIN, CycleBlowupCertificate, Graph, SetFamily
+from cyclecover.cover import PRESETS, spanning_cycle_blowup
+from cyclecover.generators import GNP_REPAIRED, GeneratorSpec, generate
+from cyclecover.seeding import spawn
+
+from oracles import scalar_connect_clusters, scalar_find_blowup
+
+ORDERS = (63, 64, 65, 130)
+
+
+def random_graph(n, p, seed, label="packed-host"):
+    rng = spawn(seed, label)
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < p])
+
+
+def same_blowup(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert a.reduced == b.reduced
+        assert a.family == b.family
+
+
+# ---------------------------------------------------------------------------
+# the view
+
+
+@pytest.mark.parametrize("n", (0, 1, 2) + ORDERS)
+def test_packed_view_matches_adjacency(n):
+    G = random_graph(n, 0.5, n)
+    assert G._packed is None  # Graph(...) does not build the view
+    rows, deg = G.packed()
+    assert G.packed()[0] is rows  # built once, then kept
+    assert rows.dtype == "uint64" and rows.shape == (n, (n + 63) // 64)
+    assert deg.dtype == "int64" and deg.tolist() == [G.degree(v) for v in range(n)]
+    assert not rows.flags.writeable
+    for v in range(n):
+        assert int.from_bytes(rows[v].tobytes(), "little") == G.adj[v]
+
+
+def test_graph_operations_do_not_build_the_view():
+    G = random_graph(65, 0.5, 1)
+    G.packed()
+    for H in (G.without_edges_inside(0b1111), G.relabel(list(reversed(range(65)))),
+              Graph.complete(70), Graph.from_edges(3, [(0, 1)])):
+        assert H._packed is None
+
+
+# ---------------------------------------------------------------------------
+# find_blowup
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_find_blowup_matches_scalar(n):
+    found = 0
+    for seed in range(10):
+        rng = spawn(seed, "packed-case", n)
+        G = random_graph(n, (0.5, 0.7, 0.9)[seed % 3], 1000 * seed + n)
+        s = 3 + seed % 3
+        F = random_graph(s, 0.7, seed, "packed-pattern")
+        t = (1, 2, 3, 6)[seed % 4]
+        block = n // s
+        frame = SetFamily.of([range(i * block, (i + 1) * block) for i in range(s)],
+                             BALANCE_WITHIN, m=block, eta=1.0)
+        avoid = mask_from(v for v in range(n) if rng.random() < 0.3)
+        for fr, av in ((None, 0), (frame, 0), (None, avoid), (frame, avoid),
+                       (None, avoid | ~G.adj[seed])):  # a negative mask, as rooted_blowup passes
+            want = scalar_find_blowup(G, F, t, fr, avoid=av, restart_budget=8, seed=seed)
+            same_blowup(find_blowup(G, F, t, fr, avoid=av, restart_budget=8, seed=seed), want)
+            found += want is not None
+    assert found >= 10
+
+
+@pytest.mark.parametrize("n,seed", [(64, 12), (64, 16), (130, 2), (130, 9)])
+def test_find_blowup_matches_scalar_after_restarts(n, seed):
+    G = random_graph(n, 0.5, seed)
+    F = Graph.complete(3)
+    assert find_blowup(G, F, 4, restart_budget=0, seed=seed) is None  # the first pass dies
+    got = find_blowup(G, F, 4, restart_budget=10, seed=seed)
+    assert got is not None
+    same_blowup(got, scalar_find_blowup(G, F, 4, restart_budget=10, seed=seed))
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_find_blowup_matches_scalar_with_isolated_pattern_vertex(n):
+    F = Graph.from_edges(4, [(0, 1), (1, 2)])  # vertex 3 scores n for every candidate
+    for seed in range(3):
+        G = random_graph(n, 0.6, seed + 50)
+        for t in (1, 3):
+            for budget in (0, 5):
+                same_blowup(find_blowup(G, F, t, restart_budget=budget, seed=seed),
+                            scalar_find_blowup(G, F, t, restart_budget=budget, seed=seed))
+
+
+# ---------------------------------------------------------------------------
+# connect_clusters
+
+
+def connect_both(G, U, V, W, m_prime, **kw):
+    got_tel, want_tel = {}, {}
+    got = connect_clusters(G, U, V, W, m_prime, telemetry=got_tel, **kw)
+    want = scalar_connect_clusters(G, U, V, W, m_prime, telemetry=want_tel, **kw)
+    assert got == want
+    assert got_tel == want_tel
+    return got
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_connect_clusters_matches_scalar(n):
+    found = 0
+    for seed in range(12):
+        rng = spawn(seed, "packed-connect", n)
+        G = random_graph(n, (0.2, 0.5, 0.8)[seed // 3 % 3], 7000 + 100 * seed + n)
+        m = (8, 3, 5)[seed % 3]  # eps = 1 puts the side threshold on 1 when m = 8
+        picks = list(range(n))
+        rng.shuffle(picks)
+        U, V = picks[:m], picks[m:2 * m]
+        rest = picks[2 * m:]
+        for W in (rest, rest[:len(rest) // 3], [], rest[:9] * 2):  # W may repeat ids
+            for m_prime in sorted({1, 2, min(3, m)}):
+                for eps in (0.25, 1.0):
+                    found += connect_both(G, U, V, W, m_prime, eps=eps) is not None
+    assert found >= 20
+
+
+@pytest.mark.parametrize("p,seed,m_prime,budget,fallback,answered", [
+    (0.75, 0, 4, 10 ** 6, False, True),  # the DFS answers
+    (0.75, 1, 4, 3, True, False),        # the DFS gives up, the fallback finds nothing
+    (0.4, 4, 3, 5, True, True),          # the DFS gives up, the fallback answers
+])
+def test_connect_clusters_matches_scalar_on_dfs_and_fallback(monkeypatch, p, seed, m_prime,
+                                                             budget, fallback, answered):
+    # C(110, m_prime) is past the enumeration limit, so the DFS runs first
+    import cyclecover.blowup_search as bs
+
+    calls = []
+    real = bs.find_biclique
+    monkeypatch.setattr(bs, "find_biclique", lambda *a: calls.append(a) or real(*a))
+    G = random_graph(130, p, 300 + seed)
+    got = connect_both(G, range(10), range(10, 20), range(20, 130), m_prime, node_budget=budget)
+    assert (got is not None) == answered
+    assert bool(calls) == fallback
+
+
+# ---------------------------------------------------------------------------
+# end to end
+
+
+def test_certificate_digest_at_order_1000():
+    # captured with the scalar searches before they moved onto the view
+    G = generate(GeneratorSpec(kind=GNP_REPAIRED, n=1000, p=0.97, delta_target=750, seed=0))
+    cert = spanning_cycle_blowup(G, PRESETS["desk"])
+    assert isinstance(cert, CycleBlowupCertificate), cert
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == (
+        "4224caaf8f7a3b0a1a4cc9f8892e0aca2380cb50e4cbd2b55cac51796ed18d1a")
