@@ -140,8 +140,7 @@ def find_blowup(host: Graph, F: Graph, t: int, frame: SetFamily | None = None, *
     s = F.n
     n = host.n
     full = host.vertices_mask() & ~avoid
-    base = [mask_from(frame.clusters[i]) & full if frame is not None else full
-            for i in range(s)]
+    base = [m & full for m in frame.masks] if frame is not None else [full] * s
     nbrs = [bits_list(F.adj[i]) for i in range(s)]
     order = sorted(range(s), key=lambda i: (-F.degree(i), i))
     adj = host.adj

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .bitset import (bits_list, iter_bits, lowest_bit, mask_from, mask_words, matrix_from_rows,
@@ -290,6 +291,12 @@ class SetFamily:
         if len(singles) != 1:
             raise ValueError("family has no unique singleton")
         return singles[0]
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Bitmask of each cluster, built on first use and then kept, so a
+        family searched many times (a frame) converts its clusters once."""
+        return tuple(mask_from(c) for c in self.clusters)
 
     def union_mask(self) -> int:
         u = 0

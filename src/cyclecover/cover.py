@@ -14,10 +14,11 @@ re-verifies from scratch against the host graph.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .bitset import mask_from, mask_indices
+from .bitset import iter_bits, mask_from, mask_indices, mask_words
 from .core import (
     BALANCE_QUASI,
     BALANCE_WITHIN,
@@ -426,12 +427,12 @@ def almost_blowup_cover(G: Graph, params: CoverParams, *,
     blowups: list[Blowup] = []
     used = 0
     while pattern is not None and not all(
-            (mask_from(p) & ~used).bit_count() < params.rho * len(p) for p in parts):
+            (pm & ~used).bit_count() < params.rho * len(p) for p, pm in zip(parts, frame.masks)):
         b = find_blowup(G, pattern, t_scale, frame, avoid=used,
                         restart_budget=params.restart_budget,
                         seed=mix(params.seed, "cover", "extract", 0, len(blowups)))
         if b is None:
-            unused = [(mask_from(p) & ~used).bit_count() for p in parts]
+            unused = [(pm & ~used).bit_count() for pm in frame.masks]
             diags.append(("extraction-stalled", tuple(unused)))
             break
         blowups.append(b)
@@ -559,6 +560,205 @@ def _quasi_declaration(lo: int, hi: int) -> tuple[int, float]:
 # ---------------------------------------------------------------------------
 # simple cover
 
+# rank of a (family, leftover vertex) pair when no cluster of the family can
+# take the vertex
+_NO_JOIN = (1 << 63) - 1
+# elements in the largest temporary array one rank rebuild allocates; the
+# rebuild works through the stale entries in chunks that stay under it
+_CHUNK = 1 << 14
+
+
+def _runs(ids: Sequence[int], step: int):
+    """(position, slice) pairs covering the sorted ids in order, each slice a
+    run of consecutive ids at most max(1, step) long."""
+    at = 0
+    while at < len(ids):
+        end = at + 1
+        while end < len(ids) and end - at < step and ids[end] == ids[end - 1] + 1:
+            end += 1
+        yield at, slice(ids[at], ids[end - 1] + 1)
+        at = end
+
+
+class _Fold:
+    """The covered families and the leftover of one simple_blowup_cover call.
+
+    Every cluster keeps a bitmask that each change updates, and split plans
+    are memoised by size tuple. Both live as long as the fold-in, not the
+    process: a module-level plan cache raised peak memory. The rest is
+    indexed by column j, the position of a vertex in the starting leftover,
+    which only ever shrinks:
+    - complete[fi, ci, j] says the vertex is adjacent to all of cluster ci
+      of family fi;
+    - rank[fi, j] is the least key (cluster size, fi, ci), packed into one
+      int, over the clusters ci of family fi that can take one more vertex
+      and keep a split plan, and whose reduced neighbours the vertex is
+      complete to; _NO_JOIN when no cluster qualifies or the vertex is no
+      longer leftover;
+    - donors[fi] is (t, mask of the clusters of family fi that can lose t
+      vertices and keep a split plan), or None.
+    A change to a cluster marks it and its family stale, and only stale
+    entries are rebuilt.
+    """
+
+    def __init__(self, G: Graph, fams: list[list[list[int]]], reds: Sequence[Graph],
+                 leftover: list[int], lo: int, hi: int):
+        import numpy as np
+
+        self.fams = fams
+        self.masks = [[mask_from(c) for c in fam] for fam in fams]
+        self.leftover = leftover
+        self.lo, self.hi = lo, hi
+        self.memo: dict[tuple[int, ...], Any] = {}
+        self.k = len(fams[0]) if fams else 0
+        # apart[fi, ci, cj]: clusters ci and cj of family fi are not reduced
+        # neighbours, so a vertex joining ci need not be complete to cj
+        self.apart = ~np.array([[[R.has_edge(a, b) for b in range(self.k)]
+                                 for a in range(self.k)] for R in reds], dtype=bool)
+        self.cols = list(leftover)
+        self.col_of = {v: j for j, v in enumerate(leftover)}
+        self.alive = np.ones(len(leftover), dtype=bool)
+        self.rows = G.packed()[0][leftover]  # adjacency rows of the columns
+        self.complete = np.empty((len(fams), self.k, len(leftover)), dtype=bool)
+        self.rank = np.empty((len(fams), len(leftover)), dtype=np.int64)
+        self.stale_clusters = {(fi, ci) for fi in range(len(fams)) for ci in range(self.k)}
+        self.stale = set(range(len(fams)))
+        self.donors: list[tuple[int, int] | None] = [None] * len(fams)
+
+    def plan(self, sizes: Sequence[int]):
+        key = tuple(sizes)
+        if key not in self.memo:
+            self.memo[key] = _split_plan(key, self.lo, self.hi)
+        return self.memo[key]
+
+    def sizes(self, fi: int) -> list[int]:
+        return [len(c) for c in self.fams[fi]]
+
+    def set_cluster(self, fi: int, ci: int, vertices: list[int]) -> None:
+        self.fams[fi][ci] = vertices
+        self.masks[fi][ci] = mask_from(vertices)
+        self.stale_clusters.add((fi, ci))
+        self.stale.add(fi)
+        self.donors[fi] = None
+
+    def insert(self, fi: int, ci: int, u: int) -> None:
+        """Put the leftover vertex u into cluster ci of family fi."""
+        import numpy as np
+
+        insort(self.fams[fi][ci], u)
+        self.masks[fi][ci] |= 1 << u
+        # the adjacency is symmetric, so bit u of each column's row says
+        # whether that column stays complete to the grown cluster
+        self.complete[fi, ci] &= (self.rows[:, u >> 6] & np.uint64(1 << (u & 63))) != 0
+        self.stale.add(fi)
+        self.donors[fi] = None
+        self.drop([u])
+
+    def take_away(self, taken: int) -> None:
+        """Remove the vertices of taken from every cluster."""
+        for fi, cms in enumerate(self.masks):
+            for ci, cm in enumerate(cms):
+                if cm & taken:
+                    self.set_cluster(fi, ci, [v for v in self.fams[fi][ci]
+                                              if not (taken >> v) & 1])
+
+    def drop(self, vertices: Sequence[int]) -> None:
+        """Mark vertices of the leftover as covered."""
+        for v in vertices:
+            self.leftover.remove(v)
+            j = self.col_of[v]
+            self.alive[j] = False
+            self.rank[:, j] = _NO_JOIN
+
+    def donor_mask(self, t: int) -> int:
+        """Union of the clusters that can give t vertices to a pickup and
+        leave their family a split plan."""
+        pool = 0
+        for fi, got in enumerate(self.donors):
+            if got is None or got[0] != t:
+                sizes = self.sizes(fi)
+                mask = 0
+                for ci, cm in enumerate(self.masks[fi]):
+                    sizes[ci] -= t
+                    if sizes[ci] >= 0 and self.plan(sizes) is not None:
+                        mask |= cm
+                    sizes[ci] += t
+                got = self.donors[fi] = (t, mask)
+            pool |= got[1]
+        return pool
+
+    def _join_keys(self, fi: int) -> list[int]:
+        """The packed key of each cluster of family fi, or _NO_JOIN for a
+        cluster that cannot grow by one and keep a split plan."""
+        sizes = self.sizes(fi)
+        keys = []
+        for ci in range(self.k):
+            sizes[ci] += 1
+            ok = self.plan(sizes) is not None
+            sizes[ci] -= 1
+            keys.append((sizes[ci] * len(self.fams) + fi) * self.k + ci if ok else _NO_JOIN)
+        return keys
+
+    def _refresh(self) -> None:
+        """Rebuild the stale clusters' completeness and the stale families'
+        ranks over every column, many clusters or families per array pass."""
+        import numpy as np
+
+        if self.stale_clusters:
+            k = self.k
+            stale = sorted(fi * k + ci for fi, ci in self.stale_clusters)
+            self.stale_clusters.clear()
+            M = mask_words([self.masks[c // k][c % k] for c in stale], self.rows.shape[1])
+            M = M[:, None, :]
+            complete = self.complete.reshape(len(self.fams) * k, len(self.cols))
+            for a, ids in _runs(stale, _CHUNK // max(1, self.rows.size)):
+                m = M[a:a + ids.stop - ids.start]
+                complete[ids] = ((self.rows & m) == m).all(axis=2)
+        if self.stale:
+            stale = sorted(self.stale)
+            self.stale.clear()
+            keys = np.array([self._join_keys(fi) for fi in stale], dtype=np.int64)
+            for a, fs in _runs(stale, _CHUNK // max(1, self.complete[0].size * self.k)):
+                ok = (self.complete[fs][:, None, :, :] | self.apart[fs][:, :, :, None]).all(axis=2)
+                ok &= self.alive
+                self.rank[fs] = np.where(ok, keys[a:a + fs.stop - fs.start, :, None],
+                                         _NO_JOIN).min(axis=1)
+
+    def insert_sweep(self) -> None:
+        """Insert leftover vertices into clusters for free.
+
+        A vertex complete to every cluster its target must join costs
+        nothing, while a pickup steals (s-1) covered vertices. Each pass
+        runs once over the leftover in order and puts every vertex it can
+        into its least (size, fi, ci) cluster, reading the ranks as they
+        stand after the pass's earlier insertions; a vertex blocked in a
+        pass is retried in the next. Passes repeat until one inserts
+        nothing.
+        """
+        import numpy as np
+
+        if not self.fams:
+            return
+        F, k = len(self.fams), self.k
+        while self.leftover:
+            self._refresh()
+            best = self.rank.min(axis=0)
+            at = 0
+            progress = False
+            while True:
+                hits = np.flatnonzero(best[at:] != _NO_JOIN)
+                if not len(hits):
+                    break
+                j = at + int(hits[0])
+                key = int(best[j])
+                self.insert(key // k % F, key % k, self.cols[j])
+                self._refresh()
+                at = j + 1
+                best[at:] = self.rank[:, at:].min(axis=0)
+                progress = True
+            if not progress:
+                break
+
 
 def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     """Partition V(G) into quasi-balanced blow-up families.
@@ -581,97 +781,42 @@ def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
         [sorted(c) for c in B.family.clusters] for B in base.blowups]
     reds: list[Graph] = [B.reduced for B in base.blowups]
     quasi: list[Blowup] = []  # born-quasi pickup families, never split
-    leftover = sorted(base.uncovered)
-
-    def sizes_of(fi: int) -> list[int]:
-        return [len(c) for c in fams[fi]]
-
-    def splittable(sizes: Sequence[int]) -> bool:
-        return _split_plan(sizes, lo_p, hi_p) is not None
+    fold = _Fold(G, fams, reds, sorted(base.uncovered), lo_p, hi_p)
+    leftover = fold.leftover
 
     # chunk pickups only while the leftover is genuinely large and the
     # chunk shape itself splits into quasi families; at desk scales the
     # shape (m2 everywhere) cannot yield a singleton, so this loop is idle
     chunk_round = 0
     while (len(leftover) > params.eta * n and len(leftover) >= s * m2
-           and splittable([m2] * s)):
-        got = _pickup(G, params, leftover[:], m2, fams, reds, quasi,
-                      lo_p, hi_p, mix(params.seed, "cover", "chunk", chunk_round))
+           and fold.plan([m2] * s) is not None):
+        got = _pickup(G, params, leftover[:], m2, fold, quasi,
+                      mix(params.seed, "cover", "chunk", chunk_round))
         if not got:
             break
-        for v in got:
-            leftover.remove(v)
+        fold.drop(got)
         chunk_round += 1
-
-    def join_masks(fi: int) -> list[tuple[int, int]]:
-        # (ci, need) for each cluster of family fi that can take one more
-        # vertex and keep a split plan; need is the union of the clusters
-        # that vertex must be complete to
-        R = reds[fi]
-        cms = [mask_from(c) for c in fams[fi]]
-        grown = sizes_of(fi)
-        out = []
-        for ci in range(len(cms)):
-            grown[ci] += 1
-            ok = splittable(grown)
-            grown[ci] -= 1
-            if not ok:
-                continue
-            need = 0
-            for cj, cm in enumerate(cms):
-                if cj != ci and R.has_edge(ci, cj):
-                    need |= cm
-            out.append((ci, need))
-        return out
-
-    def insert_sweep() -> None:
-        # a vertex complete to every cluster its target must join costs
-        # nothing, while a pickup steals (s-1) covered vertices. Join masks
-        # change only when their family grows; pickups between sweeps
-        # reshape donor families, so every sweep starts from fresh masks
-        joins = [join_masks(fi) for fi in range(len(fams))]
-        progress = True
-        while leftover and progress:
-            progress = False
-            for u in list(leftover):
-                miss = ~G.adj[u]
-                best = None
-                for fi, entries in enumerate(joins):
-                    for ci, need in entries:
-                        if need & miss:
-                            continue
-                        key = (len(fams[fi][ci]), fi, ci)
-                        if best is None or key < best:
-                            best = key
-                if best is not None:
-                    _, fi, ci = best
-                    fams[fi][ci] = sorted(fams[fi][ci] + [u])
-                    leftover.remove(u)
-                    joins[fi] = join_masks(fi)
-                    progress = True
 
     # insertion and per-vertex pickups interleave: each pickup reshapes the
     # donor families, which can unblock insertions that failed on split
     # arithmetic alone, so sweep again after every success. Pickup scale is
     # floored at 2 or the family would be all singletons.
     t_pick = max(2, m3)
-    insert_sweep()
+    fold.insert_sweep()
     while leftover:
         placed = False
         for u in list(leftover):
-            got = _pickup(G, params, [u], t_pick, fams, reds, quasi,
-                          lo_p, hi_p, mix(params.seed, "cover", "pickup", u))
+            got = _pickup(G, params, [u], t_pick, fold, quasi,
+                          mix(params.seed, "cover", "pickup", u))
             if not got:
-                got = _pickup_direct(G, params, u, t_pick, fams, leftover,
-                                     quasi, lo_p, hi_p)
+                got = _pickup_direct(G, params, u, t_pick, fold, quasi)
             if got:
-                for v in got:
-                    leftover.remove(v)
+                fold.drop(got)
                 placed = True
                 break
         if not placed:
             break
-        insert_sweep()
+        fold.insert_sweep()
 
     if leftover:
         diags.append(("endgame-stuck", len(leftover)))
@@ -689,7 +834,7 @@ def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     m_q, eta_q = _quasi_declaration(lo_p, hi_p)
     out: list[Blowup] = []
     for fi in range(len(fams)):
-        plan = _split_plan(sizes_of(fi), lo_p, hi_p)
+        plan = fold.plan(fold.sizes(fi))
         if plan is None:  # pragma: no cover - guarded at every mutation
             raise AssertionError("committed family lost its split plan")
         f, sigma = plan
@@ -700,9 +845,8 @@ def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     return CoverResult(n, tuple(out), frozenset(), SIMPLE, tuple(diags))
 
 
-def _pickup_direct(G: Graph, params: CoverParams, root: int, t: int,
-                   fams: list[list[list[int]]], leftover: Sequence[int],
-                   quasi: list[Blowup], lo_p: int, hi_p: int) -> list[int]:
+def _pickup_direct(G: Graph, params: CoverParams, root: int, t: int, fold: _Fold,
+                   quasi: list[Blowup]) -> list[int]:
     """Build a pickup family for one root straight out of donor clusters.
 
     The rooted search draws vertices without regard to which cluster they
@@ -717,12 +861,11 @@ def _pickup_direct(G: Graph, params: CoverParams, root: int, t: int,
     s = params.s
     nb = G.adj[root]
     owner: dict[int, tuple[int, int]] = {}
-    for fi in range(len(fams)):
-        for ci in range(len(fams[fi])):
-            for v in fams[fi][ci]:
-                if (nb >> v) & 1:
-                    owner[v] = (fi, ci)
-    free = [v for v in leftover if v != root and (nb >> v) & 1]
+    for fi, cms in enumerate(fold.masks):
+        for ci, cm in enumerate(cms):
+            for v in iter_bits(cm & nb):
+                owner[v] = (fi, ci)
+    free = [v for v in fold.leftover if v != root and (nb >> v) & 1]
     cand = sorted(set(owner) | set(free))
     k = s - 1
     if len(cand) < k * t:
@@ -732,11 +875,11 @@ def _pickup_direct(G: Graph, params: CoverParams, root: int, t: int,
     removals: dict[tuple[int, int], int] = {}
 
     def family_ok(fi: int) -> bool:
-        sizes = [len(c) for c in fams[fi]]
+        sizes = fold.sizes(fi)
         for (f2, c2), cnt in removals.items():
             if f2 == fi:
                 sizes[c2] -= cnt
-        return min(sizes) >= 0 and _split_plan(sizes, lo_p, hi_p) is not None
+        return min(sizes) >= 0 and fold.plan(sizes) is not None
 
     budget = [20_000]
 
@@ -781,57 +924,40 @@ def _pickup_direct(G: Graph, params: CoverParams, root: int, t: int,
     taken = 0
     for cl in clusters:
         taken |= mask_from(cl)
-    for fi in range(len(fams)):
-        for ci in range(len(fams[fi])):
-            if mask_from(fams[fi][ci]) & taken:
-                fams[fi][ci] = [v for v in fams[fi][ci]
-                                if not (taken >> v) & 1]
+    fold.take_away(taken)
     out = [[root]] + [sorted(cl) for cl in clusters]
     fam = SetFamily.of(out, BALANCE_QUASI, m=t, eta=1.0 / t + _EPS)
     quasi.append(Blowup(Graph.complete(s), fam))
     return [root] + [v for v in free if (taken >> v) & 1]
 
 
-def _pickup(G: Graph, params: CoverParams, roots: list[int], t: int,
-            fams: list[list[list[int]]], reds: list[Graph],
-            quasi: list[Blowup], lo_p: int, hi_p: int, seed: int) -> list[int]:
+def _pickup(G: Graph, params: CoverParams, roots: list[int], t: int, fold: _Fold,
+            quasi: list[Blowup], seed: int) -> list[int]:
     """Rooted pickup covering vertices of roots at cluster scale t.
 
     Donor pool holds only clusters whose family would survive losing t
     vertices from that cluster; the commit is re-checked family by family
-    afterwards and reverted wholesale if any split plan broke. Returns the
-    newly covered vertices (empty on failure).
+    afterwards, and the families it took from are restored if any split
+    plan broke. Returns the newly covered vertices (empty on failure).
     """
     s = params.s
-    pool = 0
-    for fi in range(len(fams)):
-        sizes = [len(c) for c in fams[fi]]
-        for ci in range(len(fams[fi])):
-            trial = list(sizes)
-            trial[ci] -= t
-            if trial[ci] >= 0 and _split_plan(trial, lo_p, hi_p) is not None:
-                pool |= mask_from(fams[fi][ci])
     full = G.vertices_mask()
     rmask = mask_from(roots)
-    avoid = full & ~pool & ~rmask
+    avoid = full & ~fold.donor_mask(t) & ~rmask
     b = rooted_blowup(G, roots, s, params.eps, t, avoid=avoid, seed=seed,
                       restart_budget=params.restart_budget)
     if b is None:
         return []
     taken = b.family.union_mask() & ~rmask
-    backup = [[list(c) for c in fams[fi]] for fi in range(len(fams))]
-    touched = set()
-    for fi in range(len(fams)):
-        for ci in range(len(fams[fi])):
-            cl = fams[fi][ci]
-            if mask_from(cl) & taken:
-                fams[fi][ci] = [v for v in cl if not (taken >> v) & 1]
-                touched.add(fi)
-    ok = all(_split_plan([len(c) for c in fams[fi]], lo_p, hi_p) is not None
-             for fi in touched)
-    if not ok:
-        for fi in range(len(fams)):
-            fams[fi] = backup[fi]
+    # take_away replaces cluster lists rather than editing them, so copying
+    # each family's list of clusters is enough to undo it
+    backup = {fi: list(fold.fams[fi]) for fi, cms in enumerate(fold.masks)
+              if any(cm & taken for cm in cms)}
+    fold.take_away(taken)
+    if not all(fold.plan(fold.sizes(fi)) is not None for fi in backup):
+        for fi, clusters in backup.items():
+            for ci, cl in enumerate(clusters):
+                fold.set_cluster(fi, ci, cl)
         return []
     fam = b.family
     if fam.kind == BALANCE_QUASI and fam.eta * fam.m < 1.0 - _EPS:

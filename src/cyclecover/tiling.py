@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .core import FAIL, Hypergraph, PASS, Verdict
 from .seeding import draw_subset, spawn
 
@@ -118,6 +116,8 @@ def _reduced_states(sizes: Sequence[int], ks: Sequence[int]) -> int:
 
 def _exhaustive_check(P: Hypergraph, lists, ks, rho, d) -> Verdict:
     """Complete certification through the exact-size averaging reduction."""
+    import numpy as np
+
     s = len(lists)
     thresh_density = d - rho
     total_sub = 1

@@ -5,12 +5,15 @@ correct algorithm available, and is kept free of imports from the package
 search modules so the two routes cannot collapse into one. Oracles are for
 tests only; none of this ships in the library API.
 
-The exception is the last section: verbatim copies of the scalar
+The exception is the last two sections: verbatim copies of the scalar
 find_blowup and connect_clusters that scored one candidate at a time with
-Python int bitmasks. The package now scores on a packed numpy view, and the
-copies pin that every choice, tie-break and telemetry value is unchanged.
-They share the helpers the rewrite did not touch: the biclique fallback,
-the seeding streams and the core verifiers.
+Python int bitmasks, and of the fold-in of simple_blowup_cover that rebuilt
+every family's join masks on each insert sweep. The package now scores on a
+packed numpy view and folds in incrementally, and the copies pin that every
+choice, tie-break and telemetry value is unchanged. They share the helpers
+the rewrites did not touch: the biclique fallback, the rooted search, the
+almost cover, the split arithmetic, the seeding streams and the core
+verifiers.
 """
 
 from __future__ import annotations
@@ -399,3 +402,254 @@ def scalar_connect_clusters(G: Graph, U, V, W, m_prime: int, *, eps: float = 0.2
             return tuple(u_side), tuple(v_side), tuple(w_side)
         req_pool.remove(w_side[0])
     return None
+
+
+# ---------------------------------------------------------------------------
+# reference copy of the fold-in
+
+
+def reference_simple_blowup_cover(G: Graph, params):
+    """simple_blowup_cover as it rebuilt every family's join masks on each
+    sweep and tested leftover vertices against them one at a time."""
+    from cyclecover.bitset import mask_from
+    from cyclecover.core import BALANCE_QUASI, BALANCE_WITHIN, Blowup, SetFamily
+    from cyclecover.cover import (ALMOST, SIMPLE, CoverResult, _EPS, _piece_band,
+                                  _quasi_declaration, _split_family, _split_plan,
+                                  almost_blowup_cover)
+    from cyclecover.seeding import mix
+
+    n = G.n
+    s = params.s
+    m1, m2, m3 = params.scales(n)
+    lo_p, hi_p = _piece_band(params, n)
+
+    base = almost_blowup_cover(G, params, scale=m1)
+    diags = list(base.diagnostics)
+    fams = [[sorted(c) for c in B.family.clusters] for B in base.blowups]
+    reds = [B.reduced for B in base.blowups]
+    quasi = []
+    leftover = sorted(base.uncovered)
+
+    def sizes_of(fi):
+        return [len(c) for c in fams[fi]]
+
+    def splittable(sizes):
+        return _split_plan(sizes, lo_p, hi_p) is not None
+
+    chunk_round = 0
+    while (len(leftover) > params.eta * n and len(leftover) >= s * m2
+           and splittable([m2] * s)):
+        got = _reference_pickup(G, params, leftover[:], m2, fams, reds, quasi,
+                                lo_p, hi_p, mix(params.seed, "cover", "chunk", chunk_round))
+        if not got:
+            break
+        for v in got:
+            leftover.remove(v)
+        chunk_round += 1
+
+    def join_masks(fi):
+        R = reds[fi]
+        cms = [mask_from(c) for c in fams[fi]]
+        grown = sizes_of(fi)
+        out = []
+        for ci in range(len(cms)):
+            grown[ci] += 1
+            ok = splittable(grown)
+            grown[ci] -= 1
+            if not ok:
+                continue
+            need = 0
+            for cj, cm in enumerate(cms):
+                if cj != ci and R.has_edge(ci, cj):
+                    need |= cm
+            out.append((ci, need))
+        return out
+
+    def insert_sweep():
+        joins = [join_masks(fi) for fi in range(len(fams))]
+        progress = True
+        while leftover and progress:
+            progress = False
+            for u in list(leftover):
+                miss = ~G.adj[u]
+                best = None
+                for fi, entries in enumerate(joins):
+                    for ci, need in entries:
+                        if need & miss:
+                            continue
+                        key = (len(fams[fi][ci]), fi, ci)
+                        if best is None or key < best:
+                            best = key
+                if best is not None:
+                    _, fi, ci = best
+                    fams[fi][ci] = sorted(fams[fi][ci] + [u])
+                    leftover.remove(u)
+                    joins[fi] = join_masks(fi)
+                    progress = True
+
+    t_pick = max(2, m3)
+    insert_sweep()
+    while leftover:
+        placed = False
+        for u in list(leftover):
+            got = _reference_pickup(G, params, [u], t_pick, fams, reds, quasi,
+                                    lo_p, hi_p, mix(params.seed, "cover", "pickup", u))
+            if not got:
+                got = _reference_pickup_direct(G, params, u, t_pick, fams, leftover,
+                                               quasi, lo_p, hi_p)
+            if got:
+                for v in got:
+                    leftover.remove(v)
+                placed = True
+                break
+        if not placed:
+            break
+        insert_sweep()
+
+    if leftover:
+        diags.append(("endgame-stuck", len(leftover)))
+        blows = []
+        for fi in range(len(fams)):
+            spread = max(abs(len(c) - m1) / m1 for c in fams[fi])
+            fam = SetFamily.of(fams[fi], BALANCE_WITHIN, m=m1,
+                               eta=max(1.0, spread + _EPS))
+            blows.append(Blowup(reds[fi], fam))
+        return CoverResult(n, tuple(blows) + tuple(quasi),
+                           frozenset(leftover), ALMOST, tuple(diags))
+
+    m_q, eta_q = _quasi_declaration(lo_p, hi_p)
+    out = []
+    for fi in range(len(fams)):
+        f, sigma = _split_plan(sizes_of(fi), lo_p, hi_p)
+        for child in _split_family(fams[fi], f, sigma):
+            fam = SetFamily.of(child, BALANCE_QUASI, m=m_q, eta=eta_q)
+            out.append(Blowup(reds[fi], fam))
+    out.extend(quasi)
+    return CoverResult(n, tuple(out), frozenset(), SIMPLE, tuple(diags))
+
+
+def _reference_pickup_direct(G: Graph, params, root, t, fams, leftover, quasi, lo_p, hi_p):
+    from cyclecover.bitset import mask_from
+    from cyclecover.core import BALANCE_QUASI, Blowup, SetFamily
+    from cyclecover.cover import _EPS, _split_plan
+
+    s = params.s
+    nb = G.adj[root]
+    owner = {}
+    for fi in range(len(fams)):
+        for ci in range(len(fams[fi])):
+            for v in fams[fi][ci]:
+                if (nb >> v) & 1:
+                    owner[v] = (fi, ci)
+    free = [v for v in leftover if v != root and (nb >> v) & 1]
+    cand = sorted(set(owner) | set(free))
+    k = s - 1
+    if len(cand) < k * t:
+        return []
+    clusters = [[] for _ in range(k)]
+    masks = [0] * k
+    removals = {}
+
+    def family_ok(fi):
+        sizes = [len(c) for c in fams[fi]]
+        for (f2, c2), cnt in removals.items():
+            if f2 == fi:
+                sizes[c2] -= cnt
+        return min(sizes) >= 0 and _split_plan(sizes, lo_p, hi_p) is not None
+
+    budget = [20_000]
+
+    def dfs(idx, filled):
+        if filled == k * t:
+            return True
+        if idx == len(cand) or len(cand) - idx < k * t - filled:
+            return False
+        budget[0] -= 1
+        if budget[0] <= 0:
+            return False
+        v = cand[idx]
+        adj = G.adj[v]
+        for j in range(k):
+            if len(clusters[j]) == t:
+                continue
+            if any(l != j and (adj & masks[l]) != masks[l] for l in range(k)):
+                continue
+            own = owner.get(v)
+            if own is not None:
+                removals[own] = removals.get(own, 0) + 1
+                ok = family_ok(own[0])
+            else:
+                ok = True
+            if ok:
+                clusters[j].append(v)
+                masks[j] |= 1 << v
+                if dfs(idx + 1, filled + 1):
+                    return True
+                clusters[j].pop()
+                masks[j] &= ~(1 << v)
+            if own is not None:
+                removals[own] -= 1
+                if removals[own] == 0:
+                    del removals[own]
+            if not clusters[j]:
+                break
+        return dfs(idx + 1, filled)
+
+    if not dfs(0, 0):
+        return []
+    taken = 0
+    for cl in clusters:
+        taken |= mask_from(cl)
+    for fi in range(len(fams)):
+        for ci in range(len(fams[fi])):
+            if mask_from(fams[fi][ci]) & taken:
+                fams[fi][ci] = [v for v in fams[fi][ci] if not (taken >> v) & 1]
+    out = [[root]] + [sorted(cl) for cl in clusters]
+    fam = SetFamily.of(out, BALANCE_QUASI, m=t, eta=1.0 / t + _EPS)
+    quasi.append(Blowup(Graph.complete(s), fam))
+    return [root] + [v for v in free if (taken >> v) & 1]
+
+
+def _reference_pickup(G: Graph, params, roots, t, fams, reds, quasi, lo_p, hi_p, seed):
+    from cyclecover.bitset import mask_from
+    from cyclecover.blowup_search import rooted_blowup
+    from cyclecover.core import BALANCE_QUASI, Blowup, SetFamily
+    from cyclecover.cover import _EPS, _split_plan
+
+    s = params.s
+    pool = 0
+    for fi in range(len(fams)):
+        sizes = [len(c) for c in fams[fi]]
+        for ci in range(len(fams[fi])):
+            trial = list(sizes)
+            trial[ci] -= t
+            if trial[ci] >= 0 and _split_plan(trial, lo_p, hi_p) is not None:
+                pool |= mask_from(fams[fi][ci])
+    full = G.vertices_mask()
+    rmask = mask_from(roots)
+    avoid = full & ~pool & ~rmask
+    b = rooted_blowup(G, roots, s, params.eps, t, avoid=avoid, seed=seed,
+                      restart_budget=params.restart_budget)
+    if b is None:
+        return []
+    taken = b.family.union_mask() & ~rmask
+    backup = [[list(c) for c in fams[fi]] for fi in range(len(fams))]
+    touched = set()
+    for fi in range(len(fams)):
+        for ci in range(len(fams[fi])):
+            cl = fams[fi][ci]
+            if mask_from(cl) & taken:
+                fams[fi][ci] = [v for v in cl if not (taken >> v) & 1]
+                touched.add(fi)
+    ok = all(_split_plan([len(c) for c in fams[fi]], lo_p, hi_p) is not None
+             for fi in touched)
+    if not ok:
+        for fi in range(len(fams)):
+            fams[fi] = backup[fi]
+        return []
+    fam = b.family
+    if fam.kind == BALANCE_QUASI and fam.eta * fam.m < 1.0 - _EPS:
+        fam = SetFamily(fam.clusters, BALANCE_QUASI, m=fam.m, eta=1.0 / fam.m + _EPS)
+    quasi.append(Blowup(b.reduced, fam))
+    um = b.family.union_mask()
+    return [v for v in roots if (um >> v) & 1]

@@ -32,6 +32,12 @@ GOLDEN = [
     # fall into different cliques); a relabelled rerun certifies it
     (300, None, 225, 0,
      "640b385dbc2ea2039aa003a990bd3bba6065c6ba14f2d0ae32e5ed76d22b78ce", DIRAC_EXTREMAL),
+    # first-pass solves of the sparse-600 benchmark shape, where folding the
+    # leftover into the cover is the largest stage
+    (600, 0.8, 420, 0,
+     "9ce4111a00180cdad674f5c84721bb82fcdaa1dfd93f31df64460831838483b3", GNP_REPAIRED),
+    (600, 0.8, 420, 1,
+     "07ccc05d2a450eced1229685175a73fcfb639d8f712474c6a8a241a873e3ac9f", GNP_REPAIRED),
     # the cover endgame strands vertices as labelled; a relabelled rerun
     # certifies it
     (600, 0.8, 420, 90002,

@@ -1,7 +1,11 @@
-"""Static checks on the package source: the pipeline modules stay off the
-lemma library, and no module keeps an import it does not use."""
+"""Checks on the package source: the pipeline modules stay off the lemma
+library, no module keeps an import it does not use, and numpy loads only
+when something needs it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +62,35 @@ def test_every_imported_name_is_used(path):
             used.update(e.value for e in node.value.elts)
     unused = sorted((line, name) for name, line in bound.items() if name not in used)
     assert not unused, f"{path.name}: unused imports (line, name) {unused}"
+
+
+def _import_time_imports(node: ast.AST):
+    """Import statements that run when the module is imported: everything
+    outside function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        yield from _import_time_imports(child)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_is_imported_inside_functions_only(path):
+    # numpy at import time raised the peak memory of `import cyclecover` from
+    # 18.5 to 27.8 MB (Python 3.11, numpy 2.4)
+    names = set()
+    for node in _import_time_imports(_tree(path)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif node.level == 0 and node.module:
+            names.add(node.module.split(".")[0])
+    assert "numpy" not in names
+
+
+def test_importing_the_package_does_not_load_numpy():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, cyclecover, cyclecover.cli; print('numpy' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
