@@ -140,17 +140,20 @@ def experiment_row(n: int, seed: int, preset: str, result, wall_s: float) -> str
 
 
 def _run_cell(cell) -> tuple[tuple[int, int], str]:
+    """One sweep row. Its wall clock times the solve alone, as solve --csv
+    does; a host that fails to generate gets 0.0."""
     n, seed, preset_name, kind, p, delta_frac, pieces = cell
-    t0 = time.perf_counter()
+    t0 = None
     try:
         spec = GeneratorSpec(kind=kind, n=n, p=p,
                              delta_target=math.ceil(delta_frac * n),
                              seed=seed, pieces=pieces)
         G = generate(spec)
+        t0 = time.perf_counter()
         result = spanning_cycle_blowup(G, PRESETS[preset_name])
     except Exception as exc:  # surfaced in the row, the sweep continues
-        return (n, seed), experiment_row(n, seed, preset_name, exc,
-                                         time.perf_counter() - t0)
+        wall = 0.0 if t0 is None else time.perf_counter() - t0
+        return (n, seed), experiment_row(n, seed, preset_name, exc, wall)
     return (n, seed), experiment_row(n, seed, preset_name, result,
                                      time.perf_counter() - t0)
 
@@ -165,7 +168,11 @@ def cmd_generate(args) -> int:
                          delta_target=args.delta_target, seed=args.seed,
                          overlap=args.overlap, pieces=args.pieces,
                          path=args.path)
-    G = generate(spec)
+    try:
+        G = generate(spec)
+    except (OSError, ValueError) as exc:  # bad parameters or --path file
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
     _emit(args, graph_to_text(G))
     return 0
 

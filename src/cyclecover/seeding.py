@@ -5,6 +5,11 @@ seed plus a fixed label, so independent call sites never share a stream and
 repeated runs with the same seed reproduce byte-identical output. Strings
 are folded with FNV-1a (never the builtin hash, which is salted per process)
 and the result is finalized with a splitmix64 step.
+
+Every stream is CPython's MT19937 (Matsumoto & Nishimura, ACM TOMACS 1998).
+A routine that needs millions of floats from one stream, such as the GNP
+sampler, takes them in blocks from random_doubles: the doubles random()
+would return, rebuilt in numpy from the stream's raw 32-bit outputs.
 """
 
 from __future__ import annotations
@@ -51,6 +56,27 @@ def spawner(seed: int, *parts: int | str) -> Callable[[int], random.Random]:
     seed and labels folded once instead of on every trial."""
     prefix = mix(seed, *parts)
     return lambda i: random.Random(_splitmix(prefix ^ (i & _MASK64)))
+
+
+def random_doubles(rng: random.Random, k: int):
+    """The next k floats of rng as a float64 array, equal bit for bit to
+    [rng.random() for _ in range(k)], with rng left where those calls
+    leave it.
+
+    random() builds each double from two 32-bit MT19937 outputs a, b as
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53, every step exact in float64.
+    getrandbits(64 * k) returns the same 2k outputs, the first in the
+    lowest 32 bits, so the doubles are rebuilt here with no Python call
+    per float.
+    """
+    import numpy as np
+
+    words = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u4")
+    out = (words[0::2] >> 5).astype(np.float64)
+    out *= 67108864.0
+    out += words[1::2] >> 6
+    out *= 1.0 / 9007199254740992.0
+    return out
 
 
 def draw_subset(rng: random.Random, pool: Sequence[int], k: int) -> list[int]:

@@ -5,15 +5,17 @@ correct algorithm available, and is kept free of imports from the package
 search modules so the two routes cannot collapse into one. Oracles are for
 tests only; none of this ships in the library API.
 
-The exception is the last two sections: verbatim copies of the scalar
+The exception is the last three sections: verbatim copies of the scalar
 find_blowup and connect_clusters that scored one candidate at a time with
-Python int bitmasks, and of the fold-in of simple_blowup_cover that rebuilt
-every family's join masks on each insert sweep. The package now scores on a
-packed numpy view and folds in incrementally, and the copies pin that every
-choice, tie-break and telemetry value is unchanged. They share the helpers
-the rewrites did not touch: the biclique fallback, the rooted search, the
-almost cover, the split arithmetic, the seeding streams and the core
-verifiers.
+Python int bitmasks, of the fold-in of simple_blowup_cover that rebuilt
+every family's join masks on each insert sweep, and of the GNP sampler that
+called random() once per pair with the degree repair that rescanned every
+degree per added edge. The package now scores on a packed numpy view, folds
+in incrementally, draws its coins in blocks and repairs from a heap, and the
+copies pin that every choice, tie-break, telemetry value and edge is
+unchanged. They share the helpers the rewrites did not touch: the biclique
+fallback, the rooted search, the almost cover, the split arithmetic, the
+seeding streams and the core verifiers.
 """
 
 from __future__ import annotations
@@ -653,3 +655,45 @@ def _reference_pickup(G: Graph, params, roots, t, fams, reds, quasi, lo_p, hi_p,
     quasi.append(Blowup(b.reduced, fam))
     um = b.family.union_mask()
     return [v for v in roots if (um >> v) & 1]
+
+
+# ---------------------------------------------------------------------------
+# reference copies of the per-pair GNP sampler and the scanning repair
+
+
+def reference_repair_to_min_degree(adj: list[int], n: int, target: int) -> None:
+    """_repair_to_min_degree as it rescanned every degree for each edge it
+    added."""
+    if target > n - 1:
+        raise ValueError(f"min degree {target} infeasible on {n} vertices")
+    full = (1 << n) - 1
+    while True:
+        v = min(range(n), key=lambda x: (adj[x].bit_count(), x))
+        if adj[v].bit_count() >= target:
+            return
+        candidates = full & ~adj[v] & ~(1 << v)
+        u = (candidates & -candidates).bit_length() - 1
+        adj[v] |= 1 << u
+        adj[u] |= 1 << v
+
+
+def reference_gnp_repaired(spec) -> Graph:
+    """_gnp_repaired as it called random() on the stream once per pair."""
+    import numpy as np
+
+    from cyclecover.bitset import rows_from_matrix
+    from cyclecover.seeding import spawn
+
+    n = spec.n
+    draw = spawn(spec.seed, "gnp", n).random
+    A = np.zeros((n, n), dtype=bool)
+    buf = np.empty(n)
+    for u in range(n - 1):
+        k = n - 1 - u
+        buf[:k] = [draw() for _ in range(k)]
+        np.less(buf[:k], spec.p, out=A[u, u + 1:])
+        A[u + 1:, u] = A[u, u + 1:]
+    adj = rows_from_matrix(A)
+    if spec.delta_target is not None:
+        reference_repair_to_min_degree(adj, n, spec.delta_target)
+    return Graph(n, adj)

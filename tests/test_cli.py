@@ -4,9 +4,11 @@ determinism contract of the CSV emitters (wall clock column excluded).
 """
 
 import json
+import time
 
 import pytest
 
+from cyclecover import cli
 from cyclecover.cli import main
 from cyclecover.core import (
     CycleBlowupCertificate,
@@ -55,6 +57,28 @@ def test_generate_extremal_overlap_meets_target(tmp_path):
     assert rc == 0
     G = graph_from_text(out.read_text())
     assert min(G.degree(v) for v in range(G.n)) >= 5
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["--kind", "gnp", "--n", "10", "--delta-target", "10"], "infeasible"),
+    (["--kind", "file"], "needs a path"),
+    (["--kind", "dirac", "--n", "10", "--overlap", "8"], "overlap too large"),
+    (["--kind", "gnp", "--n", "-3"], "vertex count n must be nonnegative"),
+    (["--kind", "dirac", "--n", "-3"], "vertex count n must be nonnegative"),
+    (["--kind", "cliques", "--n", "-3"], "vertex count n must be nonnegative"),
+    (["--kind", "file", "--n", "-3"], "vertex count n must be nonnegative"),
+    (["--kind", "gnp", "--p", "1.7"], "edge probability p must lie in [0, 1]"),
+    (["--kind", "gnp", "--p", "-0.1"], "edge probability p must lie in [0, 1]"),
+    (["--kind", "gnp", "--p", "nan"], "edge probability p must lie in [0, 1]"),
+    (["--kind", "file", "--path", "no/such/graph.txt"], "No such file"),
+])
+def test_generate_refusals_exit_two_with_diagnostics(argv, needle, capsys):
+    rc = main(["generate"] + argv)
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == ""
+    assert out.err.startswith("refused: ")
+    assert needle in out.err
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +328,18 @@ def test_sweep_csv_matches_solve_row(tmp_path):
     row_sweep = strip_wall(sweep_csv.read_text())[-1]
     row_solve = strip_wall(solve_csv.read_text())[-1]
     assert row_sweep == row_solve
+
+
+def test_sweep_wall_ms_times_the_solve_alone(tmp_path, monkeypatch):
+    # solve --csv times spanning_cycle_blowup only; so does the sweep column
+    def slow_generate(spec):
+        time.sleep(0.5)
+        return generate(spec)
+
+    monkeypatch.setattr(cli, "generate", slow_generate)
+    out = tmp_path / "w.csv"
+    assert main(["sweep", "--ns", "60", "--seeds", "0", "--p", "0.97",
+                 "--out", str(out)]) == 0
+    row = out.read_text().strip().splitlines()[-1]
+    assert ",PASS," in row
+    assert float(row.rsplit(",", 1)[1]) < 500

@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 
 import pytest
+from oracles import reference_gnp_repaired, reference_repair_to_min_degree
 
 from cyclecover.core import Graph, graph_to_text, min_degree
 from cyclecover.generators import (
@@ -12,6 +13,7 @@ from cyclecover.generators import (
     FROM_FILE,
     GNP_REPAIRED,
     GeneratorSpec,
+    _repair_to_min_degree,
     generate,
 )
 
@@ -113,3 +115,49 @@ def test_acceptance_scale_instance():
     G = generate(spec)
     assert min_degree(G) >= 225
     assert min_degree(G) >= math.ceil(0.5 * 300)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with the per-pair sampler and the scanning repair (oracles)
+
+
+def _outcome(build, spec):
+    try:
+        return build(spec).adj
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 0.97, 1.0])
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 129])
+def test_gnp_matches_per_pair_reference(n, p):
+    for seed in range(3):
+        for delta in (None, (3 * n) // 4):
+            spec = GeneratorSpec(GNP_REPAIRED, n=n, p=p, delta_target=delta, seed=seed)
+            assert _outcome(generate, spec) == _outcome(reference_gnp_repaired, spec)
+
+
+@pytest.mark.parametrize("n, p, delta_frac", [
+    (300, 0.97, 0.75), (600, 0.8, 0.7), (1000, 0.97, 0.75),
+])
+def test_benchmark_hosts_match_per_pair_reference(n, p, delta_frac):
+    # graph seeds s * 10000 + i of the benchmark; i = 0 of each s here
+    for s in range(5):
+        spec = GeneratorSpec(GNP_REPAIRED, n=n, p=p, seed=s * 10000,
+                             delta_target=math.ceil(delta_frac * n))
+        assert graph_to_text(generate(spec)) == graph_to_text(reference_gnp_repaired(spec))
+
+
+@pytest.mark.parametrize("spec, target", [
+    (GeneratorSpec(CLIQUE_UNION_PLUS, n=120, pieces=3), 90),
+    (GeneratorSpec(CLIQUE_UNION_PLUS, n=97, pieces=5), 60),
+    (GeneratorSpec(DIRAC_EXTREMAL, n=120, overlap=0), 80),
+    (GeneratorSpec(DIRAC_EXTREMAL, n=101, overlap=3), 70),
+])
+def test_heap_repair_matches_scanning_reference(spec, target):
+    base = generate(spec)  # seed 0: the construction's own labels
+    got, want = list(base.adj), list(base.adj)
+    _repair_to_min_degree(got, base.n, target)
+    reference_repair_to_min_degree(want, base.n, target)
+    assert got == want
+    assert min(row.bit_count() for row in got) >= target
