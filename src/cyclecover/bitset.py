@@ -5,10 +5,10 @@ Python ints give us branch-free intersection/union and a fast popcount,
 which is what every search loop in this package leans on. Scoring many
 candidates at once (the picks of find_blowup, the side counts of
 connect_clusters) runs on the packed uint64 view of Graph.packed instead,
-with masks converted to its word layout and to index arrays here.
-Whole-graph work (reading and writing graph files, generating random
-hosts) goes through a numpy bool matrix, converted to and from bitmask
-rows here.
+with masks converted to its word layout and to index arrays here. Writing
+a graph file unpacks blocks of rows from that word layout; reading one, and
+generating a random host, fill a numpy bool matrix that rows_from_matrix
+turns into bitmask rows.
 """
 
 from __future__ import annotations
@@ -71,13 +71,3 @@ def rows_from_matrix(A) -> list[int]:
     w = packed.shape[1]
     flat = memoryview(packed.reshape(-1))
     return [int.from_bytes(flat[i * w:(i + 1) * w], "little") for i in range(len(packed))]
-
-
-def matrix_from_rows(rows: Iterable[int], n: int):
-    """The n x n bool matrix of n bitmask rows over 0..n-1; inverse of
-    rows_from_matrix."""
-    import numpy as np
-
-    w = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(w, "little") for r in rows), dtype=np.uint8)
-    return np.unpackbits(packed.reshape(n, w), axis=1, count=n, bitorder="little").view(bool)

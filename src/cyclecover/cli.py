@@ -93,7 +93,9 @@ def _read_graph(path: str) -> Graph:
     """Parse a graph file; an unreadable or malformed one ends the command
     with exit code 2."""
     try:
-        return graph_from_text(Path(path).read_text())
+        # decoded from bytes: read_text() translates newlines, and a lone '\r',
+        # a space in the grammar, would become a line break
+        return graph_from_text(Path(path).read_bytes().decode())
     except (OSError, ValueError) as exc:
         print(f"bad graph file {path}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None

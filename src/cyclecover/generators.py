@@ -168,7 +168,9 @@ def generate(spec: GeneratorSpec) -> Graph:
     elif spec.kind == FROM_FILE:
         if spec.path is None:
             raise ValueError("FROM_FILE needs a path")
-        G = graph_from_text(Path(spec.path).read_text())
+        # decoded from bytes: read_text() translates newlines, and a lone '\r',
+        # a space in the grammar, would become a line break
+        G = graph_from_text(Path(spec.path).read_bytes().decode())
     else:
         raise ValueError(f"unknown generator kind {spec.kind!r}")
     if spec.delta_target is not None and spec.kind != FROM_FILE:

@@ -59,6 +59,14 @@ def test_generate_extremal_overlap_meets_target(tmp_path):
     assert min(G.degree(v) for v in range(G.n)) >= 5
 
 
+def test_generate_from_file_reads_a_lone_carriage_return_as_a_space(tmp_path):
+    src, out = tmp_path / "src.txt", tmp_path / "out.txt"
+    src.write_bytes(b"3 2\n0\r1\n1 2\n")
+    rc = main(["generate", "--kind", "file", "--path", str(src), "--n", "3", "--out", str(out)])
+    assert rc == 0
+    assert graph_from_text(out.read_text()) == Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
 @pytest.mark.parametrize("argv, needle", [
     (["--kind", "gnp", "--n", "10", "--delta-target", "10"], "infeasible"),
     (["--kind", "file"], "needs a path"),
@@ -186,6 +194,14 @@ def test_cover_reports_simple_partition(tmp_path, capsys):
     assert "kind SIMPLE" in out
     assert "uncovered 0" in out
     assert "verify PASS" in out
+
+
+def test_cover_reads_a_lone_carriage_return_as_a_space(tmp_path, capsys):
+    head, first, *rest = graph_to_text(Graph.complete(60)).splitlines()
+    g = tmp_path / "g.txt"
+    g.write_bytes("\n".join([head, first.replace(" ", "\r")] + rest).encode() + b"\n")
+    assert main(["cover", str(g)]) == 0
+    assert "verify PASS" in capsys.readouterr().out
 
 
 def test_connect_emits_three_sides(tmp_path, capsys):

@@ -1,9 +1,17 @@
 """Graph text files: the numpy writer and parser in core against the
 line-by-line reference in oracles, on clean texts, on texts mutated within
-the grammar, and on malformed ones."""
+the grammar, and on malformed ones; again with row blocks and text chunks
+small enough that every line, edge and error lands near a chunk boundary;
+and the parser's and writer's peak memory against the size of the text."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from cyclecover import core
 from cyclecover.core import Graph, graph_from_text, graph_to_text
 from cyclecover.seeding import spawn
 
@@ -24,12 +32,16 @@ def sample_graphs(p):
     return [random_graph(n, p, 1000 * n + int(100 * p)) for n in range(81)]
 
 
-@pytest.mark.parametrize("p", DENSITIES)
-def test_writer_and_parser_match_reference(p):
-    for G in sample_graphs(p) + SPECIAL:
+def check_clean(graphs):
+    for G in graphs:
         text = graph_to_text(G)
         assert text == reference_graph_to_text(G)
         assert graph_from_text(text) == reference_graph_from_text(text) == G
+
+
+@pytest.mark.parametrize("p", DENSITIES)
+def test_writer_and_parser_match_reference(p):
+    check_clean(sample_graphs(p) + SPECIAL)
 
 
 def mutate(text, rng):
@@ -59,13 +71,25 @@ def mutate(text, rng):
     return mutated if rng.random() < 0.3 else mutated + end
 
 
-@pytest.mark.parametrize("p", DENSITIES)
-def test_parser_matches_reference_on_mutated_text(p):
+def check_mutated(p):
     rng = spawn(int(100 * p), "test-graph-text-mutate")
     for G in sample_graphs(p)[::4] + SPECIAL:
         for _ in range(3):
             text = mutate(graph_to_text(G), rng)
             assert graph_from_text(text) == reference_graph_from_text(text) == G, text
+
+
+@pytest.mark.parametrize("p", DENSITIES)
+def test_parser_matches_reference_on_mutated_text(p):
+    check_mutated(p)
+
+
+@pytest.mark.parametrize("p", DENSITIES)
+def test_tiny_chunks_match_reference(p, monkeypatch):
+    monkeypatch.setattr(core, "_TEXT_CHUNK", 64)
+    monkeypatch.setattr(core, "_ROW_BLOCK", 3)
+    check_clean(sample_graphs(p)[::4] + SPECIAL)
+    check_mutated(p)
 
 
 MALFORMED = {
@@ -89,6 +113,8 @@ MALFORMED = {
     "edges on a zero-vertex graph": "0 1\n0 1\n",
     "empty text": "",
     "comment-only text": "# a\n\n   # b\n\t\n",
+    # too many vertices for an n x n matrix: the count is still checked first
+    "count wrong on a huge header": "10000000000 1\n0 1\n0 2\n",
 }
 
 
@@ -99,6 +125,36 @@ def test_malformed_text_raises_reference_message(text):
     with pytest.raises(ValueError) as got:
         graph_from_text(text)
     assert str(got.value) == str(expected.value)
+
+
+# Texts whose lines and errors straddle chunks; each is parsed at every
+# chunk size from one character to its whole length.
+PAD = "# a comment longer than a chunk\n\n\t \n"
+BOUNDARY = {
+    "first chunk only comments and blanks": PAD + PAD + "3 2\n0 1\n1 2\n",
+    "CRLF ends everywhere": "3 3\r\n0 1\r\n" + PAD.replace("\n", "\r\n") + "1   2\t\r\n2 0\r\n",
+    "bad header in a later chunk": PAD + PAD + "3 2 1\n0 1\n1 2\n",
+    "bad edge line in a later chunk": "3 2\n0 1\n" + PAD + "1 2 0\n",
+    "late count mismatch beats an early loop": "3 3\n1 1\n0 1\n" + PAD + "1 2\n0 2\n",
+    "late bad line beats an early loop": "3 3\n1 1\n0 1\n" + PAD + "1 2 0\n",
+    "first out-of-range edge in a later chunk": "3 4\n0 1\n1 2\n" + PAD + "2 5\n1 1\n",
+}
+
+
+@pytest.mark.parametrize("text", [*MALFORMED.values(), *BOUNDARY.values()],
+                         ids=[*MALFORMED.keys(), *BOUNDARY.keys()])
+def test_every_chunk_size_matches_reference(text, monkeypatch):
+    try:
+        expected = reference_graph_from_text(text)
+    except ValueError as exc:
+        expected = str(exc)
+    for size in range(1, len(text) + 1):
+        monkeypatch.setattr(core, "_TEXT_CHUNK", size)
+        try:
+            got = graph_from_text(text)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, size
 
 
 def test_leading_zeros_parse_as_decimal():
@@ -122,3 +178,29 @@ def test_tokens_outside_the_grammar_are_bad_lines(line):
     with pytest.raises(ValueError) as got:
         graph_from_text(f"# c\n{line}\n")
     assert str(got.value) == f"bad header {line!r}"
+
+
+PEAK_SCRIPT = """
+import tracemalloc
+from cyclecover.core import graph_from_text, graph_to_text
+from cyclecover.generators import GNP_REPAIRED, GeneratorSpec, generate
+
+G = generate(GeneratorSpec(GNP_REPAIRED, 1000, p=0.97, delta_target=750, seed=0))
+text = graph_to_text(G)
+for call, arg in ((graph_to_text, G), (graph_from_text, text)):
+    tracemalloc.start()
+    call(arg)
+    print(tracemalloc.get_traced_memory()[1] / len(text))
+    tracemalloc.stop()
+"""
+
+
+def test_peak_memory_is_a_small_multiple_of_the_text():
+    """The n = 1000 bench host: a 3.8 MB text. Writing or reading it took
+    about ten times that when both worked on the whole text at once."""
+    env = dict(os.environ, PYTHONPATH=str(Path(core.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", PEAK_SCRIPT], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout.split()
+    write_peak, read_peak = map(float, out)
+    assert write_peak <= 4.0
+    assert read_peak <= 4.0
