@@ -24,7 +24,7 @@ from .core import (
     CycleBlowupCertificate,
     Graph,
     Hypergraph,
-    graph_from_text,
+    graph_from_file,
     graph_to_text,
     verify_cycle_blowup,
 )
@@ -93,9 +93,7 @@ def _read_graph(path: str) -> Graph:
     """Parse a graph file; an unreadable or malformed one ends the command
     with exit code 2."""
     try:
-        # decoded from bytes: read_text() translates newlines, and a lone '\r',
-        # a space in the grammar, would become a line break
-        return graph_from_text(Path(path).read_bytes().decode())
+        return graph_from_file(path)
     except (OSError, ValueError) as exc:
         print(f"bad graph file {path}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None

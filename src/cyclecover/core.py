@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .bitset import bits_list, iter_bits, lowest_bit, mask_from, mask_words, rows_from_matrix
@@ -518,6 +519,23 @@ def _scan_lines(raw: bytes):
     return starts, ends, comment, np.flatnonzero(data), np.flatnonzero(wrong)
 
 
+def _read_ids(raw: bytes, d, ends, lengths):
+    """The digit runs raw[ends[i] - lengths[i]:ends[i]] as int64 values, read
+    by place value from d, the bytes of raw minus ord('0'). A run of more
+    than 18 digits, which int64 arithmetic could overflow, is read with
+    int(); one past the int64 range saturates, and reads as an id outside
+    0..n-1."""
+    import numpy as np
+
+    ids = d.take(ends - 1).astype(np.int64)
+    for k in range(2, min(int(lengths.max(initial=0)), 18) + 1):
+        digit = d.take(ends - k) * (lengths >= k)
+        ids += digit.astype(np.int64) * 10 ** (k - 1)
+    for i in np.flatnonzero(lengths > 18):
+        ids[i] = min(int(raw[ends[i] - lengths[i]:ends[i]]), np.iinfo(np.int64).max)
+    return ids
+
+
 def graph_from_text(text: str) -> Graph:
     """Parse the 'n m' header plus one 'u v' line per edge, 0-based ids.
 
@@ -530,10 +548,14 @@ def graph_from_text(text: str) -> Graph:
     allowed, and the header counts them.
 
     The text is read in chunks of about _TEXT_CHUNK characters, cut after a
-    newline, and each chunk's edges are set before the next is read. The
-    first error in this order is raised: no header line; the first line of
-    the wrong shape; an edge count other than the header's; the first edge
-    that is a loop or has an id outside 0..n-1.
+    newline, and each chunk's edges are set before the next is read. A
+    chunk in the layout graph_to_text writes, where the bytes other than
+    digits alternate a single space and a newline and each follows a
+    digit, holds only lines of two ids, so it skips the per-line scan that
+    every other chunk takes. The first error in this order is raised: no
+    header line; the first line of the wrong shape; an edge count other
+    than the header's; the first edge that is a loop or has an id outside
+    0..n-1.
     """
     import numpy as np
 
@@ -550,34 +572,49 @@ def graph_from_text(text: str) -> Graph:
         pos = stop
         if not raw.endswith(b"\n"):
             raw += b"\n"
-        starts, ends, comment, data, wrong = _scan_lines(raw)
-
-        def line(k: int) -> bytes:
-            return raw[starts[k]:ends[k]]
-
-        if len(wrong):
-            what = "bad header" if n is None and wrong[0] == data[0] else "bad edge line"
-            quoted = line(wrong[0]).decode("utf-8", "surrogatepass").strip()
-            raise ValueError(f"{what} {quoted!r}")
+        b = np.frombuffer(raw, dtype=np.uint8)
+        d = np.subtract(b, ord("0"), dtype=np.uint8)
+        stops = np.flatnonzero(d >= 10)             # the bytes that are not digits
+        runs = np.diff(stops, prepend=-1) - 1       # the digits just before each
+        seps = b[stops]
         skip = 0
-        if n is None and len(data):
-            n, m = map(int, line(data[0]).split())
-            data, skip = data[1:], 2
-        found += len(data)
-        if bad_edge is not None or len(data) == 0:
+        # the layout graph_to_text writes: the last stop is the final newline,
+        # so alternation also makes every line 'digits SP digits NL'
+        if (runs.min() > 0 and (seps[0::2] == ord(" ")).all()
+                and (seps[1::2] == ord("\n")).all()):
+            if n is None:
+                n, m = int(raw[:stops[0]]), int(raw[stops[0] + 1:stops[1]])
+                skip = 2
+            found += (len(stops) - skip) // 2
+        else:
+            starts, line_ends, comment, data, wrong = _scan_lines(raw)
+
+            def line(k: int) -> bytes:
+                return raw[starts[k]:line_ends[k]]
+
+            if len(wrong):
+                what = "bad header" if n is None and wrong[0] == data[0] else "bad edge line"
+                quoted = line(wrong[0]).decode("utf-8", "surrogatepass").strip(" \t\r")
+                raise ValueError(f"{what} {quoted!r}")
+            if n is None and len(data):
+                n, m = map(int, line(data[0]).split())
+                data, skip = data[1:], 2
+            found += len(data)
+            # the data lines hold only digits and blanks, so their tokens are
+            # the digit runs outside comment lines
+            keep = runs > 0
+            if comment.any():
+                keep &= ~np.repeat(comment, line_ends - starts + 1)[stops]
+            at = np.flatnonzero(keep)
+            stops, runs = stops.take(at), runs.take(at)
+        if bad_edge is not None or len(stops) == skip:
             continue
-        body = raw
-        if comment.any():  # fromstring reads every token, so blank the comments
-            blanked = np.frombuffer(raw, dtype=np.uint8).copy()
-            blanked[np.repeat(comment, ends - starts + 1)] = ord(" ")
-            body = blanked.tobytes()
-        # int64 saturates on ids past its range; those read as outside 0..n-1,
-        # and the message below re-reads the line with exact ints
-        ids = np.fromstring(body, dtype=np.int64, sep=" ")
-        u, v = ids[skip::2], ids[skip + 1::2]
+        ids = _read_ids(raw, d, stops[skip:], runs[skip:])
+        u, v = ids[0::2], ids[1::2]
         bad = np.flatnonzero((u == v) | (u >= n) | (v >= n))
         if len(bad):
-            bad_edge = line(data[bad[0]])
+            i = skip + 2 * bad[0]
+            bad_edge = raw[stops[i] - runs[i]:stops[i + 1]]
             continue
         if A is None and fits:
             try:
@@ -599,3 +636,10 @@ def graph_from_text(text: str) -> Graph:
     if A is None:
         A = np.zeros((n, n), dtype=bool)
     return Graph(n, rows_from_matrix(A))
+
+
+def graph_from_file(path) -> Graph:
+    """graph_from_text of a graph file. Its bytes are decoded as they are:
+    read_text() translates newlines, and a lone '\\r', a space in the
+    grammar, would become a line break."""
+    return graph_from_text(Path(path).read_bytes().decode())

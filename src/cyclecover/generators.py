@@ -17,10 +17,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .bitset import lowest_bit, rows_from_matrix
-from .core import Graph, graph_from_text, min_degree
+from .core import Graph, graph_from_file, min_degree
 from .seeding import draw_subset, random_doubles, spawn
 
 GNP_REPAIRED = "GNP_REPAIRED"
@@ -168,9 +167,7 @@ def generate(spec: GeneratorSpec) -> Graph:
     elif spec.kind == FROM_FILE:
         if spec.path is None:
             raise ValueError("FROM_FILE needs a path")
-        # decoded from bytes: read_text() translates newlines, and a lone '\r',
-        # a space in the grammar, would become a line break
-        G = graph_from_text(Path(spec.path).read_bytes().decode())
+        G = graph_from_file(spec.path)
     else:
         raise ValueError(f"unknown generator kind {spec.kind!r}")
     if spec.delta_target is not None and spec.kind != FROM_FILE:

@@ -20,6 +20,7 @@ seeding streams and the core verifiers.
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 from math import comb
 
@@ -203,25 +204,25 @@ def reference_graph_to_text(G: Graph) -> str:
 
 def reference_graph_from_text(text: str) -> Graph:
     """The line-by-line parser the numpy one in core must agree with, on the
-    graphs it returns and on the messages it raises."""
+    graphs it returns and on the messages it raises. It follows the grammar
+    alone: lines end only at '\\n', the blanks are space, tab and carriage
+    return, and an id is a run of ASCII digits."""
     rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(line)
+    for raw in text.split("\n"):
+        line = raw.strip(" \t\r")
+        if line and not line.startswith("#"):
+            rows.append(line)
     if not rows:
         raise ValueError("no header line")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ValueError(f"bad header {rows[0]!r}")
-    n, m = int(head[0]), int(head[1])
-    edges = []
-    for line in rows[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+
+    def pair(line: str, what: str) -> tuple[int, int]:
+        tokens = re.split(r"[ \t\r]+", line)
+        if len(tokens) != 2 or not all(t.isascii() and t.isdigit() for t in tokens):
+            raise ValueError(f"{what} {line!r}")
+        return int(tokens[0]), int(tokens[1])
+
+    n, m = pair(rows[0], "bad header")
+    edges = [pair(line, "bad edge line") for line in rows[1:]]
     if len(edges) != m:
         raise ValueError(f"header claims {m} edges, found {len(edges)}")
     return Graph.from_edges(n, edges)

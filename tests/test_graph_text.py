@@ -97,6 +97,12 @@ MALFORMED = {
     "header with 1 token": "# c\n3\n0 1\n",
     "edge line with 1 token": "3 2\n0 1\n1\n",
     "edge line with 3 tokens": "3 2\n0 1\n1 2 0\n",
+    # lines that keep the writer's alternation of one space and one newline
+    # but not its shape
+    "edge line with 4 tokens": "3 2\n0 1 1 2\n",
+    "edge line with 1 token after a space": "3 2\n0 1\n 2\n",
+    "edge line with 1 token before a space": "3 2\n0 1\n2 \n",
+    "two edge lines with 1 token": "3 1\n0\n1\n",
     "header count one high": "3 2\n0 1\n",
     "header count one low": "3 2\n0 1\n1 2\n0 2\n",
     "loop": "3 2\n0 1\n2 2\n",
@@ -106,6 +112,7 @@ MALFORMED = {
     "first offending edge wins": "4 3\n0 1\n3 4\n2 2\n",
     "loop outside the range": "3 1\n5 5\n",
     "id past int64": "3 1\n0 99999999999999999999999\n",
+    "id past int64 whose last 18 digits are in range": "3 1\n0 1" + "0" * 19 + "2\n",
     "line shape before count": "3 5\n1 1\n0 1 2\n",
     "line shape before loop": "3 2\n1 1\n0 1 2\n",
     "CRLF edge line": "3 2\r\n0 1\r\n1 2 0\r\n",
@@ -115,6 +122,12 @@ MALFORMED = {
     "comment-only text": "# a\n\n   # b\n\t\n",
     # too many vertices for an n x n matrix: the count is still checked first
     "count wrong on a huge header": "10000000000 1\n0 1\n0 2\n",
+    # whitespace to str.strip() and str.split() that the grammar rejects:
+    # the message quotes the line with the offending character in it
+    "vertical tab": "3 1\n0 1\x0b\n",
+    "form feed": "3 1\n0 1\x0c\n",
+    "next line": "3 1\n0 1\x85\n",
+    "line separator": "3 1\n0 1\u2028\n",
 }
 
 
@@ -130,6 +143,7 @@ def test_malformed_text_raises_reference_message(text):
 # Texts whose lines and errors straddle chunks; each is parsed at every
 # chunk size from one character to its whole length.
 PAD = "# a comment longer than a chunk\n\n\t \n"
+WRITTEN = "0 1\n1 2\n2 3\n"
 BOUNDARY = {
     "first chunk only comments and blanks": PAD + PAD + "3 2\n0 1\n1 2\n",
     "CRLF ends everywhere": "3 3\r\n0 1\r\n" + PAD.replace("\n", "\r\n") + "1   2\t\r\n2 0\r\n",
@@ -138,6 +152,14 @@ BOUNDARY = {
     "late count mismatch beats an early loop": "3 3\n1 1\n0 1\n" + PAD + "1 2\n0 2\n",
     "late bad line beats an early loop": "3 3\n1 1\n0 1\n" + PAD + "1 2 0\n",
     "first out-of-range edge in a later chunk": "3 4\n0 1\n1 2\n" + PAD + "2 5\n1 1\n",
+    "lone carriage returns as blanks": "3 2\n0\r1\n\r1\r2\r\n",
+    # chunks in the writer's layout, which skip the line scan, between lines
+    # that need it: a comment holding digits, CRLF, a double and a trailing space
+    "writer layout between other spellings": "4 18\n" + WRITTEN + "# 3 3\n" + WRITTEN + "0 3\r\n"
+                                              + WRITTEN + "1  3\n" + WRITTEN + "2 3 \n" + WRITTEN,
+    "zero-padded id past 18 digits": "3 1\n" + "0" * 24 + "1 2\n",
+    "zero-padded id past 18 digits on a CRLF line": "3 1\r\n" + "0" * 24 + "1\t2\r\n",
+    "header only": "5 0\n",
 }
 
 
@@ -163,21 +185,19 @@ def test_leading_zeros_parse_as_decimal():
     assert graph_from_text(text) == reference_graph_from_text(text) == path
 
 
-# Tokens that Python's int() takes but the ASCII grammar does not: the
-# line-by-line parser read them as numbers (or, for -1, as an id outside
-# 0..n-1); the numpy parser reports the line.
+# Tokens that Python's int() takes but the ASCII grammar does not: both
+# parsers report the line.
 NON_GRAMMAR = ["+1 2", "1_0 2", "-1 2", "١ 2", "1 ２"]
 
 
 @pytest.mark.parametrize("line", NON_GRAMMAR)
 def test_tokens_outside_the_grammar_are_bad_lines(line):
-    text = f"12 2\n0 1\n{line}\n"
-    with pytest.raises(ValueError) as got:
-        graph_from_text(text)
-    assert str(got.value) == f"bad edge line {line!r}"
-    with pytest.raises(ValueError) as got:
-        graph_from_text(f"# c\n{line}\n")
-    assert str(got.value) == f"bad header {line!r}"
+    for text, what in ((f"12 2\n0 1\n{line}\n", "bad edge line"),
+                       (f"# c\n{line}\n", "bad header")):
+        for parse in (graph_from_text, reference_graph_from_text):
+            with pytest.raises(ValueError) as got:
+                parse(text)
+            assert str(got.value) == f"{what} {line!r}"
 
 
 PEAK_SCRIPT = """
