@@ -2,15 +2,18 @@
 
 Library layout:
   core           graphs, hypergraphs, cluster families, verifiers
-  inheritance    degree inheritance tests, estimates, tail bound
-  blowup_search  biclique / blow-up / connection / rooted searches
+  blowup_search  biclique / blow-up / connection searches
   cover          s-block partition and its density guard, cover pipelines,
                  the spanning cycle blow-up driver
   generators     seeded instance generators
+  inheritance    lemma library: degree inheritance tests, estimates, tail
+                 bound
   tiling         lemma library: partite densities, lower-regular tuples,
-                 hypergraph matchings; the pipeline modules above do not
-                 import it
+                 hypergraph matchings
   cli            command line entry points
+
+core, blowup_search, cover and generators, the modules the pipeline runs,
+import neither lemma library module.
 """
 
 from .blowup_search import (
@@ -18,7 +21,6 @@ from .blowup_search import (
     connect_clusters,
     find_biclique,
     find_blowup,
-    rooted_blowup,
 )
 from .core import (
     BALANCE_EXACT,
@@ -137,7 +139,6 @@ __all__ = [
     "is_complete_bipartite",
     "min_degree",
     "property_degree_estimate",
-    "rooted_blowup",
     "simple_blowup_cover",
     "spanning_cycle_blowup",
     "subdivide_and_wind",

@@ -1,5 +1,4 @@
-"""Searches for bicliques, pattern blow-ups, connector triples, and rooted
-blow-ups.
+"""Searches for bicliques, pattern blow-ups and connector triples.
 
 All searches share one tie-break everywhere a vertex is chosen: higher host
 degree first, then lower id. Every non-NONE return is re-checked against the
@@ -9,7 +8,6 @@ or an exception but never an invalid certificate.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -18,7 +16,6 @@ from typing import Iterable, Sequence
 from .bitset import bits_list, mask_from, mask_indices, mask_words
 from .core import (
     BALANCE_EXACT,
-    BALANCE_QUASI,
     Blowup,
     Graph,
     PASS,
@@ -26,8 +23,7 @@ from .core import (
     is_complete_bipartite,
     verify_blowup_hosted,
 )
-from .inheritance import PropertySpec, inherits_degree
-from .seeding import draw_subset, spawner
+from .seeding import spawner
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 _TINY_ENUM = 200_000
@@ -51,6 +47,8 @@ class BicliqueRequest:
         b = frozenset(side_b)
         if a & b:
             raise ValueError("sides overlap")
+        if any(not 0 <= v < host.n for v in a | b):
+            raise ValueError("vertex outside the host")
         if p < 1:
             raise ValueError("p must be at least 1")
         if p > min(len(a), len(b)):
@@ -316,125 +314,4 @@ def connect_clusters(G: Graph, U: Iterable[int], V: Iterable[int], W: Iterable[i
             assert is_complete_bipartite(G, v_side, w_side).status == PASS
             return tuple(u_side), tuple(v_side), tuple(w_side)
         req_pool.remove(w_side[0])
-    return None
-
-
-def _bucket_reduced_graph(Gp: Graph, root_pool: Sequence[int], outside_pool: Sequence[int],
-                          s: int, eps: float, samples: int, seed: int) -> Graph | None:
-    """Sample inheriting s-sets with exactly one root vertex and return the
-    most frequent labelled induced graph (root labelled 0, the rest by
-    ascending id)."""
-    spec = PropertySpec(Gp, s, eps)
-    counts: Counter = Counter()
-    out_sorted = sorted(outside_pool)
-    root_sorted = sorted(root_pool)
-    if len(out_sorted) < s - 1 or not root_sorted:
-        return None
-    trial_rng = spawner(seed, "rooted-bucket")
-    for i in range(samples):
-        rng = trial_rng(i)
-        u = root_sorted[rng.randrange(len(root_sorted))]
-        rest = sorted(draw_subset(rng, out_sorted, s - 1))
-        S = [u] + rest
-        if not inherits_degree(spec, S):
-            continue
-        bits = 0
-        pos = 0
-        for a in range(s):
-            for b in range(a + 1, s):
-                if Gp.has_edge(S[a], S[b]):
-                    bits |= 1 << pos
-                pos += 1
-        counts[bits] += 1
-    if not counts:
-        return None
-    best_bits = min(counts, key=lambda k: (-counts[k], k))
-    edges = []
-    pos = 0
-    for a in range(s):
-        for b in range(a + 1, s):
-            if (best_bits >> pos) & 1:
-                edges.append((a, b))
-            pos += 1
-    return Graph.from_edges(s, edges)
-
-
-def rooted_blowup(G: Graph, V: Iterable[int], s: int, eps: float, t: int, *,
-                  avoid: int = 0, seed: int = 0, samples: int = 2000,
-                  restart_budget: int = 50) -> Blowup | None:
-    """Blow-up rooted in V: one cluster inside V, the rest outside it.
-
-    Edges inside V are deleted first so the root cluster never leans on
-    them. The reduced graph is chosen by sampling inheriting s-sets with
-    exactly one root vertex and taking the most frequent labelled shape;
-    copies of the rootless pattern are then aligned with root vertices by a
-    biclique on the extension graph. A single-vertex V short-circuits to a
-    common-neighbour extension: the root plus a complete (s-1)-partite
-    blow-up inside its neighbourhood.
-    """
-    if s < 3:
-        raise ValueError("s must be at least 3")
-    v_list = sorted(V)
-    if not v_list:
-        raise ValueError("empty root set")
-    vmask = mask_from(v_list)
-
-    if len(v_list) == 1:
-        u = v_list[0]
-        pattern = Graph.complete(s - 1)
-        inner = find_blowup(G, pattern, t,
-                            avoid=avoid | vmask | ~G.adj[u],
-                            restart_budget=restart_budget, seed=seed)
-        if inner is None:
-            return None
-        clusters = [frozenset({u})] + list(inner.family.clusters)
-        fam = SetFamily(tuple(clusters), BALANCE_QUASI, m=t, eta=0.0)
-        blow = Blowup(Graph.complete(s), fam)
-        verdict = verify_blowup_hosted(G, blow)
-        if verdict.status != PASS:  # pragma: no cover
-            raise AssertionError(f"rooted extension failed self check: {verdict}")
-        return blow
-
-    if len(v_list) < t:
-        raise ValueError("root set smaller than t")
-    Gp = G.without_edges_inside(vmask)
-    outside = [v for v in range(G.n) if not (vmask >> v) & 1 and not (avoid >> v) & 1]
-    R = _bucket_reduced_graph(Gp, v_list, outside, s, eps, samples, seed)
-    if R is None:
-        return None
-    # rootless pattern, labels shifted down by one
-    rp_edges = [(a - 1, b - 1) for a, b in R.edges() if a != 0 and b != 0]
-    R_prime = Graph.from_edges(s - 1, rp_edges)
-    root_nbrs = bits_list(R.adj[0])
-
-    for t_inner in (2 * t, t):
-        inner = find_blowup(Gp, R_prime, t_inner, avoid=avoid | vmask,
-                            restart_budget=restart_budget, seed=seed)
-        if inner is None:
-            continue
-        cols = [sorted(c) for c in inner.family.clusters]
-        copies = [tuple(cols[j][i] for j in range(s - 1)) for i in range(t_inner)]
-        # extension graph: root u joins copy i when u extends it to R
-        aux_n = len(v_list) + len(copies)
-        aux_edges = []
-        for ui, u in enumerate(v_list):
-            for ci, copy in enumerate(copies):
-                if all(Gp.has_edge(u, copy[j - 1]) for j in root_nbrs):
-                    aux_edges.append((ui, len(v_list) + ci))
-        aux = Graph.from_edges(aux_n, aux_edges)
-        got = find_biclique(BicliqueRequest.of(
-            aux, set(range(len(v_list))), set(range(len(v_list), aux_n)), t))
-        if got is None:
-            continue
-        root_idx, copy_idx = got
-        root_cluster = frozenset(v_list[i] for i in root_idx)
-        chosen = [copies[i - len(v_list)] for i in copy_idx]
-        clusters = [root_cluster] + [frozenset(c[j] for c in chosen)
-                                     for j in range(s - 1)]
-        fam = SetFamily(tuple(clusters), BALANCE_EXACT, m=t)
-        blow = Blowup(R, fam)
-        verdict = verify_blowup_hosted(Gp, blow)
-        if verdict.status != PASS:  # pragma: no cover
-            raise AssertionError(f"rooted blow-up failed self check: {verdict}")
-        return blow
     return None

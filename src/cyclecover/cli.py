@@ -100,7 +100,10 @@ def _read_graph(path: str) -> Graph:
 
 
 def _id_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok != ""]
+    try:
+        return [int(tok) for tok in raw.split(",") if tok != ""]
+    except ValueError:
+        raise ValueError(f"bad id list {raw!r}") from None
 
 
 def _int_range(raw: str) -> list[int]:
@@ -227,6 +230,11 @@ def cmd_verify(args) -> int:
 def cmd_cover(args) -> int:
     G = _read_graph(args.graph)
     params = _params(args)
+    try:
+        params.scales(G.n)
+    except ValueError as exc:  # a host too small for the cluster scales
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
     run = simple_blowup_cover if args.mode == "simple" else almost_blowup_cover
     result = run(G, params)
     verdict = verify_cover(G, result, params)
@@ -243,17 +251,17 @@ def cmd_cover(args) -> int:
 def cmd_connect(args) -> int:
     G = _read_graph(args.graph)
     params = _params(args)
-    U = _id_list(args.side_a)
-    V = _id_list(args.side_b)
-    if args.pool is not None:
-        W = _id_list(args.pool)
-    else:
-        used = set(U) | set(V)
-        W = [v for v in range(G.n) if v not in used]
     try:
+        U = _id_list(args.side_a)
+        V = _id_list(args.side_b)
+        if args.pool is not None:
+            W = _id_list(args.pool)
+        else:
+            used = set(U) | set(V)
+            W = [v for v in range(G.n) if v not in used]
         res = connect_clusters(G, U, V, W, args.m_prime, eps=params.eps,
                                node_budget=params.node_budget)
-    except ValueError as exc:  # overlapping, unbalanced or out-of-host sides
+    except ValueError as exc:  # unreadable, overlapping, unbalanced or out-of-host sides
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     if res is None:
@@ -267,13 +275,19 @@ def cmd_connect(args) -> int:
 
 def cmd_biclique(args) -> int:
     G = _read_graph(args.graph)
-    if args.side_a is not None:
-        A = _id_list(args.side_a)
-        B = _id_list(args.side_b)
-    else:
-        A = list(range(G.n // 2))
-        B = list(range(G.n // 2, G.n))
-    req = BicliqueRequest.of(G, A, B, args.p)
+    try:
+        if (args.side_a is None) != (args.side_b is None):
+            raise ValueError("give both --side-a and --side-b, or neither")
+        if args.side_a is not None:
+            A = _id_list(args.side_a)
+            B = _id_list(args.side_b)
+        else:
+            A = list(range(G.n // 2))
+            B = list(range(G.n // 2, G.n))
+        req = BicliqueRequest.of(G, A, B, args.p)
+    except ValueError as exc:  # unreadable, overlapping or out-of-host sides, or a bad p
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
     found = find_biclique(req, node_budget=args.budget)
     if found is None:
         print("NONE")

@@ -18,7 +18,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .bitset import bits_list, iter_bits, lowest_bit, mask_from, mask_words, rows_from_matrix
+from .bitset import iter_bits, lowest_bit, mask_from, mask_words, rows_from_matrix
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -145,13 +145,6 @@ class Graph:
             rest = self.adj[u] >> (u + 1)
             for off in iter_bits(rest):
                 yield (u, u + 1 + off)
-
-    def without_edges_inside(self, mask: int) -> "Graph":
-        """Copy with every edge between two mask vertices removed."""
-        adj = list(self.adj)
-        for v in bits_list(mask):
-            adj[v] &= ~mask
-        return Graph(self.n, adj)
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Copy in which vertex v is called perm[v]; perm must be a

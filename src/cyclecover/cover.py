@@ -34,7 +34,7 @@ from .core import (
     verify_blowup_hosted,
     verify_cycle_blowup,
 )
-from .blowup_search import connect_clusters, find_blowup, rooted_blowup
+from .blowup_search import connect_clusters, find_blowup
 from .seeding import draw_subset, mix, spawn, spawner
 
 ALMOST = "ALMOST"
@@ -584,19 +584,18 @@ class _Fold:
     """The covered families and the leftover of one simple_blowup_cover call.
 
     Every cluster keeps a bitmask that each change updates, and split plans
-    are memoised by size tuple. Both live as long as the fold-in, not the
-    process: a module-level plan cache raised peak memory. The rest is
-    indexed by column j, the position of a vertex in the starting leftover,
-    which only ever shrinks:
+    are memoised by size tuple; the insert sweep's join ranks and the
+    pickup's removal ledger both read them. Both live as long as the
+    fold-in, not the process: a module-level plan cache raised peak memory.
+    The rest is indexed by column j, the position of a vertex in the
+    starting leftover, which only ever shrinks:
     - complete[fi, ci, j] says the vertex is adjacent to all of cluster ci
       of family fi;
     - rank[fi, j] is the least key (cluster size, fi, ci), packed into one
       int, over the clusters ci of family fi that can take one more vertex
       and keep a split plan, and whose reduced neighbours the vertex is
       complete to; _NO_JOIN when no cluster qualifies or the vertex is no
-      longer leftover;
-    - donors[fi] is (t, mask of the clusters of family fi that can lose t
-      vertices and keep a split plan), or None.
+      longer leftover.
     A change to a cluster marks it and its family stale, and only stale
     entries are rebuilt.
     """
@@ -623,7 +622,6 @@ class _Fold:
         self.rank = np.empty((len(fams), len(leftover)), dtype=np.int64)
         self.stale_clusters = {(fi, ci) for fi in range(len(fams)) for ci in range(self.k)}
         self.stale = set(range(len(fams)))
-        self.donors: list[tuple[int, int] | None] = [None] * len(fams)
 
     def plan(self, sizes: Sequence[int]):
         key = tuple(sizes)
@@ -633,13 +631,6 @@ class _Fold:
 
     def sizes(self, fi: int) -> list[int]:
         return [len(c) for c in self.fams[fi]]
-
-    def set_cluster(self, fi: int, ci: int, vertices: list[int]) -> None:
-        self.fams[fi][ci] = vertices
-        self.masks[fi][ci] = mask_from(vertices)
-        self.stale_clusters.add((fi, ci))
-        self.stale.add(fi)
-        self.donors[fi] = None
 
     def insert(self, fi: int, ci: int, u: int) -> None:
         """Put the leftover vertex u into cluster ci of family fi."""
@@ -651,7 +642,6 @@ class _Fold:
         # whether that column stays complete to the grown cluster
         self.complete[fi, ci] &= (self.rows[:, u >> 6] & np.uint64(1 << (u & 63))) != 0
         self.stale.add(fi)
-        self.donors[fi] = None
         self.drop([u])
 
     def take_away(self, taken: int) -> None:
@@ -659,8 +649,10 @@ class _Fold:
         for fi, cms in enumerate(self.masks):
             for ci, cm in enumerate(cms):
                 if cm & taken:
-                    self.set_cluster(fi, ci, [v for v in self.fams[fi][ci]
-                                              if not (taken >> v) & 1])
+                    self.fams[fi][ci] = [v for v in self.fams[fi][ci] if not (taken >> v) & 1]
+                    cms[ci] = cm & ~taken
+                    self.stale_clusters.add((fi, ci))
+                    self.stale.add(fi)
 
     def drop(self, vertices: Sequence[int]) -> None:
         """Mark vertices of the leftover as covered."""
@@ -669,23 +661,6 @@ class _Fold:
             j = self.col_of[v]
             self.alive[j] = False
             self.rank[:, j] = _NO_JOIN
-
-    def donor_mask(self, t: int) -> int:
-        """Union of the clusters that can give t vertices to a pickup and
-        leave their family a split plan."""
-        pool = 0
-        for fi, got in enumerate(self.donors):
-            if got is None or got[0] != t:
-                sizes = self.sizes(fi)
-                mask = 0
-                for ci, cm in enumerate(self.masks[fi]):
-                    sizes[ci] -= t
-                    if sizes[ci] >= 0 and self.plan(sizes) is not None:
-                        mask |= cm
-                    sizes[ci] += t
-                got = self.donors[fi] = (t, mask)
-            pool |= got[1]
-        return pool
 
     def _join_keys(self, fi: int) -> list[int]:
         """The packed key of each cluster of family fi, or _NO_JOIN for a
@@ -764,15 +739,15 @@ def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     """Partition V(G) into quasi-balanced blow-up families.
 
     Runs the almost cover at scale m1, folds the leftover in (insertion
-    into compatible clusters first, rooted pickups when insertion cannot
-    place a vertex), then splits every covered family into quasi families
-    by the singleton-creation scheme: one cluster of size one, the others
-    as equal as possible inside the piece band. When folding stalls the
-    partial cover comes back as kind ALMOST with diagnostics.
+    into compatible clusters first, a pickup family around one root when
+    insertion cannot place a vertex), then splits every covered family into
+    quasi families by the singleton-creation scheme: one cluster of size
+    one, the others as equal as possible inside the piece band. When
+    folding stalls the partial cover comes back as kind ALMOST with
+    diagnostics.
     """
     n = G.n
-    s = params.s
-    m1, m2, m3 = params.scales(n)
+    m1, _, m3 = params.scales(n)
     lo_p, hi_p = _piece_band(params, n)
 
     base = almost_blowup_cover(G, params, scale=m1)
@@ -784,37 +759,19 @@ def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     fold = _Fold(G, fams, reds, sorted(base.uncovered), lo_p, hi_p)
     leftover = fold.leftover
 
-    # chunk pickups only while the leftover is genuinely large and the
-    # chunk shape itself splits into quasi families; at desk scales the
-    # shape (m2 everywhere) cannot yield a singleton, so this loop is idle
-    chunk_round = 0
-    while (len(leftover) > params.eta * n and len(leftover) >= s * m2
-           and fold.plan([m2] * s) is not None):
-        got = _pickup(G, params, leftover[:], m2, fold, quasi,
-                      mix(params.seed, "cover", "chunk", chunk_round))
-        if not got:
-            break
-        fold.drop(got)
-        chunk_round += 1
-
-    # insertion and per-vertex pickups interleave: each pickup reshapes the
-    # donor families, which can unblock insertions that failed on split
+    # insertion and pickups interleave: each pickup reshapes the donor
+    # families, which can unblock insertions that failed on split
     # arithmetic alone, so sweep again after every success. Pickup scale is
     # floored at 2 or the family would be all singletons.
     t_pick = max(2, m3)
     fold.insert_sweep()
     while leftover:
-        placed = False
         for u in list(leftover):
-            got = _pickup(G, params, [u], t_pick, fold, quasi,
-                          mix(params.seed, "cover", "pickup", u))
-            if not got:
-                got = _pickup_direct(G, params, u, t_pick, fold, quasi)
+            got = _pickup_direct(G, params, u, t_pick, fold, quasi)
             if got:
                 fold.drop(got)
-                placed = True
                 break
-        if not placed:
+        else:
             break
         fold.insert_sweep()
 
@@ -849,14 +806,17 @@ def _pickup_direct(G: Graph, params: CoverParams, root: int, t: int, fold: _Fold
                    quasi: list[Blowup]) -> list[int]:
     """Build a pickup family for one root straight out of donor clusters.
 
-    The rooted search draws vertices without regard to which cluster they
-    leave, so a find can still be reverted when the combined removals break
-    a donor family. Here every placement is charged to a removal ledger and
-    the affected family re-planned on the spot, which makes a successful
-    search committable by construction. Pickup clusters need no internal
-    edges, so a cluster may mix vertices of several donor clusters; other
-    uncovered vertices join for free. Returns the uncovered vertices the
-    new family takes in (root included), empty on failure.
+    The root becomes the singleton of a new quasi family on K_s, and its
+    s-1 other clusters of t vertices each come from the root's neighbours:
+    covered vertices taken from their clusters, and uncovered ones, which
+    join for free. A depth-first search fills the clusters in id order,
+    keeping each pair of them completely joined. Every covered vertex it
+    places is charged to a removal ledger, and the family it leaves is
+    re-planned on the spot, so a find is committable as it stands. Pickup
+    clusters need no internal edges, so a cluster may mix vertices of
+    several donor clusters. Returns the uncovered vertices the new family
+    takes in (root included), empty when the search fails or runs out of
+    budget.
     """
     s = params.s
     nb = G.adj[root]
@@ -929,45 +889,6 @@ def _pickup_direct(G: Graph, params: CoverParams, root: int, t: int, fold: _Fold
     fam = SetFamily.of(out, BALANCE_QUASI, m=t, eta=1.0 / t + _EPS)
     quasi.append(Blowup(Graph.complete(s), fam))
     return [root] + [v for v in free if (taken >> v) & 1]
-
-
-def _pickup(G: Graph, params: CoverParams, roots: list[int], t: int, fold: _Fold,
-            quasi: list[Blowup], seed: int) -> list[int]:
-    """Rooted pickup covering vertices of roots at cluster scale t.
-
-    Donor pool holds only clusters whose family would survive losing t
-    vertices from that cluster; the commit is re-checked family by family
-    afterwards, and the families it took from are restored if any split
-    plan broke. Returns the newly covered vertices (empty on failure).
-    """
-    s = params.s
-    full = G.vertices_mask()
-    rmask = mask_from(roots)
-    avoid = full & ~fold.donor_mask(t) & ~rmask
-    b = rooted_blowup(G, roots, s, params.eps, t, avoid=avoid, seed=seed,
-                      restart_budget=params.restart_budget)
-    if b is None:
-        return []
-    taken = b.family.union_mask() & ~rmask
-    # take_away replaces cluster lists rather than editing them, so copying
-    # each family's list of clusters is enough to undo it
-    backup = {fi: list(fold.fams[fi]) for fi, cms in enumerate(fold.masks)
-              if any(cm & taken for cm in cms)}
-    fold.take_away(taken)
-    if not all(fold.plan(fold.sizes(fi)) is not None for fi in backup):
-        for fi, clusters in backup.items():
-            for ci, cl in enumerate(clusters):
-                fold.set_cluster(fi, ci, cl)
-        return []
-    fam = b.family
-    if fam.kind == BALANCE_QUASI and fam.eta * fam.m < 1.0 - _EPS:
-        # rooted extension declares eta 0; the absorb arithmetic needs
-        # eta m >= 1, and the singleton is exempt from the band anyway
-        fam = SetFamily(fam.clusters, BALANCE_QUASI, m=fam.m,
-                        eta=1.0 / fam.m + _EPS)
-    quasi.append(Blowup(b.reduced, fam))
-    um = b.family.union_mask()
-    return [v for v in roots if (um >> v) & 1]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ controls how often sampling misses.
 A vertex set S inherits the host's degree condition when the induced
 subgraph has minimum degree at least (1/2 + eps/2)|S|. The inheriting
 s-sets form a property hypergraph; callers probe it through
-inherits_degree or estimate its degrees by seeded sampling.
+inherits_degree or estimate its degrees by seeded sampling. Like tiling,
+this is lemma library: the acceptance criteria and the CLI use it, and the
+cover pipeline imports nothing from here.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ degree per added edge. The package now scores on a packed numpy view, folds
 in incrementally, draws its coins in blocks and repairs from a heap, and the
 copies pin that every choice, tie-break, telemetry value and edge is
 unchanged. They share the helpers the rewrites did not touch: the biclique
-fallback, the rooted search, the almost cover, the split arithmetic, the
-seeding streams and the core verifiers.
+fallback, the almost cover, the split arithmetic, the seeding streams and
+the core verifiers.
 """
 
 from __future__ import annotations
@@ -419,11 +419,9 @@ def reference_simple_blowup_cover(G: Graph, params):
     from cyclecover.cover import (ALMOST, SIMPLE, CoverResult, _EPS, _piece_band,
                                   _quasi_declaration, _split_family, _split_plan,
                                   almost_blowup_cover)
-    from cyclecover.seeding import mix
 
     n = G.n
-    s = params.s
-    m1, m2, m3 = params.scales(n)
+    m1, _, m3 = params.scales(n)
     lo_p, hi_p = _piece_band(params, n)
 
     base = almost_blowup_cover(G, params, scale=m1)
@@ -438,17 +436,6 @@ def reference_simple_blowup_cover(G: Graph, params):
 
     def splittable(sizes):
         return _split_plan(sizes, lo_p, hi_p) is not None
-
-    chunk_round = 0
-    while (len(leftover) > params.eta * n and len(leftover) >= s * m2
-           and splittable([m2] * s)):
-        got = _reference_pickup(G, params, leftover[:], m2, fams, reds, quasi,
-                                lo_p, hi_p, mix(params.seed, "cover", "chunk", chunk_round))
-        if not got:
-            break
-        for v in got:
-            leftover.remove(v)
-        chunk_round += 1
 
     def join_masks(fi):
         R = reds[fi]
@@ -495,11 +482,8 @@ def reference_simple_blowup_cover(G: Graph, params):
     while leftover:
         placed = False
         for u in list(leftover):
-            got = _reference_pickup(G, params, [u], t_pick, fams, reds, quasi,
-                                    lo_p, hi_p, mix(params.seed, "cover", "pickup", u))
-            if not got:
-                got = _reference_pickup_direct(G, params, u, t_pick, fams, leftover,
-                                               quasi, lo_p, hi_p)
+            got = _reference_pickup_direct(G, params, u, t_pick, fams, leftover,
+                                           quasi, lo_p, hi_p)
             if got:
                 for v in got:
                     leftover.remove(v)
@@ -611,51 +595,6 @@ def _reference_pickup_direct(G: Graph, params, root, t, fams, leftover, quasi, l
     fam = SetFamily.of(out, BALANCE_QUASI, m=t, eta=1.0 / t + _EPS)
     quasi.append(Blowup(Graph.complete(s), fam))
     return [root] + [v for v in free if (taken >> v) & 1]
-
-
-def _reference_pickup(G: Graph, params, roots, t, fams, reds, quasi, lo_p, hi_p, seed):
-    from cyclecover.bitset import mask_from
-    from cyclecover.blowup_search import rooted_blowup
-    from cyclecover.core import BALANCE_QUASI, Blowup, SetFamily
-    from cyclecover.cover import _EPS, _split_plan
-
-    s = params.s
-    pool = 0
-    for fi in range(len(fams)):
-        sizes = [len(c) for c in fams[fi]]
-        for ci in range(len(fams[fi])):
-            trial = list(sizes)
-            trial[ci] -= t
-            if trial[ci] >= 0 and _split_plan(trial, lo_p, hi_p) is not None:
-                pool |= mask_from(fams[fi][ci])
-    full = G.vertices_mask()
-    rmask = mask_from(roots)
-    avoid = full & ~pool & ~rmask
-    b = rooted_blowup(G, roots, s, params.eps, t, avoid=avoid, seed=seed,
-                      restart_budget=params.restart_budget)
-    if b is None:
-        return []
-    taken = b.family.union_mask() & ~rmask
-    backup = [[list(c) for c in fams[fi]] for fi in range(len(fams))]
-    touched = set()
-    for fi in range(len(fams)):
-        for ci in range(len(fams[fi])):
-            cl = fams[fi][ci]
-            if mask_from(cl) & taken:
-                fams[fi][ci] = [v for v in cl if not (taken >> v) & 1]
-                touched.add(fi)
-    ok = all(_split_plan([len(c) for c in fams[fi]], lo_p, hi_p) is not None
-             for fi in touched)
-    if not ok:
-        for fi in range(len(fams)):
-            fams[fi] = backup[fi]
-        return []
-    fam = b.family
-    if fam.kind == BALANCE_QUASI and fam.eta * fam.m < 1.0 - _EPS:
-        fam = SetFamily(fam.clusters, BALANCE_QUASI, m=fam.m, eta=1.0 / fam.m + _EPS)
-    quasi.append(Blowup(b.reduced, fam))
-    um = b.family.union_mask()
-    return [v for v in roots if (um >> v) & 1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Search module tests: bicliques, blow-ups, connections, rooted blow-ups. Exhaustive oracles pin completeness on small instances."""
+"""Search module tests: bicliques, blow-ups, connections. Exhaustive oracles pin completeness on small instances."""
 
 import pytest
 
@@ -15,7 +15,6 @@ from cyclecover.blowup_search import (
     connect_clusters,
     find_biclique,
     find_blowup,
-    rooted_blowup,
 )
 from cyclecover.generators import GNP_REPAIRED, GeneratorSpec, generate
 from cyclecover.seeding import spawn
@@ -63,6 +62,9 @@ class TestFindBiclique:
             BicliqueRequest.of(G, {0, 1}, {2, 3}, 0)
         with pytest.raises(ValueError):
             BicliqueRequest.of(G, {0, 1}, {2, 3}, 3)
+        for side_b in ({2, 6}, {2, -1}):
+            with pytest.raises(ValueError, match="outside the host"):
+                BicliqueRequest.of(G, {0, 1}, side_b, 1)
 
     def test_p_equals_sides(self):
         G = Graph.complete_multipartite([3, 3])
@@ -164,49 +166,3 @@ class TestConnectClusters:
     def test_vertex_outside_host_rejected(self, U, V, W):
         with pytest.raises(ValueError, match="outside the host"):
             connect_clusters(Graph.complete(8), U, V, W, 1)
-
-
-class TestRootedBlowup:
-    def test_single_root_extension(self):
-        G = Graph.complete(30)
-        blow = rooted_blowup(G, {7}, 4, 0.25, 2)
-        assert blow is not None
-        assert blow.family.clusters[0] == frozenset({7})
-        sizes = [len(c) for c in blow.family.clusters]
-        assert sizes == [1, 2, 2, 2]
-        assert verify_blowup_hosted(G, blow).status == PASS
-
-    def test_single_root_respects_avoid(self):
-        G = Graph.complete(20)
-        avoid = sum(1 << v for v in range(1, 10))
-        blow = rooted_blowup(G, {0}, 4, 0.25, 2, avoid=avoid)
-        assert blow is not None
-        used = set().union(*[set(c) for c in blow.family.clusters[1:]])
-        assert used.isdisjoint(range(1, 10))
-
-    def test_rooted_on_complete_host(self):
-        G = Graph.complete(30)
-        blow = rooted_blowup(G, set(range(6)), 4, 0.25, 2, samples=500)
-        assert blow is not None
-        assert blow.family.clusters[0] <= set(range(6))
-        assert len(blow.family.clusters[0]) == 2
-        for c in blow.family.clusters[1:]:
-            assert c.isdisjoint(range(6))
-        # no root-internal edges may carry the certificate
-        strip = G.without_edges_inside((1 << 6) - 1)
-        assert verify_blowup_hosted(strip, blow).status == PASS
-
-    def test_rooted_in_dense_random(self):
-        G = generate(GeneratorSpec(GNP_REPAIRED, n=60, p=0.95, seed=31))
-        blow = rooted_blowup(G, set(range(8)), 4, 0.25, 2, samples=800)
-        assert blow is not None
-        assert verify_blowup_hosted(G, blow).status == PASS
-
-    def test_validation(self):
-        G = Graph.complete(10)
-        with pytest.raises(ValueError):
-            rooted_blowup(G, {0, 1}, 2, 0.25, 1)
-        with pytest.raises(ValueError):
-            rooted_blowup(G, set(), 4, 0.25, 1)
-        with pytest.raises(ValueError, match="smaller than t"):
-            rooted_blowup(G, {0, 1}, 4, 0.25, 3)

@@ -204,6 +204,14 @@ def test_cover_reads_a_lone_carriage_return_as_a_space(tmp_path, capsys):
     assert "verify PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", ["simple", "almost"])
+def test_cover_refuses_a_host_too_small_for_the_scales(tmp_path, capsys, mode):
+    g = write_graph(tmp_path / "g.txt", Graph.from_edges(5, [(v, v + 1) for v in range(4)]))
+    assert main(["cover", g, "--mode", mode]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and "a cluster scale collapsed" in err
+
+
 def test_connect_emits_three_sides(tmp_path, capsys):
     g = write_graph(tmp_path / "g.txt", Graph.complete(30))
     rc = main(["connect", g, "--side-a", "0,1,2,3", "--side-b", "4,5,6,7",
@@ -225,10 +233,15 @@ def test_connect_failure_exit_code(tmp_path, capsys):
     assert "FAILURE" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("side_b,reason", [("1,2", "overlap"), ("2,40", "outside the host")])
-def test_connect_bad_sides_exit_two(tmp_path, capsys, side_b, reason):
+# each id names the bad side and the reason
+@pytest.mark.parametrize("side_a,side_b,reason", [
+    pytest.param("0,1", "1,2", "overlap", id="1,2-overlap"),
+    pytest.param("0,1", "2,40", "outside the host", id="2,40-outside the host"),
+    pytest.param("0,x", "2,3", "bad id list '0,x'", id="0,x-bad id list"),
+])
+def test_connect_bad_sides_exit_two(tmp_path, capsys, side_a, side_b, reason):
     g = write_graph(tmp_path / "g.txt", Graph.complete(12))
-    assert main(["connect", g, "--side-a", "0,1", "--side-b", side_b]) == 2
+    assert main(["connect", g, "--side-a", side_a, "--side-b", side_b]) == 2
     err = capsys.readouterr().err
     assert err.startswith("refused: ") and reason in err
 
@@ -244,6 +257,20 @@ def test_biclique_found_and_absent(tmp_path, capsys):
     empty = write_graph(tmp_path / "e.txt", Graph.empty(10))
     assert main(["biclique", empty, "-p", "2"]) == 2
     assert "NONE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["-p", "0"], "p must be at least 1"),
+    (["--side-a", "0,1", "--side-b", "1,2"], "sides overlap"),
+    (["--side-a", "0,1", "--side-b", "2,40"], "outside the host"),
+    (["--side-a", "0,y", "--side-b", "2,3"], "bad id list '0,y'"),
+    (["--side-a", "0,1"], "give both --side-a and --side-b"),
+], ids=["p-zero", "overlap", "outside", "bad-id", "one-side"])
+def test_biclique_bad_requests_exit_two(tmp_path, capsys, argv, reason):
+    g = write_graph(tmp_path / "g.txt", Graph.complete(12))
+    assert main(["biclique", g] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and reason in err
 
 
 # ---------------------------------------------------------------------------

@@ -315,12 +315,6 @@ class TestGraphBasics:
         assert G.n == 9
         assert G.degree(0) == 7 and G.degree(2) == 6 and G.degree(5) == 5
 
-    def test_without_edges_inside(self):
-        G = Graph.complete(5)
-        H = G.without_edges_inside(0b00111)
-        assert not H.has_edge(0, 1) and not H.has_edge(1, 2)
-        assert H.has_edge(0, 3) and H.has_edge(3, 4)
-
     def test_natural_log_in_bounds(self):
         # size window uses the natural logarithm, not log2 or log10
         cert = CycleBlowupCertificate(100, 1.0, 0.0, ((0,),) * 3)

@@ -60,9 +60,9 @@ def test_complete_host():
 
 @pytest.mark.parametrize("n,p,delta,seed", [
     (300, 0.8, 210, 0), (300, 0.8, 210, 1), (300, 0.8, 210, 2),
+    (300, 0.8, 210, 9),  # strands vertices as labelled
     (300, 0.97, 225, 0),
-    (600, 0.8, 420, 0), (600, 0.8, 420, 1),
-    (600, 0.8, 420, 90002),  # strands vertices as labelled
+    (600, 0.8, 420, 0), (600, 0.8, 420, 1), (600, 0.8, 420, 90002),
 ])
 def test_gnp_hosts(n, p, delta, seed):
     same_cover(gnp(n, p, delta, seed))

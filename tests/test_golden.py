@@ -25,9 +25,13 @@ GOLDEN = [
     (200, 0.97, 150, 2,
      "e0cf5cb9e14861714a9b6c67592b893e05ee0dfe483d9c1f3ecdf26077a8a519", GNP_REPAIRED),
     (300, 0.8, 210, 0,
-     "28e6c6c7b40f7585640b14f04e188f40838df7f6c168eaafc6f32c3a5c30c6ae", GNP_REPAIRED),
+     "f49bf117ec48b9238f5f34ac0bb6e891de69b094b7a9ae2ca39bbf496e37ee81", GNP_REPAIRED),
     (300, 0.8, 210, 1,
-     "7dcc7933ca75a5b1a053668382e7a024384b1a9be7b913b707ba8269235b4dc5", GNP_REPAIRED),
+     "e09eb06f62dcbf77c06b59833bf7fc74f702ebc28e550f6eb4f342201c4cb17c", GNP_REPAIRED),
+    # the cover endgame strands vertices as labelled; a relabelled rerun
+    # certifies it
+    (300, 0.8, 210, 9,
+     "21ae827bda0dd64614dbb09cc607ba25993c90cfc8264df80bdb7e78015e212f", GNP_REPAIRED),
     # the partition density guard rejects this host as labelled (its blocks
     # fall into different cliques); a relabelled rerun certifies it
     (300, None, 225, 0,
@@ -35,13 +39,12 @@ GOLDEN = [
     # first-pass solves of the sparse-600 benchmark shape, where folding the
     # leftover into the cover is the largest stage
     (600, 0.8, 420, 0,
-     "9ce4111a00180cdad674f5c84721bb82fcdaa1dfd93f31df64460831838483b3", GNP_REPAIRED),
+     "b8e5ff36a5fcd52ec8656c768cf843f01b5fcbf17d375de23894035974b624c4", GNP_REPAIRED),
     (600, 0.8, 420, 1,
-     "07ccc05d2a450eced1229685175a73fcfb639d8f712474c6a8a241a873e3ac9f", GNP_REPAIRED),
-    # the cover endgame strands vertices as labelled; a relabelled rerun
-    # certifies it
+     "47244b5e8f8dd9af535df1afc6735ba9a0c293a0ea9455134d1c4eaab799ed8b", GNP_REPAIRED),
+    # certified on the first pass, with every pickup the fold-in finds kept
     (600, 0.8, 420, 90002,
-     "85ac6ae859f8102cea17f265bfaff6b8751d57d78108ca698bccc1cffede568d", GNP_REPAIRED),
+     "c2e95cbefe48283521dbcb1aa55e18990e6b944a9c16df2f36d13cd1359ffb3f", GNP_REPAIRED),
 ]
 
 

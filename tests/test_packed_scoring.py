@@ -57,7 +57,7 @@ def test_packed_view_matches_adjacency(n):
 def test_graph_operations_do_not_build_the_view():
     G = random_graph(65, 0.5, 1)
     G.packed()
-    for H in (G.without_edges_inside(0b1111), G.relabel(list(reversed(range(65)))),
+    for H in (G.relabel(list(reversed(range(65)))),
               Graph.complete(70), Graph.from_edges(3, [(0, 1)])):
         assert H._packed is None
 
@@ -80,7 +80,7 @@ def test_find_blowup_matches_scalar(n):
                              BALANCE_WITHIN, m=block, eta=1.0)
         avoid = mask_from(v for v in range(n) if rng.random() < 0.3)
         for fr, av in ((None, 0), (frame, 0), (None, avoid), (frame, avoid),
-                       (None, avoid | ~G.adj[seed])):  # a negative mask, as rooted_blowup passes
+                       (None, avoid | ~G.adj[seed])):  # a negative mask
             want = scalar_find_blowup(G, F, t, fr, avoid=av, restart_budget=8, seed=seed)
             same_blowup(find_blowup(G, F, t, fr, avoid=av, restart_budget=8, seed=seed), want)
             found += want is not None
