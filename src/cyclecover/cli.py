@@ -108,14 +108,15 @@ def _id_list(raw: str) -> list[int]:
 
 def _int_range(raw: str) -> list[int]:
     """Comma list, or a:b (exclusive), or a:b:step."""
-    if ":" in raw:
-        parts = [int(tok) for tok in raw.split(":")]
-        if len(parts) == 2:
-            return list(range(parts[0], parts[1]))
-        if len(parts) == 3:
-            return list(range(parts[0], parts[1], parts[2]))
-        raise ValueError(f"bad range {raw!r}")
-    return _id_list(raw)
+    if ":" not in raw:
+        return _id_list(raw)
+    parts = raw.split(":")
+    try:
+        if len(parts) in (2, 3):
+            return list(range(*map(int, parts)))  # a zero step raises too
+    except ValueError:
+        pass
+    raise ValueError(f"bad range {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +303,10 @@ def cmd_match(args) -> int:
     G = _read_graph(args.graph)
     params = _params(args)
     s = args.s if args.s is not None else params.s
-    spec = PropertySpec(G, s, params.eps)
-    edges = [S for S in combinations(range(G.n), s) if inherits_degree(spec, S)]
-    P = Hypergraph.from_edges(s, range(G.n), edges)
     try:
+        spec = PropertySpec(G, s, params.eps)  # refuses s outside 2..n
+        edges = [S for S in combinations(range(G.n), s) if inherits_degree(spec, S)]
+        P = Hypergraph.from_edges(s, range(G.n), edges)
         matching = hypergraph_perfect_matching(P, seed=args.seed)
     except ValueError as exc:
         print(f"refused: {exc}", file=sys.stderr)
@@ -320,19 +321,27 @@ def cmd_match(args) -> int:
 def cmd_inherit_scan(args) -> int:
     G = _read_graph(args.graph)
     params = _params(args)
-    spec = PropertySpec(G, params.s, params.eps)
     lines = [SCHEMA_LINE, "vertex,successes,trials,estimate"]
-    for v in range(G.n):
-        est = property_degree_estimate(spec, v, args.trials, seed=args.seed)
-        lines.append(f"{v},{est.successes},{est.trials},{est.estimate:.6f}")
+    try:
+        spec = PropertySpec(G, params.s, params.eps)
+        for v in range(G.n):
+            est = property_degree_estimate(spec, v, args.trials, seed=args.seed)
+            lines.append(f"{v},{est.successes},{est.trials},{est.estimate:.6f}")
+    except ValueError as exc:  # a host below s vertices, or fewer than one trial
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
     _emit(args, "\n".join(lines))
     return 0
 
 
 def cmd_sweep(args) -> int:
     _params(args)  # validates the preset name up front
-    ns = _int_range(args.ns)
-    seeds = _int_range(args.seeds)
+    try:
+        ns = _int_range(args.ns)
+        seeds = _int_range(args.seeds)
+    except ValueError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
     if not ns or not seeds:
         print("error: nonempty ranges of n and seeds required",
               file=sys.stderr)

@@ -294,6 +294,17 @@ def test_match_refuses_indivisible_order(tmp_path, capsys):
     assert "refused" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["match", "--s", "0"], "s must satisfy 2 <= s <= n"),
+    (["inherit-scan", "--trials", "0"], "trials must be at least 1"),
+], ids=["match-s-zero", "inherit-scan-no-trials"])
+def test_match_and_inherit_scan_bad_requests_exit_two(tmp_path, capsys, argv, reason):
+    g = write_graph(tmp_path / "g.txt", Graph.complete(6))
+    assert main(argv[:1] + [g] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and reason in err
+
+
 def test_inherit_scan_complete_graph_is_all_ones(tmp_path, capsys):
     g = write_graph(tmp_path / "g.txt", Graph.complete(12))
     rc = main(["inherit-scan", g, "--trials", "50"])
@@ -345,6 +356,19 @@ def test_sweep_requires_nonempty_ranges(capsys):
     rc = main(["sweep", "--ns", "60", "--seeds", ""])
     assert rc == 2
     assert "nonempty ranges" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ns,seeds,reason", [
+    ("60,x", "0", "bad id list '60,x'"),
+    ("1:2:3:4", "0", "bad range '1:2:3:4'"),
+    ("1:x", "0", "bad range '1:x'"),
+    ("1:5:0", "0", "bad range '1:5:0'"),
+    ("60", "0,y", "bad id list '0,y'"),
+], ids=["ns-bad-id", "ns-four-fields", "ns-bad-bound", "ns-zero-step", "seeds-bad-id"])
+def test_sweep_unreadable_ranges_exit_two(capsys, ns, seeds, reason):
+    assert main(["sweep", "--ns", ns, "--seeds", seeds]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and reason in err
 
 
 def test_sweep_worker_pool_matches_sequential(tmp_path):

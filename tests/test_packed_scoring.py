@@ -3,13 +3,17 @@
 find_blowup and connect_clusters score whole candidate pools at once on
 Graph.packed. Each must return what the scalar versions kept in
 tests/oracles.py return, with the same telemetry, on every path: frames,
-avoid masks, jittered restarts, isolated pattern vertices, t = 1, an empty
-or repeating W, the exhaustive enumeration, the DFS and the biclique fallback, and
-hosts whose order sits on either side of a 64-bit word boundary.
+avoid masks, jittered restarts in batches, jitter ties, isolated pattern
+vertices, t = 1, an empty or repeating W, the exhaustive enumeration, the
+DFS and the biclique fallback, and hosts whose order sits on either side of
+a 64-bit word boundary.
 """
 
 import hashlib
+import math
+import random
 
+import numpy as np
 import pytest
 
 from cyclecover.bitset import mask_from
@@ -87,14 +91,77 @@ def test_find_blowup_matches_scalar(n):
     assert found >= 10
 
 
-@pytest.mark.parametrize("n,seed", [(64, 12), (64, 16), (130, 2), (130, 9)])
-def test_find_blowup_matches_scalar_after_restarts(n, seed):
+def thirds(n):
+    block = n // 3
+    return SetFamily.of([range(i * block, (i + 1) * block) for i in range(3)],
+                        BALANCE_WITHIN, m=block, eta=1.0)
+
+
+# win is the first restart whose pass survives, None when all 51 die. The
+# jittered restarts run in batches (restarts 1-24, 25-48 and 49-50 at the
+# default budget), so the probe at win - 1 and win pins the batch's choice
+# of its lowest-numbered survivor. The avoid masks are
+# random, or the whole of the first frame part.
+@pytest.mark.parametrize("n,seed,framed,avoid,win", [
+    pytest.param(64, 12, False, None, 3, id="64-12"),
+    pytest.param(64, 16, False, None, 2, id="64-16"),
+    pytest.param(130, 2, False, None, 1, id="130-2"),
+    pytest.param(130, 9, False, None, 1, id="130-9"),
+    pytest.param(64, 14, False, None, 24, id="64-14-batch-one"),
+    pytest.param(64, 10, False, None, 32, id="64-10-batch-two"),
+    pytest.param(130, 0, True, None, 14, id="framed-130-0-batch-one"),
+    pytest.param(130, 3, True, None, 32, id="framed-130-3-batch-two"),
+    pytest.param(64, 7, False, "random", 22, id="avoid-64-7-batch-one"),
+    pytest.param(130, 33, False, "random", 46, id="avoid-130-33-batch-two"),
+    pytest.param(64, 66, False, None, 49, id="64-66-batch-three"),
+    pytest.param(64, 18, False, None, None, id="64-18-every-restart-dies"),
+    pytest.param(64, 0, True, "random", None, id="framed-avoid-64-0-every-restart-dies"),
+    pytest.param(64, 0, True, "part", None, id="framed-64-0-empty-part"),
+])
+def test_find_blowup_matches_scalar_after_restarts(n, seed, framed, avoid, win):
     G = random_graph(n, 0.5, seed)
     F = Graph.complete(3)
-    assert find_blowup(G, F, 4, restart_budget=0, seed=seed) is None  # the first pass dies
-    got = find_blowup(G, F, 4, restart_budget=10, seed=seed)
+    frame = thirds(n) if framed else None
+    if avoid == "random":
+        rng = spawn(seed, "avoid-case", n)
+        avoid = mask_from(v for v in range(n) if rng.random() < 0.2)
+    elif avoid == "part":
+        avoid = mask_from(range(n // 3))
+    kw = {"seed": seed, "avoid": avoid or 0}
+    if win is None:
+        assert find_blowup(G, F, 4, frame, restart_budget=50, **kw) is None
+        assert scalar_find_blowup(G, F, 4, frame, restart_budget=50, **kw) is None
+        return
+    assert find_blowup(G, F, 4, frame, restart_budget=win - 1, **kw) is None
+    got = find_blowup(G, F, 4, frame, restart_budget=win, **kw)
     assert got is not None
-    same_blowup(got, scalar_find_blowup(G, F, 4, restart_budget=10, seed=seed))
+    same_blowup(got, scalar_find_blowup(G, F, 4, frame, restart_budget=win, **kw))
+    same_blowup(find_blowup(G, F, 4, frame, restart_budget=50, **kw), got)
+
+
+def test_find_blowup_breaks_jitter_ties_by_degree_then_id(monkeypatch):
+    # jitter drawn in quarters leaves most value ties tied, so the degree
+    # and then the id decide, on the plain pass and on the batched restarts
+    import cyclecover.blowup_search as bs
+    import cyclecover.seeding as seeding
+
+    class Coarse(random.Random):
+        def random(self):
+            return math.floor(super().random() * 4) / 4
+
+    monkeypatch.setattr(seeding, "spawn", lambda seed, *parts: Coarse(seeding.mix(seed, *parts)))
+    monkeypatch.setattr(bs, "random_doubles",
+                        lambda rng, k: np.floor(seeding.random_doubles(rng, k) * 4) / 4)
+    F = Graph.complete(3)
+    batched = 0
+    for n, seed in ((64, 10), (64, 14), (64, 18), (130, 0), (130, 3)):
+        G = random_graph(n, 0.5, seed)
+        for fr in (None, thirds(n)):
+            got = find_blowup(G, F, 4, fr, seed=seed)
+            same_blowup(got, scalar_find_blowup(G, F, 4, fr, seed=seed))
+            batched += got is not None and find_blowup(G, F, 4, fr, restart_budget=0,
+                                                        seed=seed) is None
+    assert batched >= 2
 
 
 @pytest.mark.parametrize("n", ORDERS)
