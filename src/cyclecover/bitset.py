@@ -5,7 +5,9 @@ Python ints give us branch-free intersection/union and a fast popcount,
 which is what every search loop in this package leans on. Scoring many
 candidates at once (the picks of find_blowup, the side counts of
 connect_clusters) runs on the packed uint64 view of Graph.packed instead,
-with masks converted to its word layout and to index arrays here. Writing
+with masks converted to its word layout and to index arrays here: once per
+call for connect_clusters, and for find_blowup once when a BlowupSearch is
+prepared and once per search for its avoid mask, never per pick. Writing
 a graph file unpacks blocks of rows from that word layout; reading one, and
 generating a random host, fill a numpy bool matrix that rows_from_matrix
 turns into bitmask rows.

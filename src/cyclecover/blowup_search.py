@@ -118,8 +118,8 @@ def find_biclique(req: BicliqueRequest, node_budget: int | None = DEFAULT_NODE_B
     return dfs(0, [], amask)
 
 
-# Every jittered restart runs in _batched_restarts, in lockstep batches of at
-# most _BATCH. In the dead-end calls of sparse-600 solves a batch of one
+# Every jittered restart runs in BlowupSearch._jittered, in lockstep batches
+# of at most _BATCH. In the dead-end calls of sparse-600 solves a batch of one
 # restart cost 1.6 plain jittered passes and a batch of 24 about 5, but a
 # separate plain path for the first jittered restarts did not pay: over the
 # 240 find_blowup calls of sparse-600 solves on graph seeds 0-19 (2-vCPU
@@ -139,164 +139,204 @@ def find_blowup(host: Graph, F: Graph, t: int, frame: SetFamily | None = None, *
     round, always taking the candidate that keeps the scarcest neighbouring
     pool largest; ties go to the higher degree, then the lower id. Candidate
     pools only shrink; a dead pool aborts the pass and a jittered restart
-    breaks value ties by jitter first. Each pick scores its whole pool at
-    once on the host's packed view. The jittered restarts run side by side
-    in batches, every pick of a batch scored in one array pass, and the
-    lowest-numbered survivor wins, so the result is the one a restart-by-
-    restart loop returns. On sparse GNP hosts (n = 600, p = 0.8), where the
-    last extraction of every solve exhausts its restarts, that took the
-    median solve from 0.195 to 0.147 s.
+    breaks value ties by jitter first. The search runs on arrays of the
+    frame built once (BlowupSearch): each pick scores its whole pool in one
+    array pass over the words of its neighbours' frame parts, and one AND
+    applies its effect on every pool. The jittered restarts run side by side
+    in batches on the same arrays, and the lowest-numbered survivor wins, so
+    the result is the one a restart-by-restart loop returns. A caller that
+    takes several blow-ups from one frame prepares a BlowupSearch once
+    instead. almost_blowup_cover does, which took the median benchmark
+    solve of GNP hosts (p = 0.97, delta = 0.75n) at n = 1000 from 0.088 to
+    0.066 s, and one at n = 3000 from 0.72 to 0.37 s.
     """
-    import numpy as np
-
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    if frame is not None and len(frame.clusters) != F.n:
-        raise ValueError("frame must have one part per pattern vertex")
-    s = F.n
-    n = host.n
-    full = host.vertices_mask() & ~avoid
-    base = [m & full for m in frame.masks] if frame is not None else [full] * s
-    nbrs = [bits_list(F.adj[i]) for i in range(s)]
-    order = sorted(range(s), key=lambda i: (-F.degree(i), i))
-    adj = host.adj
-    rows, deg = host.packed()
-
-    def greedy_pass() -> list[list[int]] | None:
-        cand = list(base)
-        clusters: list[list[int]] = [[] for _ in range(s)]
-        used = 0
-        for _round in range(t):
-            for i in order:
-                pool = cand[i] & ~used
-                if not pool:
-                    return None
-                X = mask_indices(pool, n)
-                if nbrs[i]:
-                    free = mask_words([cand[j] & ~used for j in nbrs[i]], rows.shape[1])
-                    value = np.bitwise_count(rows[X][:, None, :] & free).sum(
-                        axis=2, dtype=np.int64).min(axis=1)
-                else:
-                    value = None  # every candidate scores n
-                # rank (-value, -deg, id): the first maximum is the lowest id
-                key = deg[X] if value is None else value * (n + 1) + deg[X]
-                best = int(X[np.argmax(key)])
-                clusters[i].append(best)
-                used |= 1 << best
-                for j in nbrs[i]:
-                    cand[j] &= adj[best]
-                if (cand[i] & ~used).bit_count() < t - len(clusters[i]):
-                    return None
-        return clusters
-
-    clusters = greedy_pass()
-    if clusters is None and restart_budget > 0:
-        clusters = _batched_restarts(host, t, base, nbrs, order, full,
-                                     spawner(seed, "blowup-restart"),
-                                     range(1, restart_budget + 1))
-    if clusters is None:
-        return None
-    fam = SetFamily.of(clusters, BALANCE_EXACT, m=t)
-    blow = Blowup(F, fam)
-    verdict = verify_blowup_hosted(host, blow)
-    if verdict.status != PASS:  # pragma: no cover - construction guarantees it
-        raise AssertionError(f"blow-up failed self check: {verdict}")
-    return blow
+    return BlowupSearch(host, F, t, frame).find(avoid=avoid, restart_budget=restart_budget,
+                                                seed=seed)
 
 
-def _batched_restarts(host: Graph, t: int, base: list[int], nbrs: list[list[int]],
-                      order: list[int], full: int, restart_rng, restarts: range):
-    """The clusters of the lowest-numbered jittered restart in `restarts` that
-    survives find_blowup's greedy pass, or None.
+class BlowupSearch:
+    """find_blowup prepared once for a host, pattern, cluster size and frame,
+    for any number of searches that differ only in their avoid mask, restart
+    budget and seed. Package-internal: almost_blowup_cover holds one for the
+    extractions of one cover.
 
-    The restarts run in lockstep batches. Each live restart keeps the free
-    pool of every part i (its candidates not yet used) as uint64 words of
-    the part's own id window, the word range that covers base[i]. Part i
-    keeps the host rows of its base over each neighbour's window as one
-    (d, w, B_i) array, contiguous in B_i, so one pass per neighbour scores
-    the pick of every live restart. Dead restarts are dropped at once.
+    Part i of the frame (all of the host when there is no frame) keeps its
+    vertices in choice order after value and jitter, descending degree then
+    ascending id, so that the first of a tie is the one a pick takes. A pool
+    is held as uint64 words of its part's own id window, the word range that
+    covers the part; the pools of all s parts form one (s, W) block, W the
+    widest window. For every candidate k of part i the prepared arrays hold
+    its host rows over each neighbour's window, as scoring[i][:, :, k]
+    (a (d_i, W, B_i) array, contiguous in B_i), and as update[i][k], an
+    (s, W) block that also holds all ones over the other parts and has the
+    candidate's own bit cleared in every window that covers it; so
+    `free &= update[i][k]` applies the whole effect of a pick. The arrays
+    take about n^2 (d + s) / (8 s) bytes for s parts of d neighbours each,
+    plus the rounding of the windows to whole words: on the GNP covers of
+    PRESETS["desk"] (four parts, three neighbours) 0.30 MB at n = 1000 and
+    2.2 MB at n = 3000.
     """
-    import numpy as np
 
-    if not all(base):
-        return None  # a part with an empty pool kills every pass
-    rows, deg = host.packed()
-    n = host.n
-    s = len(base)
-    # each part's base in choice order after value and jitter: descending
-    # degree, then ascending id, so that among the candidates of top value
-    # and least jitter the first is the one a pick takes
-    idx = []
-    for m in base:
-        x = mask_indices(m, n)
-        idx.append(x[np.argsort(-deg[x], kind="stable")])
-    lo = [int(x.min()) >> 6 for x in idx]
-    width = [(int(x.max()) >> 6) + 1 - a for x, a in zip(idx, lo)]
-    # the word of each base vertex in its part's window, and its bit there
-    word = [(x >> 6) - a for x, a in zip(idx, lo)]
-    bit = [np.left_shift(np.uint64(1), (x & 63).astype(np.uint64)) for x in idx]
-    start = [mask_words([m >> (64 * a)], w)[:, :, None] for m, a, w in zip(base, lo, width)]
-    scoring = []
-    for i in range(s):
-        stacked = np.zeros((len(nbrs[i]), max((width[j] for j in nbrs[i]), default=0),
-                            len(idx[i])), dtype=np.uint64)
-        for k, j in enumerate(nbrs[i]):
-            stacked[k, :width[j]] = rows[idx[i], lo[j]:lo[j] + width[j]].T
-        scoring.append([stacked[k, None, :width[j]] for k, j in enumerate(nbrs[i])])
-    # the other parts a pick must leave: those whose base meets its own
-    meets = [[j for j in range(s) if j != i and base[j] & base[i]] for i in range(s)]
-    full_idx = mask_indices(full, n)
-    at_draw = [np.searchsorted(full_idx, x) for x in idx]
+    def __init__(self, host: Graph, F: Graph, t: int, frame: SetFamily | None = None):
+        import numpy as np
 
-    for first in range(restarts.start, restarts.stop, _BATCH):
-        batch = range(first, min(first + _BATCH, restarts.stop))
-        R = len(batch)
-        jit = [np.empty((R, len(x))) for x in idx]
-        for r, restart in enumerate(batch):
-            draw = random_doubles(restart_rng(restart), len(full_idx))
-            for i in range(s):
-                jit[i][r] = draw[at_draw[i]]
-        free = [np.repeat(w, R, axis=0) for w in start]
-        picks = np.empty((R, t, s), dtype=np.int64)
-        live = np.arange(R)
+        if t < 1:
+            raise ValueError("t must be at least 1")
+        if frame is not None and len(frame.clusters) != F.n:
+            raise ValueError("frame must have one part per pattern vertex")
+        s = F.n
+        n = host.n
+        rows, deg = host.packed()
+        everything = host.vertices_mask()
+        self.host, self.F, self.t = host, F, t
+        self.parts = ([m & everything for m in frame.masks] if frame is not None
+                      else [everything] * s)
+        self.nbrs = [bits_list(F.adj[i]) for i in range(s)]
+        self.nbr_rows = [np.array(js, dtype=np.int64) for js in self.nbrs]
+        self.order = sorted(range(s), key=lambda i: (-F.degree(i), i))
+        self.idx = []
+        for m in self.parts:
+            x = mask_indices(m, n)
+            self.idx.append(x[np.argsort(-deg[x], kind="stable")])
+        self.lo = [int(x.min()) >> 6 if len(x) else 0 for x in self.idx]
+        self.width = [(int(x.max()) >> 6) + 1 - a if len(x) else 0
+                      for x, a in zip(self.idx, self.lo)]
+        W = self.words = max(self.width, default=0)
+        # the bit of each candidate in its part's window
+        self.pos = [x - 64 * a for x, a in zip(self.idx, self.lo)]
+        self.scoring = []
+        self.update = []
+        for i, x in enumerate(self.idx):
+            own = np.left_shift(np.uint64(1), (x & 63).astype(np.uint64))
+            score = np.zeros((len(self.nbrs[i]), W, len(x)), dtype=np.uint64)
+            upd = np.full((len(x), s, W), ~np.uint64(0))
+            for k, j in enumerate(self.nbrs[i]):
+                part_rows = rows[x, self.lo[j]:self.lo[j] + self.width[j]]
+                score[k, :self.width[j]] = part_rows.T
+                upd[:, j, :self.width[j]] = part_rows
+            for j in range(s):
+                at = (x >> 6) - self.lo[j]
+                inside = np.flatnonzero((at >= 0) & (at < self.width[j]))
+                upd[inside, j, at[inside]] &= ~own[inside]
+            self.scoring.append(score)
+            self.update.append(upd)
+
+    def find(self, *, avoid: int = 0, restart_budget: int = 50, seed: int = 0) -> Blowup | None:
+        """The blow-up find_blowup(host, F, t, frame, avoid=avoid,
+        restart_budget=restart_budget, seed=seed) returns."""
+        start = mask_words([(m & ~avoid) >> (64 * a) for m, a in zip(self.parts, self.lo)],
+                           self.words)
+        clusters = self._plain(start.copy())
+        if clusters is None and restart_budget > 0:
+            clusters = self._jittered(start, avoid, spawner(seed, "blowup-restart"),
+                                      range(1, restart_budget + 1))
+        if clusters is None:
+            return None
+        fam = SetFamily.of(clusters, BALANCE_EXACT, m=self.t)
+        blow = Blowup(self.F, fam)
+        verdict = verify_blowup_hosted(self.host, blow)
+        if verdict.status != PASS:  # pragma: no cover - construction guarantees it
+            raise AssertionError(f"blow-up failed self check: {verdict}")
+        return blow
+
+    def _plain(self, free) -> list[list[int]] | None:
+        """Restart 0, the greedy pass without jitter, on the (s, W) pools.
+
+        It scores every candidate of the frame part, in its pool or not:
+        cutting the arrays to the search's base columns first cost about as
+        much as it saved on one pass (n = 1000 and n = 300 GNP solves).
+        """
+        import numpy as np
+
+        t = self.t
+        idx, pos, scoring, update = self.idx, self.pos, self.scoring, self.update
+        clusters: list[list[int]] = [[] for _ in idx]
         for rnd in range(t):
             need = t - rnd - 1
-            for i in order:
-                pool = (free[i][:, word[i], 0] & bit[i]) != 0
-                top = pool
-                if nbrs[i]:
-                    value = None
-                    for j, part_rows in zip(nbrs[i], scoring[i]):
-                        c = np.bitwise_count(part_rows & free[j]).sum(axis=1, dtype=np.int64)
-                        value = c if value is None else np.minimum(value, c, out=value)
-                    value = np.where(pool, value, -1)
-                    top = value == value.max(axis=1, keepdims=True)
-                # jitter as drawn, never folded into a float key with the
-                # value, where rounding could merge two candidates
-                k = np.where(top, jit[i], 2.0).argmin(axis=1)
-                best = idx[i][k]
-                picks[:, rnd, i] = best
-                free[i][live, word[i][k], 0] &= ~bit[i][k]
-                for j in meets[i]:
-                    at = (best >> 6) - lo[j]
-                    inside = (at >= 0) & (at < width[j])
-                    off = np.left_shift(np.uint64(1), (best[inside] & 63).astype(np.uint64))
-                    free[j][live[inside], at[inside], 0] &= ~off
-                for j in nbrs[i]:
-                    free[j] &= rows[best, lo[j]:lo[j] + width[j], None]
-                alive = np.count_nonzero(pool, axis=1) > need  # the pick left >= need
-                if not alive.all():
-                    picks = picks[alive]
-                    free = [f[alive] for f in free]
-                    jit = [a[alive] for a in jit]
-                    live = np.arange(len(picks))
-                    if not len(picks):
-                        break
-            if not len(picks):
-                break
-        if len(picks):
-            return [picks[0, :, i].tolist() for i in range(s)]
-    return None
+            for i in self.order:
+                pool = np.unpackbits(free[i].view(np.uint8), bitorder="little")[pos[i]]
+                if np.count_nonzero(pool) <= need:  # the pick would leave fewer than need
+                    return None
+                if self.nbrs[i]:
+                    value = np.bitwise_count(scoring[i] & free[self.nbr_rows[i], :, None]).sum(
+                        axis=1, dtype=np.int64).min(axis=0)
+                    # the first maximum is the lowest (degree descending, id ascending)
+                    k = int(np.argmax(np.where(pool, value, -1)))
+                else:
+                    k = int(np.argmax(pool))  # every candidate scores n
+                clusters[i].append(int(idx[i][k]))
+                free &= update[i][k]
+        return clusters
+
+    def _jittered(self, start, avoid: int, restart_rng, restarts: range):
+        """The clusters of the lowest-numbered jittered restart in `restarts`
+        that survives the greedy pass, or None.
+
+        The restarts run in lockstep batches on (R, s, W) pools, one pass
+        per neighbour scoring the pick of every live restart. Dead restarts
+        are dropped at once. The batches score only the columns of the
+        search's base (frame minus avoid), cut from the prepared arrays once
+        for all restarts: on sparse GNP solves (n = 600, p = 0.8), whose last
+        extraction runs all 50 restarts late in the cover, that took the
+        restarts from about 28 to 21 ms per solve.
+        """
+        import numpy as np
+
+        if not start.any(axis=1).all():
+            return None  # a part with an empty pool kills every pass
+        t = self.t
+        s = len(self.idx)
+        cols = [np.flatnonzero(np.unpackbits(w.view(np.uint8), bitorder="little")[p])
+                for w, p in zip(start, self.pos)]
+        idx = [x[c] for x, c in zip(self.idx, cols)]
+        pos = [x[c] for x, c in zip(self.pos, cols)]
+        scoring = [x.take(c, axis=2) for x, c in zip(self.scoring, cols)]  # contiguous in B_i
+        update = [x[c] for x, c in zip(self.update, cols)]
+        # each restart draws one double per vertex outside avoid, in id order
+        full_idx = mask_indices(self.host.vertices_mask() & ~avoid, self.host.n)
+        at_draw = [np.searchsorted(full_idx, x) for x in idx]
+        for first in range(restarts.start, restarts.stop, _BATCH):
+            batch = range(first, min(first + _BATCH, restarts.stop))
+            R = len(batch)
+            jit = [np.empty((R, len(x))) for x in idx]
+            for r, restart in enumerate(batch):
+                draw = random_doubles(restart_rng(restart), len(full_idx))
+                for i in range(s):
+                    jit[i][r] = draw[at_draw[i]]
+            free = np.repeat(start[None], R, axis=0)
+            picks = np.empty((R, t, s), dtype=np.int64)
+            for rnd in range(t):
+                need = t - rnd - 1
+                for i in self.order:
+                    pool = np.unpackbits(free[:, i].view(np.uint8), axis=1,
+                                         bitorder="little")[:, pos[i]]
+                    top = pool
+                    if self.nbrs[i]:
+                        value = None
+                        for score, j in zip(scoring[i], self.nbrs[i]):
+                            w = self.width[j]
+                            c = np.bitwise_count(score[:w] & free[:, j, :w, None]).sum(
+                                axis=1, dtype=np.int64)
+                            value = c if value is None else np.minimum(value, c, out=value)
+                        value = np.where(pool, value, -1)
+                        top = value == value.max(axis=1, keepdims=True)
+                    # jitter as drawn, never folded into a float key with the
+                    # value, where rounding could merge two candidates
+                    k = np.where(top, jit[i], 2.0).argmin(axis=1)
+                    picks[:, rnd, i] = idx[i][k]
+                    free &= update[i][k]
+                    alive = np.count_nonzero(pool, axis=1) > need  # the pick left >= need
+                    if not alive.all():
+                        picks = picks[alive]
+                        free = free[alive]
+                        jit = [a[alive] for a in jit]
+                        if not len(picks):
+                            break
+                if not len(picks):
+                    break
+            if len(picks):
+                return [picks[0, :, i].tolist() for i in range(s)]
+        return None
 
 
 def connect_clusters(G: Graph, U: Iterable[int], V: Iterable[int], W: Iterable[int],

@@ -70,11 +70,15 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _params(args):
-    try:
-        preset = PRESETS[args.preset]
-    except KeyError:
-        raise SystemExit(f"unknown preset {args.preset!r}")
-    p = replace(preset, seed=args.seed)
+    """The preset named by the common flags, with their seed and budget; an
+    unknown preset or a negative budget ends the command with exit code 2."""
+    if args.preset not in PRESETS:
+        print(f"refused: unknown preset {args.preset!r}", file=sys.stderr)
+        raise SystemExit(2)
+    if args.budget is not None and args.budget < 0:
+        print(f"refused: --budget must be nonnegative, got {args.budget}", file=sys.stderr)
+        raise SystemExit(2)
+    p = replace(PRESETS[args.preset], seed=args.seed)
     if args.budget is not None:
         p = replace(p, node_budget=args.budget)
     return p
@@ -335,7 +339,6 @@ def cmd_inherit_scan(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _params(args)  # validates the preset name up front
     try:
         ns = _int_range(args.ns)
         seeds = _int_range(args.seeds)
@@ -453,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _params(args)  # every subcommand takes the common flags; refuse bad ones up front
     return args.func(args)
 
 

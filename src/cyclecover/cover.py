@@ -34,7 +34,7 @@ from .core import (
     verify_blowup_hosted,
     verify_cycle_blowup,
 )
-from .blowup_search import connect_clusters, find_blowup
+from .blowup_search import BlowupSearch, connect_clusters
 from .seeding import draw_subset, mix, spawn, spawner
 
 ALMOST = "ALMOST"
@@ -426,10 +426,11 @@ def almost_blowup_cover(G: Graph, params: CoverParams, *,
     frame = SetFamily.of(parts, BALANCE_WITHIN, m=block, eta=1.0)
     blowups: list[Blowup] = []
     used = 0
-    while pattern is not None and not all(
+    # every extraction searches the same frame, so its arrays are built once
+    search = BlowupSearch(G, pattern, t_scale, frame) if pattern is not None else None
+    while search is not None and not all(
             (pm & ~used).bit_count() < params.rho * len(p) for p, pm in zip(parts, frame.masks)):
-        b = find_blowup(G, pattern, t_scale, frame, avoid=used,
-                        restart_budget=params.restart_budget,
+        b = search.find(avoid=used, restart_budget=params.restart_budget,
                         seed=mix(params.seed, "cover", "extract", 0, len(blowups)))
         if b is None:
             unused = [(pm & ~used).bit_count() for pm in frame.masks]

@@ -182,6 +182,22 @@ def test_missing_graph_file_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"bad graph file {missing}: ")
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["solve", "G", "--preset", "nope"], "unknown preset 'nope'"),
+    (["sweep", "--ns", "60", "--seeds", "0", "--preset", "nope"], "unknown preset 'nope'"),
+    (["generate", "--n", "10", "--preset", "nope"], "unknown preset 'nope'"),
+    (["solve", "G", "--budget", "-5"], "--budget must be nonnegative"),
+], ids=["solve-preset", "sweep-preset", "generate-preset", "solve-budget"])
+def test_bad_common_flags_exit_two(tmp_path, capsys, argv, reason):
+    g = write_graph(tmp_path / "g.txt", Graph.complete(52))
+    with pytest.raises(SystemExit) as exc:
+        main([g if a == "G" else a for a in argv])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("refused: ") and reason in out.err
+
+
 # ---------------------------------------------------------------------------
 # cover / connect / biclique
 

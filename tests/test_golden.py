@@ -45,6 +45,11 @@ GOLDEN = [
     # certified on the first pass, with every pickup the fold-in finds kept
     (600, 0.8, 420, 90002,
      "c2e95cbefe48283521dbcb1aa55e18990e6b944a9c16df2f36d13cd1359ffb3f", GNP_REPAIRED),
+    # the audit-1000 host, whose almost cover takes 28 blow-ups out of one
+    # frame; captured with the scalar searches before they moved onto the
+    # packed view
+    (1000, 0.97, 750, 0,
+     "4224caaf8f7a3b0a1a4cc9f8892e0aca2380cb50e4cbd2b55cac51796ed18d1a", GNP_REPAIRED),
 ]
 
 

@@ -4,12 +4,12 @@ find_blowup and connect_clusters score whole candidate pools at once on
 Graph.packed. Each must return what the scalar versions kept in
 tests/oracles.py return, with the same telemetry, on every path: frames,
 avoid masks, jittered restarts in batches, jitter ties, isolated pattern
-vertices, t = 1, an empty or repeating W, the exhaustive enumeration, the
+vertices, one prepared search reused over a sequence of extractions,
+t = 1, an empty or repeating W, the exhaustive enumeration, the
 DFS and the biclique fallback, and hosts whose order sits on either side of
 a 64-bit word boundary.
 """
 
-import hashlib
 import math
 import random
 
@@ -17,10 +17,8 @@ import numpy as np
 import pytest
 
 from cyclecover.bitset import mask_from
-from cyclecover.blowup_search import connect_clusters, find_blowup
-from cyclecover.core import BALANCE_WITHIN, CycleBlowupCertificate, Graph, SetFamily
-from cyclecover.cover import PRESETS, spanning_cycle_blowup
-from cyclecover.generators import GNP_REPAIRED, GeneratorSpec, generate
+from cyclecover.blowup_search import BlowupSearch, connect_clusters, find_blowup
+from cyclecover.core import BALANCE_WITHIN, Graph, SetFamily
 from cyclecover.seeding import spawn
 
 from oracles import scalar_connect_clusters, scalar_find_blowup
@@ -164,6 +162,39 @@ def test_find_blowup_breaks_jitter_ties_by_degree_then_id(monkeypatch):
     assert batched >= 2
 
 
+# One prepared search serves a sequence of extractions, each avoiding the
+# blow-ups before it, as almost_blowup_cover runs them. passes[e] is the
+# pass that answers extraction e: 0 the plain pass, 1 or 2 the first or
+# second batch of jittered restarts, None when all 51 passes die.
+@pytest.mark.parametrize("n,p,t,seed,passes", [
+    pytest.param(130, 0.6, 4, 0, [0, 0, 1, 1, 2, 1, None], id="130-second-batch"),
+    pytest.param(63, 0.6, 4, 1, [2, None], id="63-second-batch"),
+    pytest.param(63, 0.6, 3, 0, [0, 1, 1, 1, None], id="63-first-batch"),
+    pytest.param(65, 0.7, 3, 4, [0, 0, 1, 1, None], id="65-first-batch"),
+])
+def test_prepared_search_serves_a_sequence_of_extractions(n, p, t, seed, passes):
+    G = random_graph(n, p, seed, "reuse-host")
+    F = Graph.complete(3)
+    frame = thirds(n)
+    search = BlowupSearch(G, F, t, frame)
+    used, calls, got = 0, [], []
+    for e, answered in enumerate(passes):
+        kw = {"avoid": used, "restart_budget": 50, "seed": e}
+        blow = search.find(**kw)
+        same_blowup(blow, scalar_find_blowup(G, F, t, frame, **kw))
+        reached = [search.find(avoid=used, restart_budget=b, seed=e) is not None
+                   for b in (0, 24, 48)]
+        assert (reached.index(True) if blow is not None else None) == answered
+        calls.append(kw)
+        got.append(blow)
+        if blow is not None:
+            used |= blow.family.union_mask()
+    # the same calls again, latest first: nothing a call leaves behind
+    # changes another one's result
+    for kw, blow in reversed(list(zip(calls, got))):
+        same_blowup(search.find(**kw), blow)
+
+
 @pytest.mark.parametrize("n", ORDERS)
 def test_find_blowup_matches_scalar_with_isolated_pattern_vertex(n):
     F = Graph.from_edges(4, [(0, 1), (1, 2)])  # vertex 3 scores n for every candidate
@@ -223,16 +254,3 @@ def test_connect_clusters_matches_scalar_on_dfs_and_fallback(monkeypatch, p, see
     got = connect_both(G, range(10), range(10, 20), range(20, 130), m_prime, node_budget=budget)
     assert (got is not None) == answered
     assert bool(calls) == fallback
-
-
-# ---------------------------------------------------------------------------
-# end to end
-
-
-def test_certificate_digest_at_order_1000():
-    # captured with the scalar searches before they moved onto the view
-    G = generate(GeneratorSpec(kind=GNP_REPAIRED, n=1000, p=0.97, delta_target=750, seed=0))
-    cert = spanning_cycle_blowup(G, PRESETS["desk"])
-    assert isinstance(cert, CycleBlowupCertificate), cert
-    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == (
-        "4224caaf8f7a3b0a1a4cc9f8892e0aca2380cb50e4cbd2b55cac51796ed18d1a")
