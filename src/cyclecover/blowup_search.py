@@ -9,7 +9,6 @@ or an exception but never an invalid certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -26,6 +25,7 @@ from .core import (
 from .seeding import random_doubles, spawner
 
 DEFAULT_NODE_BUDGET = 10 ** 6
+DEFAULT_RESTART_BUDGET = 50
 _TINY_ENUM = 200_000
 
 
@@ -57,51 +57,40 @@ class BicliqueRequest:
 
 
 def _check_biclique(G: Graph, A: Sequence[int], B: Sequence[int]) -> None:
-    bmask = mask_from(B)
-    for a in A:
-        if bmask & ~G.adj[a]:
-            raise AssertionError("search returned a non-biclique")
+    """Raise AssertionError unless every A-B pair is an edge of G. The raise
+    is explicit, so the check also runs under python -O."""
+    verdict = is_complete_bipartite(G, A, B)
+    if verdict.status != PASS:
+        raise AssertionError(f"search returned a non-biclique: {verdict}")
 
 
 def find_biclique(req: BicliqueRequest, node_budget: int | None = DEFAULT_NODE_BUDGET):
     """A complete bipartite K_{p,p} with sides inside side_a / side_b, or
     None.
 
-    Small B-sides are enumerated outright, so None is then a proof of
-    absence. Larger instances run a pruned DFS over B in degree order and
-    None may also mean the node budget ran out.
+    One pruned DFS over the p-subsets of B in lexicographic order, B sorted
+    by neighbours in A, then degree, then id; the first hit wins. When B
+    has at most _TINY_ENUM p-subsets the DFS ignores node_budget, so None
+    is then a proof of absence; past that, None may also mean the node
+    budget ran out.
     """
     G = req.host
     p = req.p
     amask = mask_from(req.side_a)
     key = _order_key(G)
     b_list = sorted(req.side_b, key=lambda b: (-(G.adj[b] & amask).bit_count(), key(b)))
-
-    def finish(inter_mask: int, chosen: list[int]):
-        a_side = sorted(bits_list(inter_mask), key=key)[:p]
-        b_side = sorted(chosen)
-        _check_biclique(G, a_side, b_side)
-        return tuple(sorted(a_side)), tuple(b_side)
-
-    if comb(len(b_list), p) <= _TINY_ENUM:
-        for chosen in combinations(b_list, p):
-            inter = amask
-            for b in chosen:
-                inter &= G.adj[b]
-                if inter.bit_count() < p:
-                    break
-            else:
-                return finish(inter, list(chosen))
-        return None  # proven: every p-subset of B was inspected
-
+    budget = None if comb(len(b_list), p) <= _TINY_ENUM else node_budget
     nodes = 0
 
     def dfs(start: int, chosen: list[int], inter: int):
         nonlocal nodes
         if len(chosen) == p:
-            return finish(inter, chosen)
+            a_side = sorted(sorted(bits_list(inter), key=key)[:p])
+            b_side = sorted(chosen)
+            _check_biclique(G, a_side, b_side)
+            return tuple(a_side), tuple(b_side)
         for idx in range(start, len(b_list)):
-            if node_budget is not None and nodes >= node_budget:
+            if budget is not None and nodes >= budget:
                 return None
             b = b_list[idx]
             nodes += 1
@@ -132,7 +121,8 @@ _BATCH = 24
 
 
 def find_blowup(host: Graph, F: Graph, t: int, frame: SetFamily | None = None, *,
-                avoid: int = 0, restart_budget: int = 50, seed: int = 0) -> Blowup | None:
+                avoid: int = 0, restart_budget: int = DEFAULT_RESTART_BUDGET,
+                seed: int = 0) -> Blowup | None:
     """Search for a blow-up of F with every cluster of size exactly t.
 
     Clusters are grown simultaneously, one vertex per pattern position per
@@ -221,7 +211,8 @@ class BlowupSearch:
             self.scoring.append(score)
             self.update.append(upd)
 
-    def find(self, *, avoid: int = 0, restart_budget: int = 50, seed: int = 0) -> Blowup | None:
+    def find(self, *, avoid: int = 0, restart_budget: int = DEFAULT_RESTART_BUDGET,
+             seed: int = 0) -> Blowup | None:
         """The blow-up find_blowup(host, F, t, frame, avoid=avoid,
         restart_budget=restart_budget, seed=seed) returns."""
         start = mask_words([(m & ~avoid) >> (64 * a) for m, a in zip(self.parts, self.lo)],
@@ -349,8 +340,13 @@ def connect_clusters(G: Graph, U: Iterable[int], V: Iterable[int], W: Iterable[i
     Only vertices with at least eps m / 8 neighbours on a side can serve in
     W', so the search runs over that filtered pool; since membership in a
     valid W' forces m_prime >= eps m / 8 such neighbours anyway, the filter
-    loses nothing whenever m_prime clears the threshold. Pool sizes land in
-    the telemetry dict when one is supplied.
+    loses nothing whenever m_prime clears the threshold. The search is one
+    pruned DFS over the m_prime-subsets of the pool in lexicographic order,
+    the pool sorted by the smaller of its two side counts, largest first,
+    then by degree, then by id, and the first hit wins. When the pool has
+    at most _TINY_ENUM such subsets the DFS ignores node_budget, so None is
+    then a proof of absence; past that, None may also mean the node budget
+    ran out. Pool sizes land in the telemetry dict when one is supplied.
     """
     import numpy as np
 
@@ -392,35 +388,20 @@ def connect_clusters(G: Graph, U: Iterable[int], V: Iterable[int], W: Iterable[i
         telemetry["w_v"] = int(on_v.sum())
         telemetry["w_star"] = len(order)
     key = _order_key(G)
-
-    def finish(wset: Sequence[int], inter_u: int, inter_v: int):
-        u_side = sorted(sorted(bits_list(inter_u), key=key)[:m_prime])
-        v_side = sorted(sorted(bits_list(inter_v), key=key)[:m_prime])
-        w_side = tuple(sorted(wset))
-        assert is_complete_bipartite(G, u_side, w_side).status == PASS
-        assert is_complete_bipartite(G, v_side, w_side).status == PASS
-        return tuple(u_side), tuple(v_side), w_side
-
-    if comb(len(order), m_prime) <= _TINY_ENUM:
-        for chosen in combinations(order, m_prime):
-            iu, iv = umask, vmask
-            for w in chosen:
-                iu &= G.adj[w]
-                iv &= G.adj[w]
-                if iu.bit_count() < m_prime or iv.bit_count() < m_prime:
-                    break
-            else:
-                return finish(chosen, iu, iv)
-        return None  # the filtered pool is exhaustive for valid W' members
-
+    budget = None if comb(len(order), m_prime) <= _TINY_ENUM else node_budget
     nodes = 0
 
     def dfs(start: int, chosen: list[int], iu: int, iv: int):
         nonlocal nodes
         if len(chosen) == m_prime:
-            return finish(chosen, iu, iv)
+            u_side = sorted(sorted(bits_list(iu), key=key)[:m_prime])
+            v_side = sorted(sorted(bits_list(iv), key=key)[:m_prime])
+            w_side = sorted(chosen)
+            _check_biclique(G, u_side, w_side)
+            _check_biclique(G, v_side, w_side)
+            return tuple(u_side), tuple(v_side), tuple(w_side)
         for idx in range(start, len(order)):
-            if node_budget is not None and nodes >= node_budget:
+            if budget is not None and nodes >= budget:
                 return None
             nodes += 1
             w = order[idx]
@@ -433,26 +414,4 @@ def connect_clusters(G: Graph, U: Iterable[int], V: Iterable[int], W: Iterable[i
                 return res
         return None
 
-    found = dfs(0, [], umask, vmask)
-    if found is not None:
-        return found
-
-    # biclique fallback: pick W' against U first, then check the V side
-    req_pool = list(order)
-    for _ in range(20):
-        if len(req_pool) < m_prime:
-            return None
-        got = find_biclique(BicliqueRequest.of(G, set(u_list), set(req_pool), m_prime),
-                            node_budget)
-        if got is None:
-            return None
-        u_side, w_side = got
-        iv = vmask
-        for w in w_side:
-            iv &= G.adj[w]
-        if iv.bit_count() >= m_prime:
-            v_side = sorted(sorted(bits_list(iv), key=key)[:m_prime])
-            assert is_complete_bipartite(G, v_side, w_side).status == PASS
-            return tuple(u_side), tuple(v_side), tuple(w_side)
-        req_pool.remove(w_side[0])
-    return None
+    return dfs(0, [], umask, vmask)

@@ -331,7 +331,9 @@ def hypergraph_perfect_matching(P: Hypergraph, *, eps: float = 0.1, seed: int = 
         if got is not None:
             edges = tuple(sorted(tuple(sorted(e)) for e in got))
             flat = [v for e in edges for v in e]
-            assert len(set(flat)) == n and all(e in P.edge_set for e in edges)
+            # an explicit raise, so that the check also runs under python -O
+            if len(set(flat)) != n or not all(e in P.edge_set for e in edges):
+                raise AssertionError("matching failed its self check")
             return Matching(edges)
     return None
 

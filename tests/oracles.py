@@ -13,9 +13,8 @@ called random() once per pair with the degree repair that rescanned every
 degree per added edge. The package now scores on a packed numpy view, folds
 in incrementally, draws its coins in blocks and repairs from a heap, and the
 copies pin that every choice, tie-break, telemetry value and edge is
-unchanged. They share the helpers the rewrites did not touch: the biclique
-fallback, the almost cover, the split arithmetic, the seeding streams and
-the core verifiers.
+unchanged. They share the helpers the rewrites did not touch: the almost
+cover, the split arithmetic, the seeding streams and the core verifiers.
 """
 
 from __future__ import annotations
@@ -311,7 +310,6 @@ def scalar_connect_clusters(G: Graph, U, V, W, m_prime: int, *, eps: float = 0.2
                             node_budget=10 ** 6, telemetry=None):
     """connect_clusters as it counted side neighbours one W vertex at a time."""
     from cyclecover.bitset import bits_list, mask_from
-    from cyclecover.blowup_search import BicliqueRequest, find_biclique
     from cyclecover.core import PASS, is_complete_bipartite
 
     u_list = sorted(U)
@@ -383,28 +381,7 @@ def scalar_connect_clusters(G: Graph, U, V, W, m_prime: int, *, eps: float = 0.2
                 return res
         return None
 
-    found = dfs(0, [], umask, vmask)
-    if found is not None:
-        return found
-
-    req_pool = list(order)
-    for _ in range(20):
-        if len(req_pool) < m_prime:
-            return None
-        got = find_biclique(BicliqueRequest.of(G, set(u_list), set(req_pool), m_prime),
-                            node_budget)
-        if got is None:
-            return None
-        u_side, w_side = got
-        iv = vmask
-        for w in w_side:
-            iv &= G.adj[w]
-        if iv.bit_count() >= m_prime:
-            v_side = sorted(sorted(bits_list(iv), key=key)[:m_prime])
-            assert is_complete_bipartite(G, v_side, w_side).status == PASS
-            return tuple(u_side), tuple(v_side), tuple(w_side)
-        req_pool.remove(w_side[0])
-    return None
+    return dfs(0, [], umask, vmask)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,14 @@
 """Search module tests: bicliques, blow-ups, connections. Exhaustive oracles pin completeness on small instances."""
 
+import os
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
+
 import pytest
+
+import cyclecover.blowup_search as bs
 
 from cyclecover.core import (
     BALANCE_EXACT,
@@ -166,3 +174,64 @@ class TestConnectClusters:
     def test_vertex_outside_host_rejected(self, U, V, W):
         with pytest.raises(ValueError, match="outside the host"):
             connect_clusters(Graph.complete(8), U, V, W, 1)
+
+
+# ---------------------------------------------------------------------------
+# the enumeration limit and the self-checks
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["at-limit", "past-limit"])
+def test_enumeration_limit_decides_whether_the_budget_applies(monkeypatch, past):
+    # every K_{2,2} and every triple with m_prime = 2 takes at least two DFS
+    # nodes, so a budget of one node that applied would always give up
+    found = 0
+    for seed in range(6):
+        G = random_graph(14, 0.6, seed + 40)
+        A, B = set(range(7)), set(range(7, 14))
+        monkeypatch.setattr(bs, "_TINY_ENUM", comb(len(B), 2) - past)
+        got = find_biclique(BicliqueRequest.of(G, A, B, 2), node_budget=1)
+        assert got is None if past else (got is not None) == brute_biclique_exists(G, A, B, 2)
+
+        U, V, W = set(range(4)), set(range(4, 8)), set(range(8, 14))
+        tel = {}
+        connect_clusters(G, U, V, W, 2, telemetry=tel)
+        monkeypatch.setattr(bs, "_TINY_ENUM", comb(tel["w_star"], 2) - past)
+        got_c = connect_clusters(G, U, V, W, 2, node_budget=1)
+        assert got_c is None if past else (got_c is not None) == brute_connect_exists(G, U, V, W, 2)
+        found += (got is not None) + (got_c is not None)
+    assert found == 0 if past else found >= 4  # the instances are not vacuous
+
+
+OPTIMIZED_CHECKS = """
+import sys
+import cyclecover.blowup_search as bs
+import cyclecover.tiling as tiling
+from cyclecover.core import FAIL, Graph, Hypergraph, Verdict
+
+assert sys.flags.optimize  # a bare assert is stripped from here on
+bs.is_complete_bipartite = lambda G, A, B: Verdict(FAIL, "forced", None)
+G = Graph.complete(12)
+calls = {
+    "connect": lambda: bs.connect_clusters(G, {0, 1}, {2, 3}, {4, 5, 6}, 1),
+    "biclique": lambda: bs.find_biclique(bs.BicliqueRequest.of(G, {0, 1}, {2, 3}, 1)),
+    "matching": lambda: tiling.hypergraph_perfect_matching(
+        Hypergraph(2, frozenset(range(4)), frozenset({(0, 1), (2, 3)}))),
+}
+tiling._match_one_partition = lambda *a: [(0, 1), (0, 1)]
+for name, call in calls.items():
+    try:
+        call()
+    except AssertionError:
+        print(name, "raised")
+    else:
+        print(name, "returned")
+"""
+
+
+def test_self_checks_survive_python_O():
+    # the searches promise that every returned result is re-checked; under
+    # python -O that must still hold, so a failed check raises explicitly
+    env = dict(os.environ, PYTHONPATH=str(Path(bs.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS], env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out.split("\n")[:3] == ["connect raised", "biclique raised", "matching raised"]

@@ -41,6 +41,7 @@ from cyclecover.cover import (
     verify_cover,
 )
 from cyclecover.generators import DIRAC_EXTREMAL, GNP_REPAIRED, GeneratorSpec, generate
+from cyclecover.seeding import mix, spawner
 
 from oracles import brute_hamilton_cycle
 
@@ -313,6 +314,32 @@ def test_partition_guard_density_is_pinned(spec, density):
     assert res.diagnostics[0] == ("partition", {"block": spec.n // DESK.s,
                                                 "density": density, "floor": 0.125})
     assert (res.blowups == ()) == (density < 0.125)
+
+
+def test_pattern_is_the_guards_most_frequent_shape():
+    # at s = 6 a vertex needs 4 of its 5 partners, so K6 and K6 less a
+    # matching all inherit; the pattern is the most frequent of the shapes
+    # the guard itself drew, ties to the smallest edge list
+    params = CoverParams(eps=0.25, s=6, c1=1.2, c2=1.2, c3=0.6, eta=0.1)
+    G = generate(GeneratorSpec(GNP_REPAIRED, n=300, p=0.97, delta_target=225, seed=0))
+    block = G.n // params.s
+    rng_of = spawner(mix(mix(params.seed, "cover", "tiling"), "reduced-edge", *range(params.s)),
+                     "tuple-density")
+    counts = {}
+    for trial in range(192):
+        rng = rng_of(trial)
+        pick = [i * block + rng.randrange(block) for i in range(params.s)]
+        pairs = [(a, b) for a, b in combinations(range(params.s), 2)
+                 if G.has_edge(pick[a], pick[b])]
+        if all(sum(v in pair for pair in pairs) >= 4 for v in range(params.s)):
+            counts[tuple(pairs)] = counts.get(tuple(pairs), 0) + 1
+    assert len(counts) > 1
+    top = max(counts.values())
+    want = Graph.from_edges(params.s, min(k for k, c in counts.items() if c == top))
+    res = almost_blowup_cover(G, params)
+    assert res.diagnostics[0][1]["density"] == sum(counts.values()) / 192
+    assert res.blowups
+    assert all(b.reduced == want for b in res.blowups)
 
 
 def test_cover_params_refuse_eps_outside_unit_interval():

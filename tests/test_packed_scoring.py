@@ -5,9 +5,8 @@ Graph.packed. Each must return what the scalar versions kept in
 tests/oracles.py return, with the same telemetry, on every path: frames,
 avoid masks, jittered restarts in batches, jitter ties, isolated pattern
 vertices, one prepared search reused over a sequence of extractions,
-t = 1, an empty or repeating W, the exhaustive enumeration, the
-DFS and the biclique fallback, and hosts whose order sits on either side of
-a 64-bit word boundary.
+t = 1, an empty or repeating W, the DFS with and without its node budget,
+and hosts whose order sits on either side of a 64-bit word boundary.
 """
 
 import math
@@ -237,20 +236,23 @@ def test_connect_clusters_matches_scalar(n):
     assert found >= 20
 
 
-@pytest.mark.parametrize("p,seed,m_prime,budget,fallback,answered", [
-    (0.75, 0, 4, 10 ** 6, False, True),  # the DFS answers
-    (0.75, 1, 4, 3, True, False),        # the DFS gives up, the fallback finds nothing
-    (0.4, 4, 3, 5, True, True),          # the DFS gives up, the fallback answers
+@pytest.mark.parametrize("p,seed,m_prime,budget,answered", [
+    pytest.param(0.75, 0, 4, 10 ** 6, True, id="dfs-answers"),
+    pytest.param(0.75, 1, 4, 3, False, id="dfs-gives-up-at-3"),
+    pytest.param(0.4, 4, 3, 5, False, id="dfs-gives-up-at-5"),
 ])
-def test_connect_clusters_matches_scalar_on_dfs_and_fallback(monkeypatch, p, seed, m_prime,
-                                                             budget, fallback, answered):
-    # C(110, m_prime) is past the enumeration limit, so the DFS runs first
+def test_connect_clusters_matches_scalar_on_dfs_budget(monkeypatch, p, seed, m_prime, budget,
+                                                       answered):
+    # C(110, m_prime) is past the enumeration limit, so the node budget
+    # applies; a DFS that gives up returns None and nothing else is tried
     import cyclecover.blowup_search as bs
 
-    calls = []
-    real = bs.find_biclique
-    monkeypatch.setattr(bs, "find_biclique", lambda *a: calls.append(a) or real(*a))
+    def no_fallback(*a, **kw):
+        raise AssertionError("connect_clusters called find_biclique")
+
+    monkeypatch.setattr(bs, "find_biclique", no_fallback)
     G = random_graph(130, p, 300 + seed)
-    got = connect_both(G, range(10), range(10, 20), range(20, 130), m_prime, node_budget=budget)
-    assert (got is not None) == answered
-    assert bool(calls) == fallback
+    args = (G, range(10), range(10, 20), range(20, 130), m_prime)
+    assert (connect_both(*args, node_budget=budget) is not None) == answered
+    # every instance has a triple, which an unbounded DFS finds
+    assert connect_both(*args, node_budget=None) is not None
