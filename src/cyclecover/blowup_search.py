@@ -340,52 +340,69 @@ def connect_clusters(G: Graph, U: Iterable[int], V: Iterable[int], W: Iterable[i
     Only vertices with at least eps m / 8 neighbours on a side can serve in
     W', so the search runs over that filtered pool; since membership in a
     valid W' forces m_prime >= eps m / 8 such neighbours anyway, the filter
-    loses nothing whenever m_prime clears the threshold. The search is one
-    pruned DFS over the m_prime-subsets of the pool in lexicographic order,
-    the pool sorted by the smaller of its two side counts, largest first,
-    then by degree, then by id, and the first hit wins. When the pool has
-    at most _TINY_ENUM such subsets the DFS ignores node_budget, so None is
-    then a proof of absence; past that, None may also mean the node budget
-    ran out. Pool sizes land in the telemetry dict when one is supplied.
+    loses nothing whenever m_prime clears the threshold. The side counts
+    come from the m side rows, not from W's rows: |N(w) & U| is the number
+    of u in U adjacent to w, so the unpacked rows of U, summed, count it for
+    every vertex at once, and likewise for V; W only selects from those
+    counts, through a membership vector, so a call costs O(m n + |W|)
+    whatever the size of W. The search is one pruned DFS over the
+    m_prime-subsets of the pool in lexicographic order, the pool sorted by
+    the smaller of its two side counts, largest first, then by degree, then
+    by id, and the first hit wins. When the pool has at most _TINY_ENUM
+    such subsets the DFS ignores node_budget, so None is then a proof of
+    absence; past that, None may also mean the node budget ran out.
+
+    Pool sizes land in the telemetry dict when one is supplied. W may
+    repeat an id: the pool holds it once, but n_prime, w_u and w_v count W
+    as given, repeats included, while w_star counts distinct vertices.
     """
     import numpy as np
 
     u_list = sorted(U)
     v_list = sorted(V)
-    w_list = sorted(W)
+    n = G.n
+    try:
+        w_idx = np.fromiter(W, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("vertex outside the host") from None
     if len(u_list) != len(v_list):
         raise ValueError("unbalanced connection request")
     m = len(u_list)
     if m_prime < 1 or m_prime > m:
         raise ValueError("m_prime must lie in 1..|U|")
+    # before any shift or index: a negative id would wrap to n - 1
+    if (min(u_list[0], v_list[0]) < 0 or max(u_list[-1], v_list[-1]) >= n
+            or len(w_idx) and not 0 <= w_idx.min() <= w_idx.max() < n):
+        raise ValueError("vertex outside the host")
     umask = mask_from(u_list)
     vmask = mask_from(v_list)
     if umask & vmask:
         raise ValueError("U and V overlap")
-    wmask = mask_from(w_list)
-    if wmask & (umask | vmask):
+    in_w = np.zeros(n, dtype=bool)
+    in_w[w_idx] = True
+    if in_w[u_list + v_list].any():
         raise ValueError("W overlaps an endpoint side")
-    if (umask | vmask | wmask) >> G.n:
-        raise ValueError("vertex outside the host")
     thresh = eps * m / 8.0
-    # neighbours of every W vertex on each side, counted on the packed view
+    # neighbours of every vertex on each side: the sum of the side's rows,
+    # one row per vertex of the side (U and V may repeat an id too)
     rows, deg = G.packed()
-    W_idx = np.array(w_list, dtype=np.int64)
-    sides = mask_words([umask, vmask], rows.shape[1])
-    cu, cv = np.bitwise_count(rows[W_idx][:, None, :] & sides).sum(axis=2, dtype=np.int64).T
+    k = umask.bit_count()
+    bits = np.unpackbits(rows[bits_list(umask) + bits_list(vmask)].view(np.uint8), axis=1,
+                         bitorder="little", count=n)
+    cu = bits[:k].sum(axis=0, dtype=np.int64)
+    cv = bits[k:].sum(axis=0, dtype=np.int64)
     on_u = cu >= thresh
     on_v = cv >= thresh
-    both = on_u & on_v
-    # the vertices that clear both sides, once each (W may repeat one), in
-    # (-min(cu, cv), -deg, id) order: with score = min(cu, cv) (n + 1) + deg
-    # and 0 <= id < n, the int key id - score n sorts in that order
-    n = G.n
-    score = np.minimum(cu, cv)[both] * (n + 1) + deg[W_idx[both]]
-    order = [k % n for k in sorted(set((W_idx[both] - score * n).tolist()))]
+    # the vertices of W that clear both sides, once each, ascending; a
+    # stable sort on -(min(cu, cv) (n + 1) + deg) then gives the
+    # (-min(cu, cv), -deg, id) order, as deg < n + 1
+    pool = np.flatnonzero(in_w & on_u & on_v)
+    score = np.minimum(cu[pool], cv[pool]) * (n + 1) + deg[pool]
+    order = pool[np.argsort(-score, kind="stable")].tolist()
     if telemetry is not None:
-        telemetry["n_prime"] = len(u_list) + len(v_list) + len(w_list)
-        telemetry["w_u"] = int(on_u.sum())
-        telemetry["w_v"] = int(on_v.sum())
+        telemetry["n_prime"] = len(u_list) + len(v_list) + len(w_idx)
+        telemetry["w_u"] = int(np.count_nonzero(on_u[w_idx]))
+        telemetry["w_v"] = int(np.count_nonzero(on_v[w_idx]))
         telemetry["w_star"] = len(order)
     key = _order_key(G)
     budget = None if comb(len(order), m_prime) <= _TINY_ENUM else node_budget

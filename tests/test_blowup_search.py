@@ -169,8 +169,14 @@ class TestConnectClusters:
         with pytest.raises(ValueError, match="endpoint side"):
             connect_clusters(G, {0, 1}, {2, 3}, {3, 4, 5}, 1)
 
+    # a negative id is refused by name, not by a failed shift, and never
+    # wraps round to vertex n - 1 as an array index would; a huge one is
+    # refused before it becomes a mask or an int64
     @pytest.mark.parametrize("U,V,W", [({0, 8}, {2, 3}, {4, 5}), ({0, 1}, {2, 300}, {4, 5}),
-                                       ({0, 1}, {2, 3}, {4, 8})])
+                                       ({0, 1}, {2, 3}, {4, 8}), ({-1, 1}, {2, 3}, {4, 5}),
+                                       ({0, 1}, {-8, 3}, {4, 5}), ({0, 1}, {2, 3}, {-1, 5}),
+                                       ({0, 2 ** 64}, {2, 3}, {4, 5}),
+                                       ({0, 1}, {2, 3}, {4, 2 ** 64})])
     def test_vertex_outside_host_rejected(self, U, V, W):
         with pytest.raises(ValueError, match="outside the host"):
             connect_clusters(Graph.complete(8), U, V, W, 1)

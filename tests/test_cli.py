@@ -262,6 +262,14 @@ def test_connect_bad_sides_exit_two(tmp_path, capsys, side_a, side_b, reason):
     assert err.startswith("refused: ") and reason in err
 
 
+def test_connect_refuses_a_negative_pool_id(tmp_path, capsys):
+    g = write_graph(tmp_path / "g.txt", Graph.complete(12))
+    assert main(["connect", g, "--side-a", "0,1", "--side-b", "2,3", "--pool=-1,5",
+                 "--m-prime", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and "outside the host" in err
+
+
 def test_biclique_found_and_absent(tmp_path, capsys):
     g = write_graph(tmp_path / "g.txt",
                     Graph.complete_multipartite([5, 5]))

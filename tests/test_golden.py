@@ -50,6 +50,11 @@ GOLDEN = [
     # packed view
     (1000, 0.97, 750, 0,
      "4224caaf8f7a3b0a1a4cc9f8892e0aca2380cb50e4cbd2b55cac51796ed18d1a", GNP_REPAIRED),
+    # the one desk size with connector sides of two (m_conn = 2), where the
+    # connect DFS runs past the enumeration limit under its node budget;
+    # pinned before connect_clusters counted its sides from the side rows
+    (3000, 0.97, 2250, 0,
+     "d3a8d24265ceb925aa3a73277d0e7a7b3a5483c58893834c3046969c7a00afa2", GNP_REPAIRED),
 ]
 
 

@@ -5,8 +5,9 @@ Graph.packed. Each must return what the scalar versions kept in
 tests/oracles.py return, with the same telemetry, on every path: frames,
 avoid masks, jittered restarts in batches, jitter ties, isolated pattern
 vertices, one prepared search reused over a sequence of extractions,
-t = 1, an empty or repeating W, the DFS with and without its node budget,
-and hosts whose order sits on either side of a 64-bit word boundary.
+t = 1, an empty or repeating W given as any iterable, the DFS with and
+without its node budget, and hosts whose order sits on either side of a
+64-bit word boundary.
 """
 
 import math
@@ -15,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from cyclecover.bitset import mask_from
+from cyclecover.bitset import mask_from, mask_indices
 from cyclecover.blowup_search import BlowupSearch, connect_clusters, find_blowup
 from cyclecover.core import BALANCE_WITHIN, Graph, SetFamily
 from cyclecover.seeding import spawn
@@ -233,7 +234,36 @@ def test_connect_clusters_matches_scalar(n):
             for m_prime in sorted({1, 2, min(3, m)}):
                 for eps in (0.25, 1.0):
                     found += connect_both(G, U, V, W, m_prime, eps=eps) is not None
+        # so may the sides: the search counts each side vertex once
+        found += connect_both(G, U[:1] * m, V[:1] + V[:-1], rest, 1) is not None
     assert found >= 20
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_connect_clusters_reads_every_input_form(n):
+    # W as a list, a set, a generator or the int64 array of mask_indices,
+    # with and without repeated ids: every form gives the oracle's answer
+    # for the same ids as a list, telemetry included, so w_u and w_v count
+    # W's repeats (a set has none to count)
+    G = random_graph(n, 0.6, 8100 + n)
+    U, V = [0, 1, 2], [3, 4, 5]
+    ids = mask_indices(mask_from(range(6, n, 2)), n)
+    found = 0
+    for W in (ids, np.concatenate((ids, ids[::3]))):
+        as_list = W.tolist()
+        for m_prime in (1, 2, 3):
+            forms = (as_list, set(as_list), (v for v in as_list), W)
+            want_tel = {}
+            want = scalar_connect_clusters(G, U, V, as_list, m_prime, telemetry=want_tel)
+            set_tel = {}
+            scalar_connect_clusters(G, U, V, set(as_list), m_prime, telemetry=set_tel)
+            for form, tel in zip(forms, (want_tel, set_tel, want_tel, want_tel)):
+                got_tel = {}
+                assert connect_clusters(G, U, V, form, m_prime, telemetry=got_tel) == want
+                assert got_tel == tel
+            found += want is not None
+    assert found >= 2
+    assert want_tel["w_u"] > set_tel["w_u"]  # the repeats were counted
 
 
 @pytest.mark.parametrize("p,seed,m_prime,budget,answered", [
