@@ -6,10 +6,14 @@ which is what every search loop in this package leans on. Scoring many
 candidates at once (the picks of find_blowup, the side counts of
 connect_clusters) runs on the packed uint64 view of Graph.packed instead.
 connect_clusters reads only the rows of its two sides there, and the
-cover converts each connector pool to an index list here once per call;
+cover converts each connector pool, and each pickup's candidates, to an
+index list here once per call;
 find_blowup has masks converted to the word layout and to index arrays
 here once when a BlowupSearch is prepared and once per search for its
-avoid mask, never per pick. Writing a graph file unpacks blocks of rows
+avoid mask, never per pick. The cover's fold-in unpacks the leftover's
+rows of that view once per call and packs them, transposed, back into
+one Python int per vertex over the leftover columns (rows_from_matrix),
+on which it then works. Writing a graph file unpacks blocks of rows
 from that word layout; reading one, and generating a random host, fill a
 numpy bool matrix that rows_from_matrix turns into bitmask rows.
 """
@@ -67,7 +71,7 @@ def mask_indices(mask: int, n: int):
 
 
 def rows_from_matrix(A) -> list[int]:
-    """Bitmask rows of a square bool matrix: bit j of row i is A[i, j]."""
+    """Bitmask rows of a 2-D bool matrix: bit j of row i is A[i, j]."""
     import numpy as np
 
     packed = np.packbits(A, axis=1, bitorder="little")

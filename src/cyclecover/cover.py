@@ -18,7 +18,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .bitset import iter_bits, mask_from, mask_indices, mask_words
+from .bitset import iter_bits, mask_from, mask_indices, rows_from_matrix
 from .core import (
     BALANCE_QUASI,
     BALANCE_WITHIN,
@@ -540,44 +540,33 @@ def _quasi_declaration(lo: int, hi: int) -> tuple[int, float]:
 # ---------------------------------------------------------------------------
 # simple cover
 
-# rank of a (family, leftover vertex) pair when no cluster of the family can
-# take the vertex
+# key of a cluster that cannot grow by one and keep a split plan
 _NO_JOIN = (1 << 63) - 1
-# elements in the largest temporary array one rank rebuild allocates; the
-# rebuild works through the stale entries in chunks that stay under it
-_CHUNK = 1 << 14
-
-
-def _runs(ids: Sequence[int], step: int):
-    """(position, slice) pairs covering the sorted ids in order, each slice a
-    run of consecutive ids at most max(1, step) long."""
-    at = 0
-    while at < len(ids):
-        end = at + 1
-        while end < len(ids) and end - at < step and ids[end] == ids[end - 1] + 1:
-            end += 1
-        yield at, slice(ids[at], ids[end - 1] + 1)
-        at = end
+# bytes of unpacked adjacency bits one block of _Fold's column bitsets holds
+_UNPACK_BYTES = 1 << 22
 
 
 class _Fold:
     """The covered families and the leftover of one simple_blowup_cover call.
 
-    Every cluster keeps a bitmask that each change updates, and split plans
-    are memoised by size tuple; the insert sweep's join ranks and the
-    pickup's removal ledger both read them. Both live as long as the
+    Split plans are memoised by size tuple for the insert sweep's join
+    keys and the pickup's live sizes. The memo lives as long as the
     fold-in, not the process: a module-level plan cache raised peak memory.
-    The rest is indexed by column j, the position of a vertex in the
-    starting leftover, which only ever shrinks:
-    - complete[fi, ci, j] says the vertex is adjacent to all of cluster ci
-      of family fi;
-    - rank[fi, j] is the least key (cluster size, fi, ci), packed into one
-      int, over the clusters ci of family fi that can take one more vertex
-      and keep a split plan, and whose reduced neighbours the vertex is
-      complete to; _NO_JOIN when no cluster qualifies or the vertex is no
-      longer leftover.
-    A change to a cluster marks it and its family stale, and only stale
-    entries are rebuilt.
+    Column j is the position of a vertex in the starting leftover, and a
+    column stays alive while its vertex is leftover. Over the columns, as
+    Python int bitsets:
+    - colnbr[u] has bit j when vertex u is adjacent to column j's vertex;
+    - comp[fi][ci] is the AND of colnbr over cluster ci of family fi, so
+      bit j says column j's vertex is adjacent to all of the cluster;
+    - okm[fi][ci] is the AND of comp over ci's reduced neighbours when
+      ci can take one more vertex and keep a split plan, and 0 otherwise;
+      union[fi] is the OR of okm[fi].
+    keys[fi][ci] packs (cluster size, fi, ci) into one int, or is _NO_JOIN
+    when ci cannot grow. An insert ANDs one colnbr into its cluster, a
+    pickup recomputes the clusters it took from, and each rebuilds only
+    its family's keys and masks. The pickup also reads owner (the cluster
+    of each covered vertex), covered (the union of the clusters) and left
+    (the leftover), all kept current.
     """
 
     def __init__(self, G: Graph, fams: list[list[list[int]]], reds: Sequence[Graph],
@@ -585,23 +574,41 @@ class _Fold:
         import numpy as np
 
         self.fams = fams
-        self.masks = [[mask_from(c) for c in fam] for fam in fams]
         self.leftover = leftover
         self.lo, self.hi = lo, hi
         self.memo: dict[tuple[int, ...], Any] = {}
         self.k = len(fams[0]) if fams else 0
-        # apart[fi, ci, cj]: clusters ci and cj of family fi are not reduced
-        # neighbours, so a vertex joining ci need not be complete to cj
-        self.apart = ~np.array([[[R.has_edge(a, b) for b in range(self.k)]
-                                 for a in range(self.k)] for R in reds], dtype=bool)
+        # near[fi][ci]: the clusters of family fi that are reduced neighbours
+        # of ci, which a vertex joining ci must be complete to
+        self.near = [[[cj for cj in range(self.k) if R.has_edge(ci, cj)]
+                      for ci in range(self.k)] for R in reds]
         self.cols = list(leftover)
         self.col_of = {v: j for j, v in enumerate(leftover)}
-        self.alive = np.ones(len(leftover), dtype=bool)
-        self.rows = G.packed()[0][leftover]  # adjacency rows of the columns
-        self.complete = np.empty((len(fams), self.k, len(leftover)), dtype=bool)
-        self.rank = np.empty((len(fams), len(leftover)), dtype=np.int64)
-        self.stale_clusters = {(fi, ci) for fi in range(len(fams)) for ci in range(self.k)}
-        self.stale = set(range(len(fams)))
+        self.full = (1 << len(leftover)) - 1
+        self.alive = self.full
+        self.left = mask_from(leftover)
+        self.owner: list[tuple[int, int] | None] = [None] * G.n
+        for fi, fam in enumerate(fams):
+            for ci, cl in enumerate(fam):
+                for v in cl:
+                    self.owner[v] = (fi, ci)
+        self.covered = mask_from(v for v, own in enumerate(self.owner) if own is not None)
+        # the adjacency is symmetric, so column j's row read at bit u says
+        # whether u is adjacent to column j; rows are cut into blocks of
+        # vertex words to bound the unpacked bits
+        rows = G.packed()[0][leftover]
+        step = max(1, _UNPACK_BYTES // (64 * max(1, len(leftover))))
+        self.colnbr: list[int] = []
+        for w in range(0, rows.shape[1], step):
+            bits = np.unpackbits(rows[:, w:w + step].view(np.uint8), axis=1, bitorder="little")
+            self.colnbr += rows_from_matrix(bits.T)
+        del self.colnbr[G.n:]
+        self.comp = [[self._complete(c) for c in fam] for fam in fams]
+        self.keys: list[list[int]] = [[]] * len(fams)
+        self.okm: list[list[int]] = [[]] * len(fams)
+        self.union = [0] * len(fams)
+        for fi in range(len(fams)):
+            self._rebuild(fi)
 
     def plan(self, sizes: Sequence[int]):
         key = tuple(sizes)
@@ -612,72 +619,66 @@ class _Fold:
     def sizes(self, fi: int) -> list[int]:
         return [len(c) for c in self.fams[fi]]
 
+    def _complete(self, members: Sequence[int]) -> int:
+        """The columns adjacent to every vertex of members."""
+        m = self.full
+        for v in members:
+            m &= self.colnbr[v]
+        return m
+
+    def _rebuild(self, fi: int) -> None:
+        """Recompute family fi's join keys, join masks and their union."""
+        sizes = self.sizes(fi)
+        comp = self.comp[fi]
+        keys: list[int] = []
+        okm: list[int] = []
+        union = 0
+        for ci, near in enumerate(self.near[fi]):
+            sizes[ci] += 1
+            ok = self.plan(sizes) is not None
+            sizes[ci] -= 1
+            if ok:
+                keys.append((sizes[ci] * len(self.fams) + fi) * self.k + ci)
+                m = self.full
+                for cj in near:
+                    m &= comp[cj]
+                union |= m
+            else:
+                keys.append(_NO_JOIN)
+                m = 0
+            okm.append(m)
+        self.keys[fi], self.okm[fi], self.union[fi] = keys, okm, union
+
     def insert(self, fi: int, ci: int, u: int) -> None:
         """Put the leftover vertex u into cluster ci of family fi."""
-        import numpy as np
-
         insort(self.fams[fi][ci], u)
-        self.masks[fi][ci] |= 1 << u
-        # the adjacency is symmetric, so bit u of each column's row says
-        # whether that column stays complete to the grown cluster
-        self.complete[fi, ci] &= (self.rows[:, u >> 6] & np.uint64(1 << (u & 63))) != 0
-        self.stale.add(fi)
+        self.comp[fi][ci] &= self.colnbr[u]
+        self.owner[u] = (fi, ci)
+        self.covered |= 1 << u
+        self._rebuild(fi)
         self.drop([u])
 
     def take_away(self, taken: int) -> None:
         """Remove the vertices of taken from every cluster."""
-        for fi, cms in enumerate(self.masks):
-            for ci, cm in enumerate(cms):
-                if cm & taken:
-                    self.fams[fi][ci] = [v for v in self.fams[fi][ci] if not (taken >> v) & 1]
-                    cms[ci] = cm & ~taken
-                    self.stale_clusters.add((fi, ci))
-                    self.stale.add(fi)
+        hit: dict[int, set[int]] = {}
+        for v in iter_bits(taken & self.covered):
+            fi, ci = self.owner[v]
+            self.owner[v] = None
+            hit.setdefault(fi, set()).add(ci)
+        self.covered &= ~taken
+        for fi, cis in hit.items():
+            for ci in cis:
+                members = [v for v in self.fams[fi][ci] if not (taken >> v) & 1]
+                self.fams[fi][ci] = members
+                self.comp[fi][ci] = self._complete(members)
+            self._rebuild(fi)
 
     def drop(self, vertices: Sequence[int]) -> None:
         """Mark vertices of the leftover as covered."""
         for v in vertices:
             self.leftover.remove(v)
-            j = self.col_of[v]
-            self.alive[j] = False
-            self.rank[:, j] = _NO_JOIN
-
-    def _join_keys(self, fi: int) -> list[int]:
-        """The packed key of each cluster of family fi, or _NO_JOIN for a
-        cluster that cannot grow by one and keep a split plan."""
-        sizes = self.sizes(fi)
-        keys = []
-        for ci in range(self.k):
-            sizes[ci] += 1
-            ok = self.plan(sizes) is not None
-            sizes[ci] -= 1
-            keys.append((sizes[ci] * len(self.fams) + fi) * self.k + ci if ok else _NO_JOIN)
-        return keys
-
-    def _refresh(self) -> None:
-        """Rebuild the stale clusters' completeness and the stale families'
-        ranks over every column, many clusters or families per array pass."""
-        import numpy as np
-
-        if self.stale_clusters:
-            k = self.k
-            stale = sorted(fi * k + ci for fi, ci in self.stale_clusters)
-            self.stale_clusters.clear()
-            M = mask_words([self.masks[c // k][c % k] for c in stale], self.rows.shape[1])
-            M = M[:, None, :]
-            complete = self.complete.reshape(len(self.fams) * k, len(self.cols))
-            for a, ids in _runs(stale, _CHUNK // max(1, self.rows.size)):
-                m = M[a:a + ids.stop - ids.start]
-                complete[ids] = ((self.rows & m) == m).all(axis=2)
-        if self.stale:
-            stale = sorted(self.stale)
-            self.stale.clear()
-            keys = np.array([self._join_keys(fi) for fi in stale], dtype=np.int64)
-            for a, fs in _runs(stale, _CHUNK // max(1, self.complete[0].size * self.k)):
-                ok = (self.complete[fs][:, None, :, :] | self.apart[fs][:, :, :, None]).all(axis=2)
-                ok &= self.alive
-                self.rank[fs] = np.where(ok, keys[a:a + fs.stop - fs.start, :, None],
-                                         _NO_JOIN).min(axis=1)
+            self.alive &= ~(1 << self.col_of[v])
+            self.left &= ~(1 << v)
 
     def insert_sweep(self) -> None:
         """Insert leftover vertices into clusters for free.
@@ -685,31 +686,30 @@ class _Fold:
         A vertex complete to every cluster its target must join costs
         nothing, while a pickup steals (s-1) covered vertices. Each pass
         runs once over the leftover in order and puts every vertex it can
-        into its least (size, fi, ci) cluster, reading the ranks as they
-        stand after the pass's earlier insertions; a vertex blocked in a
-        pass is retried in the next. Passes repeat until one inserts
+        into its least (size, fi, ci) cluster, reading the join masks as
+        they stand after the pass's earlier insertions; a vertex blocked in
+        a pass is retried in the next. Passes repeat until one inserts
         nothing.
         """
-        import numpy as np
-
         if not self.fams:
             return
         F, k = len(self.fams), self.k
         while self.leftover:
-            self._refresh()
-            best = self.rank.min(axis=0)
             at = 0
             progress = False
             while True:
-                hits = np.flatnonzero(best[at:] != _NO_JOIN)
-                if not len(hits):
+                free = 0
+                for u in self.union:
+                    free |= u
+                free &= self.alive >> at << at
+                if not free:
                     break
-                j = at + int(hits[0])
-                key = int(best[j])
-                self.insert(key // k % F, key % k, self.cols[j])
-                self._refresh()
+                j = (free & -free).bit_length() - 1
+                bit = 1 << j
+                best = min(key for fi, u in enumerate(self.union) if u & bit
+                           for key, m in zip(self.keys[fi], self.okm[fi]) if m & bit)
+                self.insert(best // k % F, best % k, self.cols[j])
                 at = j + 1
-                best[at:] = self.rank[:, at:].min(axis=0)
                 progress = True
             if not progress:
                 break
@@ -799,65 +799,62 @@ def _pickup_direct(G: Graph, params: CoverParams, root: int, t: int, fold: _Fold
     budget.
     """
     s = params.s
-    nb = G.adj[root]
-    owner: dict[int, tuple[int, int]] = {}
-    for fi, cms in enumerate(fold.masks):
-        for ci, cm in enumerate(cms):
-            for v in iter_bits(cm & nb):
-                owner[v] = (fi, ci)
-    free = [v for v in fold.leftover if v != root and (nb >> v) & 1]
-    cand = sorted(set(owner) | set(free))
+    cand = mask_indices((fold.covered | fold.left) & G.adj[root], G.n).tolist()
     k = s - 1
-    if len(cand) < k * t:
+    need = k * t
+    if len(cand) < need:
         return []
     clusters: list[list[int]] = [[] for _ in range(k)]
     masks = [0] * k
-    removals: dict[tuple[int, int], int] = {}
-
-    def family_ok(fi: int) -> bool:
-        sizes = fold.sizes(fi)
-        for (f2, c2), cnt in removals.items():
-            if f2 == fi:
-                sizes[c2] -= cnt
-        return min(sizes) >= 0 and fold.plan(sizes) is not None
-
-    budget = [20_000]
+    owner = fold.owner
+    # the removal ledger: each donor family's cluster sizes less what the
+    # search has placed out of them
+    live: dict[int, list[int]] = {}
+    budget = 20_000
 
     def dfs(idx: int, filled: int) -> bool:
-        if filled == k * t:
+        # skipping a candidate moves idx on in this frame, so the depth is
+        # at most one frame per placed vertex
+        nonlocal budget
+        if filled == need:
             return True
-        if idx == len(cand) or len(cand) - idx < k * t - filled:
-            return False
-        budget[0] -= 1
-        if budget[0] <= 0:
-            return False
-        v = cand[idx]
-        adj = G.adj[v]
-        for j in range(k):
-            if len(clusters[j]) == t:
-                continue
-            if any(l != j and (adj & masks[l]) != masks[l] for l in range(k)):
-                continue
-            own = owner.get(v)
-            if own is not None:
-                removals[own] = removals.get(own, 0) + 1
-                ok = family_ok(own[0])
-            else:
-                ok = True
-            if ok:
-                clusters[j].append(v)
-                masks[j] |= 1 << v
-                if dfs(idx + 1, filled + 1):
-                    return True
-                clusters[j].pop()
-                masks[j] &= ~(1 << v)
-            if own is not None:
-                removals[own] -= 1
-                if removals[own] == 0:
-                    del removals[own]
-            if not clusters[j]:
-                break  # empty clusters are interchangeable
-        return dfs(idx + 1, filled)
+        while idx < len(cand) and len(cand) - idx >= need - filled:
+            budget -= 1
+            if budget <= 0:
+                return False
+            v = cand[idx]
+            adj = G.adj[v]
+            # no cluster changes between the tries of v, so the clusters v
+            # is not complete to are found once
+            miss = [l for l in range(k) if (adj & masks[l]) != masks[l]]
+            for j in range(k):
+                if len(clusters[j]) == t:
+                    continue
+                if miss and miss != [j]:
+                    continue
+                own = owner[v]
+                if own is not None:
+                    fi, ci = own
+                    sizes = live.get(fi)
+                    if sizes is None:
+                        sizes = live[fi] = fold.sizes(fi)
+                    sizes[ci] -= 1
+                    ok = fold.plan(sizes) is not None
+                else:
+                    ok = True
+                if ok:
+                    clusters[j].append(v)
+                    masks[j] |= 1 << v
+                    if dfs(idx + 1, filled + 1):
+                        return True
+                    clusters[j].pop()
+                    masks[j] &= ~(1 << v)
+                if own is not None:
+                    sizes[ci] += 1
+                if not clusters[j]:
+                    break  # empty clusters are interchangeable
+            idx += 1
+        return False
 
     if not dfs(0, 0):
         return []
@@ -868,7 +865,7 @@ def _pickup_direct(G: Graph, params: CoverParams, root: int, t: int, fold: _Fold
     out = [[root]] + [sorted(cl) for cl in clusters]
     fam = SetFamily.of(out, BALANCE_QUASI, m=t, eta=1.0 / t + _EPS)
     quasi.append(Blowup(Graph.complete(s), fam))
-    return [root] + [v for v in free if (taken >> v) & 1]
+    return [root] + list(iter_bits(taken & fold.left))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,26 @@
 """The incremental fold-in of simple_blowup_cover.
 
-The cover folds its leftover vertices into the families through join ranks
-on the packed view, per-family state that only the mutated families
-rebuild, and one split-plan memo per call. It must return what the copy in
+The cover folds its leftover vertices into the families through Python int
+bitsets over the leftover columns: each cluster's completeness, and each
+family's join keys and join masks, which only the mutated families rebuild,
+with one split-plan memo per call. It must return what the copy in
 tests/oracles.py returns, which rebuilt everything on every sweep: the same
 blow-ups, leftover, kind and diagnostics, on hosts that end stuck, hosts
-with no families, and hosts whose fold-in runs many pickups.
+with no families, and hosts whose fold-in runs many pickups. The bitsets
+themselves are checked against the adjacency and the split plans they
+stand for, and the pickup search against a tight recursion limit.
 """
+
+import sys
 
 import pytest
 
+from cyclecover import cover
 from cyclecover.core import Graph
-from cyclecover.cover import PRESETS, SIMPLE, almost_blowup_cover, simple_blowup_cover
-from cyclecover.generators import DIRAC_EXTREMAL, GNP_REPAIRED, GeneratorSpec, generate
+from cyclecover.cover import (PRESETS, SIMPLE, _NO_JOIN, _split_plan, almost_blowup_cover,
+                              simple_blowup_cover)
+from cyclecover.generators import (CLIQUE_UNION_PLUS, DIRAC_EXTREMAL, GNP_REPAIRED,
+                                   GeneratorSpec, generate)
 
 from oracles import reference_simple_blowup_cover
 
@@ -63,6 +71,95 @@ def test_complete_host():
     (300, 0.8, 210, 9),  # strands vertices as labelled
     (300, 0.97, 225, 0),
     (600, 0.8, 420, 0), (600, 0.8, 420, 1), (600, 0.8, 420, 90002),
+    (600, 0.8, 420, 10000), (600, 0.8, 420, 10001),  # the bench's seed-1 hosts
 ])
 def test_gnp_hosts(n, p, delta, seed):
     same_cover(gnp(n, p, delta, seed))
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(kind=DIRAC_EXTREMAL, n=300, delta_target=225, seed=1),
+    # 4 families and 204 leftover vertices
+    GeneratorSpec(kind=CLIQUE_UNION_PLUS, n=300, pieces=3, delta_target=225, seed=0),
+], ids=["dirac-extremal-300-seed-1", "clique-union-plus-300"])
+def test_structured_hosts(spec):
+    same_cover(generate(spec))
+
+
+def check_fold(fold, G, reds):
+    """Every bitset of fold recomputed from G.adj, and every join key from a
+    fresh split plan."""
+    F, k = len(fold.fams), fold.k
+    cols = fold.cols
+    comp = [[sum(1 << j for j, v in enumerate(cols) if all((G.adj[v] >> u) & 1 for u in cl))
+             for cl in fam] for fam in fold.fams]
+    covered = 0
+    for fi, fam in enumerate(fold.fams):
+        union = 0
+        for ci, cl in enumerate(fam):
+            assert fold.comp[fi][ci] == comp[fi][ci]
+            assert all(fold.owner[v] == (fi, ci) for v in cl)
+            covered |= sum(1 << v for v in cl)
+            grown = [len(c) for c in fam]
+            grown[ci] += 1
+            if _split_plan(grown, fold.lo, fold.hi) is None:
+                assert fold.keys[fi][ci] == _NO_JOIN
+                assert fold.okm[fi][ci] == 0
+                continue
+            assert fold.keys[fi][ci] == (len(cl) * F + fi) * k + ci
+            okm = fold.full
+            for cj in range(k):
+                if reds[fi].has_edge(ci, cj):
+                    okm &= comp[fi][cj]
+            assert fold.okm[fi][ci] == okm
+            union |= okm
+        assert fold.union[fi] == union
+    assert fold.covered == covered
+    assert sum(fold.owner[v] is not None for v in range(G.n)) == covered.bit_count()
+    assert fold.left == sum(1 << v for v in fold.leftover)
+    assert fold.alive == sum(1 << j for j, v in enumerate(cols) if v in fold.leftover)
+
+
+@pytest.mark.parametrize("n,p,delta,pickups,unpack", [
+    (600, 0.8, 420, True, None),
+    (300, 0.97, 225, False, 1),  # one vertex word per unpacked block
+], ids=["sparse-600", "dense-300"])
+def test_bitsets_match_brute_force(monkeypatch, n, p, delta, pickups, unpack):
+    # checked after the first sweep and after the first pickup's removals
+    G = gnp(n, p, delta, 0)
+    if unpack is not None:
+        monkeypatch.setattr(cover, "_UNPACK_BYTES", unpack)
+    reds = [B.reduced for B in almost_blowup_cover(G, DESK).blowups]
+    seen = {"insert_sweep": 0, "take_away": 0}
+
+    def checked(name):
+        run = getattr(cover._Fold, name)
+
+        def wrapper(self, *args):
+            run(self, *args)
+            seen[name] += 1
+            if seen[name] == 1:
+                check_fold(self, G, reds)
+        monkeypatch.setattr(cover._Fold, name, wrapper)
+
+    checked("insert_sweep")
+    checked("take_away")
+    same_cover(G)
+    assert seen["insert_sweep"] >= 1
+    assert (seen["take_away"] >= 1) == pickups
+
+
+def test_pickup_search_depth_is_bounded():
+    # the search holds one frame per vertex it places, not per candidate it
+    # skips, so a limit a few dozen frames above the caller is enough
+    G = gnp(600, 0.8, 420, 0)
+    depth, f = 0, sys._getframe()
+    while f is not None:
+        depth, f = depth + 1, f.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        got = simple_blowup_cover(G, DESK)
+    finally:
+        sys.setrecursionlimit(old)
+    assert got == reference_simple_blowup_cover(G, DESK)
