@@ -3,11 +3,12 @@
 A graph with minimum degree above n/2 admits a spanning structure built
 from small blow-ups: almost all of the graph is covered by vertex-disjoint
 blow-ups of a well-connected pattern, the leftover is folded in until the
-blow-ups partition the vertex set into quasi-balanced families, each
-family's singleton cluster is absorbed into a cycle through its reduced
-graph, the families are linked into one ring by connector triples, and a
-final winding pass lays the clusters out as a single certified cycle
-blow-up. Every stage keeps enough bookkeeping that the end result
+blow-ups partition all but a few late vertices into quasi-balanced
+families, each family's singleton cluster is absorbed into a cycle through
+its reduced graph, the families are linked into one ring by connector
+triples, one winding pass lays the clusters out as a single cycle blow-up,
+and each late vertex joins a cycle cluster whose two neighbours it is
+complete to. Every stage keeps enough bookkeeping that the end result
 re-verifies from scratch against the host graph.
 """
 
@@ -35,14 +36,12 @@ from .core import (
     verify_cycle_blowup,
 )
 from .blowup_search import BlowupSearch, connect_clusters
-from .seeding import draw_subset, mix, spawn, spawner
+from .seeding import mix, spawner
 
 ALMOST = "ALMOST"
 SIMPLE = "SIMPLE"
 
 _EPS = 1e-9
-# relabelled reruns of a failed pipeline run before its failure is returned
-_RELABEL_RETRIES = 2
 # sampled s-sets of the partition density guard in almost_blowup_cover
 _DENSITY_TRIALS = 192
 
@@ -61,8 +60,7 @@ class CoverParams:
 
     The three scale coefficients set cluster sizes m_i = floor(c_i ln n):
     c1 the cover pieces, c2 the connectors and the certificate declaration,
-    c3 the pickups. c1/c2 must be a positive integer; it caps the winding
-    pass count. The certificate produced downstream declares bounds
+    c3 the pickups. The certificate produced downstream declares bounds
     (c2, 4 eta). node_budget caps the connector search of the connect
     stage.
     """
@@ -87,13 +85,6 @@ class CoverParams:
         for name in ("c1", "c2", "c3"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        r = self.c1 / self.c2
-        if abs(r - round(r)) > 1e-9 or round(r) < 1:
-            raise ValueError("c1/c2 must be a positive integer")
-
-    @property
-    def ell(self) -> int:
-        return round(self.c1 / self.c2)
 
     @property
     def rho(self) -> float:
@@ -121,10 +112,11 @@ PRESETS: dict[str, CoverParams] = {"desk": CoverParams()}
 class CoverResult:
     """Disjoint blow-ups plus the vertices they miss.
 
-    kind SIMPLE promises an exact partition into quasi-balanced families;
-    kind ALMOST only promises disjointness, with uncovered holding the
-    exact complement. Diagnostics carry stall and skip records and never
-    affect equality.
+    For both kinds, uncovered is the exact complement of the blow-ups.
+    kind SIMPLE also promises that every family is quasi-balanced; its
+    uncovered set is the late set L that the fold-in could not place, and
+    the pipeline places it after winding. Diagnostics carry stall and skip
+    records and never affect equality.
     """
 
     n: int
@@ -151,27 +143,22 @@ class CoverResult:
         umask = mask_from(self.uncovered)
         if umask & seen:
             return Verdict(FAIL, "uncovered vertex inside a blow-up")
+        if (seen | umask) != full:
+            return Verdict(FAIL, "uncovered set is not the exact complement")
         if self.kind == SIMPLE:
-            if self.uncovered:
-                return Verdict(FAIL, "simple cover left vertices uncovered",
-                               len(self.uncovered))
-            if seen != full:
-                return Verdict(FAIL, "simple cover is not spanning")
             for bi, B in enumerate(self.blowups):
                 if B.family.kind != BALANCE_QUASI:
                     return Verdict(FAIL, "simple cover family not quasi", bi)
-        else:
-            if (seen | umask) != full:
-                return Verdict(FAIL, "uncovered set is not the exact complement")
         return Verdict(PASS)
 
 
 def verify_cover(G: Graph, result: CoverResult, params: CoverParams) -> Verdict:
     """Full invariant suite for a cover against its host.
 
-    Checks the structural validate() plus, per blow-up: hosting (reduced
-    edges realized as complete joins inside G), s reduced vertices, and
-    reduced minimum degree at least (1/2 + eps/2) s.
+    Checks the structural validate(), so the blow-ups partition V(G) less
+    the uncovered set, plus, per blow-up: hosting (reduced edges realized
+    as complete joins inside G), s reduced vertices, and reduced minimum
+    degree at least (1/2 + eps/2) s.
     """
     if G.n != result.n:
         return Verdict(FAIL, "host order mismatch", (G.n, result.n))
@@ -723,8 +710,10 @@ def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     insertion cannot place a vertex), then splits every covered family into
     quasi families by the singleton-creation scheme: one cluster of size
     one, the others as equal as possible inside the piece band. When
-    folding stalls the partial cover comes back as kind ALMOST with
-    diagnostics.
+    folding stalls, the vertices still leftover are the late set L: the
+    families are split all the same (every fold-in step keeps their split
+    plans), and the SIMPLE cover returns L as its uncovered set with an
+    endgame-stuck diagnostic.
     """
     n = G.n
     m1, _, m3 = params.scales(n)
@@ -757,17 +746,6 @@ def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
 
     if leftover:
         diags.append(("endgame-stuck", len(leftover)))
-        blows = []
-        for fi in range(len(fams)):
-            # insertions may have grown clusters well past the extraction
-            # scale; declare whatever spread is actually there
-            spread = max(abs(len(c) - m1) / m1 for c in fams[fi])
-            fam = SetFamily.of(fams[fi], BALANCE_WITHIN, m=m1,
-                               eta=max(1.0, spread + _EPS))
-            blows.append(Blowup(reds[fi], fam))
-        return CoverResult(n, tuple(blows) + tuple(quasi),
-                           frozenset(leftover), ALMOST, tuple(diags))
-
     m_q, eta_q = _quasi_declaration(lo_p, hi_p)
     out: list[Blowup] = []
     for fi in range(len(fams)):
@@ -779,7 +757,7 @@ def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
             fam = SetFamily.of(child, BALANCE_QUASI, m=m_q, eta=eta_q)
             out.append(Blowup(reds[fi], fam))
     out.extend(quasi)
-    return CoverResult(n, tuple(out), frozenset(), SIMPLE, tuple(diags))
+    return CoverResult(n, tuple(out), frozenset(leftover), SIMPLE, tuple(diags))
 
 
 def _pickup_direct(G: Graph, params: CoverParams, root: int, t: int, fold: _Fold,
@@ -888,25 +866,23 @@ class WoundPiece:
 
 def subdivide_and_wind(pieces: Sequence[WoundPiece],
                        connectors: Sequence[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]],
-                       ell: int, *, n: int, c: float, eta: float) -> CycleBlowupCertificate:
+                       *, n: int, c: float, eta: float) -> CycleBlowupCertificate:
     """Wind the pieces into one certified cycle blow-up.
 
-    Each cluster is cut into ell near-equal sub-clusters; pass p of the
-    traversal visits the p-th sub-cluster of every cycle position, entering
-    after the previous connector's landing side and leaving through this
-    piece's exit into its connector (exit side, middle, landing side).
-    Connector i joins piece i to piece i+1, cyclically; with one piece its
-    own connector closes the ring. The certificate declares bounds (c, eta)
-    over the host order n. Malformed connectors raise with the offending
-    index.
+    The traversal visits each piece once: it enters after the previous
+    connector's landing side, walks the piece's cycle from the cluster
+    after the entry round to the entry cluster, each cluster whole, and
+    leaves through this piece's connector (exit side, middle, landing
+    side). Connector i joins piece i to piece i+1, cyclically; with one
+    piece its own connector closes the ring. The certificate declares
+    bounds (c, eta) over the host order n. Malformed connectors and empty
+    or overlapping clusters raise with the offending index.
     """
     t = len(pieces)
     if t == 0:
         raise ValueError("nothing to wind")
     if len(connectors) != t:
         raise ValueError("connector endpoint mismatch: need one connector per piece")
-    if ell < 1:
-        raise ValueError("pass count must be at least 1")
     used = 0
     for i, con in enumerate(connectors):
         if len(con) != 3 or any(len(side) == 0 for side in con):
@@ -926,28 +902,17 @@ def subdivide_and_wind(pieces: Sequence[WoundPiece],
             u, v = cyc[a], cyc[(a + 1) % k]
             if not piece.reduced.has_edge(u, v):
                 raise ValueError(f"piece {i} cycle skips a reduced edge")
-        parts: list[list[tuple[int, ...]]] = []
         for ci, cl in enumerate(piece.clusters):
-            vs = sorted(cl)
-            if len(vs) < ell:
-                raise ValueError(f"cluster too small to subdivide (piece {i}, cluster {ci})")
-            if mask_from(vs) & used:
+            if not cl:
+                raise ValueError(f"empty cluster (piece {i}, cluster {ci})")
+            cm = mask_from(cl)
+            if cm & used:
                 raise ValueError(f"piece {i} overlaps a connector or earlier piece")
-            used |= mask_from(vs)
-            base, rem = divmod(len(vs), ell)
-            cuts = []
-            at = 0
-            for p in range(ell):
-                size = base + (1 if p < rem else 0)
-                cuts.append(tuple(vs[at: at + size]))
-                at += size
-            parts.append(cuts)
+            used |= cm
         prev = connectors[(i - 1) % t]
         order.append(tuple(sorted(prev[2])))
-        walk = list(cyc[1:]) + [cyc[0]]
-        for p in range(ell):
-            for ci in walk:
-                order.append(parts[ci][p])
+        for ci in cyc[1:] + cyc[:1]:
+            order.append(tuple(sorted(piece.clusters[ci])))
         con = connectors[i]
         order.append(tuple(sorted(con[0])))
         order.append(tuple(sorted(con[1])))
@@ -970,43 +935,24 @@ class PipelineFailure:
 def spanning_cycle_blowup(G: Graph, params: CoverParams):
     """Spanning cycle blow-up certificate of G, or a PipelineFailure.
 
-    Cover, absorb, connect, wind; the resulting certificate is re-verified
+    One pass: cover, absorb, connect, wind, then place the cover's late
+    vertices (see _place_late). The resulting certificate is re-verified
     against G before it is returned, so a PASS is always independently
     checkable and a failure at any stage comes back as a PipelineFailure
-    naming the stage. A failed run is retried on up to _RELABEL_RETRIES
-    copies of G relabelled by permutations drawn from params.seed; a
-    certificate found there is mapped back and re-verified against G. When
-    every retry fails too, the first failure is returned. Hosts below the
-    configured order floor are refused outright (exhaustive search is the
-    right tool there).
+    naming the stage. Hosts below the configured order floor are refused
+    outright (exhaustive search is the right tool there), and hosts below
+    Dirac's bound, 2 delta(G) < n, fail at stage degree before any search.
     """
-    if G.n < params.n_floor:
-        raise ValueError("host order below n_floor")
-    first = _solve(G, params)
-    if not isinstance(first, PipelineFailure):
-        return first
-    for k in range(_RELABEL_RETRIES):
-        perm = draw_subset(spawn(params.seed, "relabel", k), range(G.n), G.n)
-        res = _solve(G.relabel(perm), params)
-        if isinstance(res, PipelineFailure):
-            continue
-        name_of = [0] * G.n
-        for v, pv in enumerate(perm):
-            name_of[pv] = v
-        back = [[name_of[v] for v in c] for c in res.clusters]
-        cert = CycleBlowupCertificate(res.n, res.c, res.eta, canonical_cycle(back))
-        if verify_cycle_blowup(G, cert).status == PASS:
-            return cert
-    return first
-
-
-def _solve(G: Graph, params: CoverParams):
-    """One pass of the pipeline over G as labelled; see spanning_cycle_blowup."""
     n = G.n
+    if n < params.n_floor:
+        raise ValueError("host order below n_floor")
+    delta = min_degree(G)
+    if 2 * delta < n:
+        return PipelineFailure("degree", None, {"min_degree": delta})
     m1, m2, _ = params.scales(n)
 
     cover = simple_blowup_cover(G, params)
-    if cover.kind != SIMPLE:
+    if not cover.blowups:
         return PipelineFailure("cover", None,
                                {"uncovered": len(cover.uncovered),
                                 "diagnostics": cover.diagnostics})
@@ -1106,16 +1052,44 @@ def _solve(G: Graph, params: CoverParams):
             donor[key] = m
         connectors.append((tuple(W1), tuple(W2), tuple(W3)))
 
-    min_cluster = min(len(c) for cls in clusters for c in cls)
-    if min_cluster < 1:
+    if any(not c for cls in clusters for c in cls):
         return PipelineFailure("connect", None, {"emptied_cluster": True})
-    ell = max(1, min(params.ell, min_cluster))
     pieces = [WoundPiece(absorbed[i].blowup.reduced,
                          tuple(tuple(c) for c in clusters[i]), cycles[i])
               for i in range(t)]
-    cert = subdivide_and_wind(pieces, connectors, ell,
+    cert = subdivide_and_wind(pieces, connectors,
                               n=n, c=params.c2, eta=4.0 * params.eta)
+    if cover.uncovered:
+        cert = _place_late(G, cert, cover.uncovered)
+        if isinstance(cert, PipelineFailure):
+            return cert
     verdict = verify_cycle_blowup(G, cert)
     if verdict.status != PASS:
         return PipelineFailure("verify", None, {"verdict": verdict})
     return cert
+
+
+def _place_late(G: Graph, cert: CycleBlowupCertificate, late):
+    """cert with every late vertex put into a cycle cluster, or a
+    PipelineFailure at stage late.
+
+    The vertices go in increasing id, each into the smallest cluster (ties
+    to the earlier position in cert's order) that holds fewer than the
+    declared upper bound hi and whose two cyclic neighbours, as earlier
+    placements left them, lie inside its neighbourhood; the cycle joins
+    then stay complete. The result is canonicalised once.
+    """
+    _, hi = cert.size_bounds()
+    clusters = [list(c) for c in cert.clusters]
+    masks = [mask_from(c) for c in clusters]
+    k = len(clusters)
+    for v in sorted(late):
+        adj = G.adj[v]
+        fits = [i for i in range(k) if len(clusters[i]) < hi
+                and not masks[i - 1] & ~adj and not masks[(i + 1) % k] & ~adj]
+        if not fits:
+            return PipelineFailure("late", None, {"vertex": v, "late": len(late)})
+        i = min(fits, key=lambda i: len(clusters[i]))
+        clusters[i].append(v)
+        masks[i] |= 1 << v
+    return CycleBlowupCertificate(cert.n, cert.c, cert.eta, canonical_cycle(clusters))

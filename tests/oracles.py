@@ -392,10 +392,9 @@ def reference_simple_blowup_cover(G: Graph, params):
     """simple_blowup_cover as it rebuilt every family's join masks on each
     sweep and tested leftover vertices against them one at a time."""
     from cyclecover.bitset import mask_from
-    from cyclecover.core import BALANCE_QUASI, BALANCE_WITHIN, Blowup, SetFamily
-    from cyclecover.cover import (ALMOST, SIMPLE, CoverResult, _EPS, _piece_band,
-                                  _quasi_declaration, _split_family, _split_plan,
-                                  almost_blowup_cover)
+    from cyclecover.core import BALANCE_QUASI, Blowup, SetFamily
+    from cyclecover.cover import (SIMPLE, CoverResult, _piece_band, _quasi_declaration,
+                                  _split_family, _split_plan, almost_blowup_cover)
 
     n = G.n
     m1, _, m3 = params.scales(n)
@@ -472,15 +471,6 @@ def reference_simple_blowup_cover(G: Graph, params):
 
     if leftover:
         diags.append(("endgame-stuck", len(leftover)))
-        blows = []
-        for fi in range(len(fams)):
-            spread = max(abs(len(c) - m1) / m1 for c in fams[fi])
-            fam = SetFamily.of(fams[fi], BALANCE_WITHIN, m=m1,
-                               eta=max(1.0, spread + _EPS))
-            blows.append(Blowup(reds[fi], fam))
-        return CoverResult(n, tuple(blows) + tuple(quasi),
-                           frozenset(leftover), ALMOST, tuple(diags))
-
     m_q, eta_q = _quasi_declaration(lo_p, hi_p)
     out = []
     for fi in range(len(fams)):
@@ -489,7 +479,7 @@ def reference_simple_blowup_cover(G: Graph, params):
             fam = SetFamily.of(child, BALANCE_QUASI, m=m_q, eta=eta_q)
             out.append(Blowup(reds[fi], fam))
     out.extend(quasi)
-    return CoverResult(n, tuple(out), frozenset(), SIMPLE, tuple(diags))
+    return CoverResult(n, tuple(out), frozenset(leftover), SIMPLE, tuple(diags))
 
 
 def _reference_pickup_direct(G: Graph, params, root, t, fams, leftover, quasi, lo_p, hi_p):

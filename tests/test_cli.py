@@ -116,7 +116,7 @@ def test_solve_failure_exits_two_with_stage(tmp_path, capsys):
     g = write_graph(tmp_path / "two.txt", Graph(52, adj))
     rc = main(["solve", g])
     assert rc == 2
-    assert "stage=cover" in capsys.readouterr().err
+    assert "stage=degree" in capsys.readouterr().err
 
 
 def test_solve_refuses_below_order_floor(tmp_path, capsys):
@@ -363,7 +363,9 @@ def test_sweep_failure_rows_carry_stage_labels(tmp_path):
                "--delta-frac", "0.5", "--out", str(out)])
     assert rc == 0
     row = out.read_text().strip().splitlines()[-1]
-    assert ",FAILURE:cover," in row
+    # delta = n/2 passes the degree check; the clique union then runs out
+    # of connector vertices
+    assert ",FAILURE:connect," in row
 
 
 def test_sweep_surfaces_generator_errors_per_row(tmp_path):

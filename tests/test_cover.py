@@ -10,10 +10,12 @@ from itertools import combinations
 
 import pytest
 
+from cyclecover import cover as cover_module
 from cyclecover.core import (
     BALANCE_QUASI,
     BALANCE_WITHIN,
     Blowup,
+    CycleBlowupCertificate,
     Graph,
     SetFamily,
     min_degree,
@@ -29,6 +31,7 @@ from cyclecover.cover import (
     PRESETS,
     WoundPiece,
     _piece_band,
+    _place_late,
     _quasi_declaration,
     _split_family,
     _split_plan,
@@ -342,6 +345,12 @@ def test_pattern_is_the_guards_most_frequent_shape():
     assert all(b.reduced == want for b in res.blowups)
 
 
+def test_cover_params_accept_a_non_integer_scale_ratio():
+    # c1/c2 may be any positive ratio
+    params = CoverParams(c1=1.0, c2=0.4)
+    assert params.scales(300) == (5, 2, 2)
+
+
 def test_cover_params_refuse_eps_outside_unit_interval():
     for eps in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError, match="eps"):
@@ -384,14 +393,16 @@ def test_simple_cover_planted_partition_larger_host():
 
 
 def test_simple_cover_partial_result_still_verifies():
-    # three small pieces drown in completion edges; wherever the endgame
-    # stops, the partial cover must hold up as a valid almost cover
+    # three small pieces drown in completion edges; the endgame strands a
+    # few vertices, which the simple cover returns as its late set, and the
+    # families partition the rest
     G = blowup_union([(5, 5, 5, 5)] * 3)
     res = simple_blowup_cover(G, DESK)
+    assert res.kind == SIMPLE
+    assert res.uncovered
+    assert res.diagnostics[-1] == ("endgame-stuck", len(res.uncovered))
     assert res.validate().status == "PASS"
     assert verify_cover(G, res, DESK).status == "PASS"
-    if res.kind == ALMOST:
-        assert res.uncovered
 
 
 def test_simple_cover_is_deterministic():
@@ -443,54 +454,33 @@ def triangle_piece(cluster_sizes, base=0):
     return WoundPiece(Graph.complete(3), tuple(clusters), (0, 1, 2)), at
 
 
-def test_wind_triangle_two_passes():
-    piece, at = triangle_piece([4, 4, 4])
-    con = (tuple(range(12, 14)), tuple(range(14, 16)), tuple(range(16, 18)))
-    cert = subdivide_and_wind([piece], [con], 2, n=18, c=2.0, eta=1.0)
-    assert len(cert.clusters) == 9
-    assert all(len(c) == 2 for c in cert.clusters)
-    assert sorted(v for c in cert.clusters for v in c) == list(range(18))
-    host = Graph.complete(18)
-    assert verify_cycle_blowup(host, cert).status == "PASS"
-
-
 def test_wind_single_pass_keeps_clusters_whole():
     piece, at = triangle_piece([4, 3, 3])
     con = ((10, 11), (12, 13), (14, 15))
-    cert = subdivide_and_wind([piece], [con], 1, n=16, c=2.0, eta=1.0)
+    cert = subdivide_and_wind([piece], [con], n=16, c=2.0, eta=1.0)
     assert len(cert.clusters) == 6
     assert sorted(len(c) for c in cert.clusters) == [2, 2, 2, 3, 3, 4]
     assert verify_cycle_blowup(Graph.complete(16), cert).status == "PASS"
 
 
-def test_wind_odd_cluster_cuts_four_then_three():
-    piece, at = triangle_piece([7, 4, 4])
-    con = ((15, 16), (17, 18), (19, 20))
-    cert = subdivide_and_wind([piece], [con], 2, n=21, c=2.0, eta=1.0)
-    parts_of_big = [c for c in cert.clusters if set(c) <= set(range(7))]
-    assert sorted(len(c) for c in parts_of_big) == [3, 4]
-    # the larger remainder part comes first in traversal order
-    assert max(len(c) for c in cert.clusters) == 4
-
-
 def test_wind_connector_count_must_match():
     piece, _ = triangle_piece([2, 2, 2])
     with pytest.raises(ValueError, match="one connector per piece"):
-        subdivide_and_wind([piece], [], 1, n=6, c=2.0, eta=1.0)
+        subdivide_and_wind([piece], [], n=6, c=2.0, eta=1.0)
 
 
 def test_wind_rejects_overlapping_connector_sides():
     piece, _ = triangle_piece([2, 2, 2])
     con = ((6, 7), (7, 8), (9, 10))
     with pytest.raises(ValueError, match="connector endpoint mismatch at 0"):
-        subdivide_and_wind([piece], [con], 1, n=11, c=2.0, eta=1.0)
+        subdivide_and_wind([piece], [con], n=11, c=2.0, eta=1.0)
 
 
-def test_wind_rejects_clusters_below_pass_count():
-    piece, _ = triangle_piece([1, 2, 2])
-    con = ((5, 6), (7, 8), (9, 10))
-    with pytest.raises(ValueError, match="cluster too small to subdivide"):
-        subdivide_and_wind([piece], [con], 2, n=11, c=2.0, eta=1.0)
+def test_wind_rejects_empty_cluster():
+    piece, _ = triangle_piece([2, 0, 2])
+    con = ((4, 5), (6, 7), (8, 9))
+    with pytest.raises(ValueError, match=r"empty cluster \(piece 0, cluster 1\)"):
+        subdivide_and_wind([piece], [con], n=10, c=2.0, eta=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +507,14 @@ def test_pipeline_rejects_disconnected_host():
                 adj[base + b] |= 1 << (base + a)
     G = Graph(50, adj)
     res = spanning_cycle_blowup(G, DESK)
+    assert res == PipelineFailure("degree", None, {"min_degree": 24})
+
+
+def test_pipeline_does_not_refuse_a_host_at_dirac_bound():
+    # 2 delta = n passes the degree check; no 4-clique blow-up fits the
+    # bipartite host, so a cover with no blow-up fails at stage cover
+    G = Graph.complete_multipartite([30, 30])
+    res = spanning_cycle_blowup(G, DESK)
     assert isinstance(res, PipelineFailure)
     assert res.stage == "cover"
 
@@ -540,21 +538,85 @@ def test_pipeline_dense_random_host_reproducible():
     assert covered == list(range(300))
 
 
-def test_pipeline_retries_relabelled_after_endgame_stuck():
-    # the cover endgame strands vertices on this host as labelled; a seeded
-    # relabelling passes, and the mapped-back certificate verifies on G
-    G = generate(GeneratorSpec(kind=GNP_REPAIRED, n=600, p=0.8,
-                               delta_target=420, seed=90002))
+def test_pipeline_places_late_vertices_after_endgame_stuck():
+    # the cover endgame strands one vertex on this host; it joins a cycle
+    # cluster after winding, and the certificate verifies on G
+    G = generate(GeneratorSpec(kind=GNP_REPAIRED, n=300, p=0.8,
+                               delta_target=210, seed=9))
+    assert simple_blowup_cover(G, DESK).uncovered
     cert = spanning_cycle_blowup(G, DESK)
     assert not isinstance(cert, PipelineFailure), cert
     assert verify_cycle_blowup(G, cert).status == "PASS"
     assert cert.to_json() == spanning_cycle_blowup(G, DESK).to_json()
 
 
-def test_pipeline_retry_rescues_extremal_host():
-    # the consecutive-id partition blocks fall into different cliques here
+def test_pipeline_certifies_extremal_host_in_one_pass(monkeypatch):
+    # the consecutive-id partition blocks fall into different cliques here;
+    # the fold-in covers all but a few late vertices, and one cover does
     G = generate(GeneratorSpec(kind=DIRAC_EXTREMAL, n=300, delta_target=225,
                                seed=0))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return simple_blowup_cover(*args, **kwargs)
+
+    monkeypatch.setattr(cover_module, "simple_blowup_cover", counted)
     cert = spanning_cycle_blowup(G, DESK)
     assert not isinstance(cert, PipelineFailure), cert
     assert verify_cycle_blowup(G, cert).status == "PASS"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pipeline_certifies_sparse_60_hosts(seed):
+    # every one of these hosts ends the fold-in with 3-4 late vertices
+    G = generate(GeneratorSpec(kind=GNP_REPAIRED, n=60, p=0.8,
+                               delta_target=42, seed=seed))
+    assert simple_blowup_cover(G, DESK).uncovered
+    cert = spanning_cycle_blowup(G, DESK)
+    assert not isinstance(cert, PipelineFailure), cert
+    assert verify_cycle_blowup(G, cert).status == "PASS"
+
+
+# ---------------------------------------------------------------------------
+# late vertices
+
+
+def three_pairs(n, c):
+    # clusters {0, 1}, {2, 3}, {4, 5} declared at (c, 1.0) over order n
+    return CycleBlowupCertificate(n, c, 1.0, ((0, 1), (2, 3), (4, 5)))
+
+
+def test_place_late_needs_both_cycle_neighbours():
+    # vertex 6 sees only the first cluster, and every position of a
+    # three-cluster cycle has two other clusters as neighbours
+    G = Graph.from_edges(7, [(u, v) for u, v in combinations(range(6), 2)]
+                         + [(0, 6), (1, 6)])
+    res = _place_late(G, three_pairs(7, 0.8), frozenset({6}))
+    assert res == PipelineFailure("late", None, {"vertex": 6, "late": 1})
+
+
+def test_place_late_skips_clusters_at_the_upper_bound():
+    G = Graph.complete(7)
+    # 2 ln 7 c floors to hi = 2 at c = 0.55: every cluster is full
+    assert three_pairs(7, 0.55).size_bounds()[1] == 2
+    res = _place_late(G, three_pairs(7, 0.55), frozenset({6}))
+    assert res == PipelineFailure("late", None, {"vertex": 6, "late": 1})
+    # hi = 3 at c = 0.8: the three clusters tie and the first one takes it
+    cert = _place_late(G, three_pairs(7, 0.8), frozenset({6}))
+    assert cert.clusters == ((0, 1, 6), (2, 3), (4, 5))
+    assert verify_cycle_blowup(G, cert).status == "PASS"
+
+
+def test_place_late_reads_earlier_placements_and_is_deterministic():
+    # the cycle (0 1)(2 3)(4 5)(8); 6 and 7 miss only each other. 6 goes
+    # first, into the smallest cluster (8); 7 may then not sit next to it,
+    # and of the two positions left, (2 3) ties with (6 8) and comes first
+    G = Graph.from_edges(9, [(u, v) for u, v in combinations(range(9), 2)
+                             if (u, v) != (6, 7)])
+    cert = CycleBlowupCertificate(9, 1.0, 1.0, ((0, 1), (2, 3), (4, 5), (8,)))
+    placed = [_place_late(G, cert, late) for late in ([7, 6], [6, 7])]
+    assert placed[0] == placed[1]
+    assert placed[0].clusters == ((0, 1), (2, 3, 7), (4, 5), (6, 8))
+    assert verify_cycle_blowup(G, placed[0]).status == "PASS"

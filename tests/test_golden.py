@@ -28,14 +28,19 @@ GOLDEN = [
      "f49bf117ec48b9238f5f34ac0bb6e891de69b094b7a9ae2ca39bbf496e37ee81", GNP_REPAIRED),
     (300, 0.8, 210, 1,
      "e09eb06f62dcbf77c06b59833bf7fc74f702ebc28e550f6eb4f342201c4cb17c", GNP_REPAIRED),
-    # the cover endgame strands vertices as labelled; a relabelled rerun
-    # certifies it
+    # the cover endgame strands one vertex, which joins a cycle cluster
+    # after winding
     (300, 0.8, 210, 9,
-     "21ae827bda0dd64614dbb09cc607ba25993c90cfc8264df80bdb7e78015e212f", GNP_REPAIRED),
+     "2bd76af70b9f5befebaf1dfda15a278ff2264c9d027e810f646443292e67ae5e", GNP_REPAIRED),
     # the partition density guard rejects this host as labelled (its blocks
-    # fall into different cliques); a relabelled rerun certifies it
+    # fall into different cliques); the fold-in covers all but 6 vertices,
+    # which join cycle clusters after winding
     (300, None, 225, 0,
-     "640b385dbc2ea2039aa003a990bd3bba6065c6ba14f2d0ae32e5ed76d22b78ce", DIRAC_EXTREMAL),
+     "d57c7e71e9457c2e3d80f3973a26a3e30f3bd2391ddd57eaafeac8b5bffa42fc", DIRAC_EXTREMAL),
+    # the sparse shape at n = 60: the fold-in strands 3 vertices, which
+    # join cycle clusters after winding
+    (60, 0.8, 42, 0,
+     "3d14990913d08e9a2b0470455dcde21401f9a3128908d646006683187ef53b9c", GNP_REPAIRED),
     # first-pass solves of the sparse-600 benchmark shape, where folding the
     # leftover into the cover is the largest stage
     (600, 0.8, 420, 0,
