@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Sequence
 
 from .bitset import iter_bits, mask_from, mask_indices, rows_from_matrix
@@ -332,17 +333,52 @@ def absorb_singleton(B: Blowup) -> AbsorbResult:
 # almost cover
 
 
-def _inheriting_shape(G: Graph, pick: Sequence[int],
-                      floor_deg: float) -> tuple[tuple[int, int], ...] | None:
-    """Edges (a, b), a < b, of G[pick] labelled by position in pick, or
-    None when some vertex of pick has fewer than floor_deg neighbours in
-    pick. The vertices of pick must be distinct."""
-    within = mask_from(pick)
-    if any((G.adj[v] & within).bit_count() < floor_deg for v in pick):
-        return None
-    s = len(pick)
-    return tuple((a, b) for a in range(s) for b in range(a + 1, s)
-                 if G.has_edge(pick[a], pick[b]))
+@lru_cache(maxsize=8)
+def _guard_picks(seed: int, s: int, block: int):
+    """The density guard's samples as a read-only (_DENSITY_TRIALS, s)
+    int64 array: row t holds one vertex of each block of block consecutive
+    ids, drawn by randrange from trial t's own stream. They depend on the
+    seed, s and block only, so the hosts of one order that a process solves
+    share one draw."""
+    import numpy as np
+
+    # the seed labels here and the one-vertex-per-block draw order are
+    # pinned by the golden certificate digests
+    rng_of = spawner(mix(mix(seed, "cover", "tiling"), "reduced-edge", *range(s)),
+                     "tuple-density")
+    picks = np.empty((_DENSITY_TRIALS, s), dtype=np.int64)
+    for t in range(_DENSITY_TRIALS):
+        draw = rng_of(t).randrange
+        picks[t] = [i * block + draw(block) for i in range(s)]
+    picks.flags.writeable = False
+    return picks
+
+
+def _guard_shapes(G: Graph, picks, floor_deg: float) -> dict[tuple[tuple[int, int], ...], int]:
+    """How often each shape inherits among the samples, the rows of picks.
+
+    A sample inherits when each of its vertices has at least floor_deg
+    neighbours in it; its shape is the edge list (a, b), a < b, of the
+    sample labelled by position. The vertices of a sample must be distinct.
+    All samples are classified at once: their adjacency bits are read from
+    the packed rows, and each inheriting shape is counted by its bitmask
+    over the pairs in (a, b) order.
+    """
+    import numpy as np
+
+    u, v = picks[:, :, None], picks[:, None, :]
+    adj = ((G.packed()[0][u, v >> 6] >> (v & 63).astype(np.uint64)) & 1).astype(np.uint8)
+    ia, ib = np.triu_indices(picks.shape[1], 1)
+    kept = adj[(adj.sum(axis=2) >= floor_deg).all(axis=1)][:, ia, ib]
+    masks = np.ascontiguousarray(np.packbits(kept, axis=1, bitorder="little"))
+    codes, counts = np.unique(masks.view(np.dtype((np.void, masks.shape[1]))).ravel(),
+                              return_counts=True)
+    pairs = list(zip(ia.tolist(), ib.tolist()))
+    shapes = {}
+    for code, count in zip(codes, counts.tolist()):
+        mask = int.from_bytes(code.tobytes(), "little")
+        shapes[tuple(p for k, p in enumerate(pairs) if mask >> k & 1)] = count
+    return shapes
 
 
 def almost_blowup_cover(G: Graph, params: CoverParams, *,
@@ -358,8 +394,9 @@ def almost_blowup_cover(G: Graph, params: CoverParams, *,
     lexicographically smallest edge list), and framed extraction
     pulls blow-ups at the cover scale until the unused fraction of every
     block drops below rho. A rejected guard or a stall leaves a partial
-    cover plus diagnostics, never an invalid structure. scale overrides the default cluster size
-    m1 = floor(c1 ln n).
+    cover plus diagnostics, never an invalid structure.
+
+    scale overrides the default cluster size m1 = floor(c1 ln n).
     """
     n = G.n
     s = params.s
@@ -372,16 +409,7 @@ def almost_blowup_cover(G: Graph, params: CoverParams, *,
     parts = [list(range(i * block, (i + 1) * block)) for i in range(s)]
     floor = min(16.0 * params.eta, 0.5) / 4.0
     floor_deg = (0.5 + params.eps / 2.0) * s - _EPS
-    # the seed labels here, the one-vertex-per-block draw order, and the 0
-    # in the extract label below are pinned by the golden certificate digests
-    guard_rng = spawner(mix(mix(params.seed, "cover", "tiling"), "reduced-edge", *range(s)),
-                        "tuple-density")
-    counts: dict[tuple[tuple[int, int], ...], int] = {}
-    for t in range(_DENSITY_TRIALS):
-        rng = guard_rng(t)
-        shape = _inheriting_shape(G, [p[rng.randrange(len(p))] for p in parts], floor_deg)
-        if shape is not None:
-            counts[shape] = counts.get(shape, 0) + 1
+    counts = _guard_shapes(G, _guard_picks(params.seed, s, block), floor_deg)
     density = sum(counts.values()) / _DENSITY_TRIALS
     diags: list = [("partition", {"block": block, "density": density,
                                   "floor": floor})]
@@ -397,6 +425,7 @@ def almost_blowup_cover(G: Graph, params: CoverParams, *,
     search = BlowupSearch(G, pattern, t_scale, frame) if pattern is not None else None
     while search is not None and not all(
             (pm & ~used).bit_count() < params.rho * len(p) for p, pm in zip(parts, frame.masks)):
+        # the 0 in the extract label is pinned by the golden certificate digests
         b = search.find(avoid=used, seed=mix(params.seed, "cover", "extract", 0, len(blowups)))
         if b is None:
             unused = [(pm & ~used).bit_count() for pm in frame.masks]

@@ -5,16 +5,19 @@ correct algorithm available, and is kept free of imports from the package
 search modules so the two routes cannot collapse into one. Oracles are for
 tests only; none of this ships in the library API.
 
-The exception is the last three sections: verbatim copies of the scalar
+The exception is the last four sections: verbatim copies of the scalar
 find_blowup and connect_clusters that scored one candidate at a time with
 Python int bitmasks, of the fold-in of simple_blowup_cover that rebuilt
-every family's join masks on each insert sweep, and of the GNP sampler that
+every family's join masks on each insert sweep, of the GNP sampler that
 called random() once per pair with the degree repair that rescanned every
-degree per added edge. The package now scores on a packed numpy view, folds
-in incrementally, draws its coins in blocks and repairs from a heap, and the
-copies pin that every choice, tie-break, telemetry value and edge is
-unchanged. They share the helpers the rewrites did not touch: the almost
-cover, the split arithmetic, the seeding streams and the core verifiers.
+degree per added edge, and of the partition guard of almost_blowup_cover
+that drew and classified its samples one at a time. The package now scores
+on a packed numpy view, folds in incrementally, draws its coins in blocks,
+repairs from a heap and classifies the guard's samples in one pass over
+samples drawn once, and the copies pin that every choice, tie-break,
+telemetry value and edge is unchanged. They share the helpers the rewrites
+did not touch: the almost cover, the split arithmetic, the seeding streams
+and the core verifiers.
 """
 
 from __future__ import annotations
@@ -604,3 +607,34 @@ def reference_gnp_repaired(spec) -> Graph:
     if spec.delta_target is not None:
         reference_repair_to_min_degree(adj, n, spec.delta_target)
     return Graph(n, adj)
+
+
+# ---------------------------------------------------------------------------
+# reference copy of the per-sample partition guard
+
+
+def reference_guard_counts(G: Graph, params) -> dict:
+    """The inheriting-shape counts of almost_blowup_cover's density guard
+    as it drew each trial's sample from a fresh generator and tested it
+    with Python int bitmasks: shape (edge list by position) -> count."""
+    from cyclecover.bitset import mask_from
+    from cyclecover.cover import _DENSITY_TRIALS, _EPS
+    from cyclecover.seeding import mix, spawner
+
+    s = params.s
+    block = G.n // s
+    parts = [list(range(i * block, (i + 1) * block)) for i in range(s)]
+    floor_deg = (0.5 + params.eps / 2.0) * s - _EPS
+    guard_rng = spawner(mix(mix(params.seed, "cover", "tiling"), "reduced-edge", *range(s)),
+                        "tuple-density")
+    counts = {}
+    for t in range(_DENSITY_TRIALS):
+        rng = guard_rng(t)
+        pick = [p[rng.randrange(len(p))] for p in parts]
+        within = mask_from(pick)
+        if any((G.adj[v] & within).bit_count() < floor_deg for v in pick):
+            continue
+        shape = tuple((a, b) for a in range(s) for b in range(a + 1, s)
+                      if G.has_edge(pick[a], pick[b]))
+        counts[shape] = counts.get(shape, 0) + 1
+    return counts

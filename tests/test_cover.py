@@ -30,6 +30,9 @@ from cyclecover.cover import (
     PipelineFailure,
     PRESETS,
     WoundPiece,
+    _EPS,
+    _guard_picks,
+    _guard_shapes,
     _piece_band,
     _place_late,
     _quasi_declaration,
@@ -43,10 +46,11 @@ from cyclecover.cover import (
     subdivide_and_wind,
     verify_cover,
 )
-from cyclecover.generators import DIRAC_EXTREMAL, GNP_REPAIRED, GeneratorSpec, generate
+from cyclecover.generators import (CLIQUE_UNION_PLUS, DIRAC_EXTREMAL, GNP_REPAIRED,
+                                   GeneratorSpec, generate)
 from cyclecover.seeding import mix, spawner
 
-from oracles import brute_hamilton_cycle
+from oracles import brute_hamilton_cycle, reference_guard_counts
 
 
 DESK = PRESETS["desk"]
@@ -343,6 +347,79 @@ def test_pattern_is_the_guards_most_frequent_shape():
     assert res.diagnostics[0][1]["density"] == sum(counts.values()) / 192
     assert res.blowups
     assert all(b.reduced == want for b in res.blowups)
+
+
+# s = 6: several shapes inherit (see the test above)
+WIDE = CoverParams(eps=0.25, s=6, c1=1.2, c2=1.2, c3=0.6, eta=0.1)
+
+
+def _dense300(seed):
+    return generate(GeneratorSpec(GNP_REPAIRED, n=300, p=0.97, delta_target=225, seed=seed))
+
+
+@pytest.mark.parametrize("spec,params", [
+    *[pytest.param(GeneratorSpec(GNP_REPAIRED, n=300, p=0.97, delta_target=225, seed=seed), DESK,
+                   id=f"dense300-{seed}") for seed in range(5)],
+    pytest.param(GeneratorSpec(GNP_REPAIRED, n=600, p=0.8, delta_target=420, seed=90002), DESK,
+                 id="sparse600-90002"),
+    *[pytest.param(GeneratorSpec(DIRAC_EXTREMAL, n=300, delta_target=225, seed=seed), DESK,
+                   id=f"extremal300-{seed}") for seed in range(3)],
+    pytest.param(GeneratorSpec(CLIQUE_UNION_PLUS, n=300, pieces=3, delta_target=225, seed=0),
+                 DESK, id="clique-union300"),
+    pytest.param(None, DESK, id="K30,30"),
+    pytest.param(GeneratorSpec(GNP_REPAIRED, n=300, p=0.97, delta_target=225, seed=0),
+                 CoverParams(s=3), id="dense300-0-s3"),
+    pytest.param(GeneratorSpec(GNP_REPAIRED, n=300, p=0.97, delta_target=225, seed=0), WIDE,
+                 id="dense300-0-s6"),
+])
+def test_guard_shapes_match_the_per_sample_guard(spec, params):
+    # None is K30,30, where no sample inherits
+    G = Graph.complete_multipartite([30, 30]) if spec is None else generate(spec)
+    want = reference_guard_counts(G, params)
+    floor_deg = (0.5 + params.eps / 2.0) * params.s - _EPS
+    got = _guard_shapes(G, _guard_picks(params.seed, params.s, G.n // params.s), floor_deg)
+    assert got == want
+    res = almost_blowup_cover(G, params)
+    assert res.diagnostics[0][1]["density"] == sum(want.values()) / 192
+    if res.blowups:
+        pattern = Graph.from_edges(params.s, max(sorted(want), key=want.get))
+        assert all(b.reduced == pattern for b in res.blowups)
+
+
+def test_guard_picks_are_read_only():
+    picks = _guard_picks(0, 4, 75)
+    assert picks.shape == (192, 4)
+    with pytest.raises(ValueError):
+        picks[0, 0] = 0
+
+
+def test_guard_draws_once_per_order(monkeypatch):
+    # a second host of the same order reuses the first host's samples
+    calls = 0
+    real = cover_module.spawner
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(cover_module, "spawner", counting)
+    _guard_picks.cache_clear()
+    almost_blowup_cover(_dense300(0), DESK)
+    hits = _guard_picks.cache_info().hits
+    almost_blowup_cover(_dense300(1), DESK)
+    assert calls == 1
+    assert _guard_picks.cache_info().hits == hits + 1
+
+
+def test_guard_memo_leaves_certificates_unchanged():
+    # criterion 2's hosts, solved with the samples drawn afresh and reused
+    hosts = [_dense300(seed) for seed in range(20)]
+    fresh = []
+    for G in hosts:
+        _guard_picks.cache_clear()
+        fresh.append(spanning_cycle_blowup(G, DESK).to_json())
+    assert [spanning_cycle_blowup(G, DESK).to_json() for G in hosts] == fresh
 
 
 def test_cover_params_accept_a_non_integer_scale_ratio():

@@ -1,7 +1,8 @@
 """Checks on the package source: the pipeline modules stay off the lemma
 library, no module keeps an import it does not use, numpy loads only
-when something needs it, and GNP hosts are drawn in blocks, without a
-random() call per pair or numpy.random."""
+when something needs it, every process-level memo is bounded, and GNP
+hosts are drawn in blocks, without a random() call per pair or
+numpy.random."""
 
 import ast
 import os
@@ -98,6 +99,58 @@ def test_importing_the_package_does_not_load_numpy():
                           "import sys, cyclecover, cyclecover.cli; print('numpy' in sys.modules)"],
                          env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def _unbounded_caches(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of every functools cache or lru_cache decorator in the
+    tree that is not given an integer maxsize."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            target = call.func if call else deco
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name not in ("cache", "lru_cache"):
+                continue
+            size = None
+            if call and name == "lru_cache":
+                size = next((k.value for k in call.keywords if k.arg == "maxsize"),
+                            call.args[0] if call.args else None)
+            if not (isinstance(size, ast.Constant) and type(size.value) is int):
+                out.append((deco.lineno, node.name))
+    return out
+
+
+def test_unbounded_cache_finder_flags_every_unbounded_form():
+    src = """
+import functools
+from functools import cache, lru_cache
+@cache
+def a(): pass
+@lru_cache
+def b(): pass
+@lru_cache(maxsize=None)
+def c(): pass
+@functools.lru_cache(None)
+def d(): pass
+@functools.cache
+def e(): pass
+@lru_cache(maxsize=8)
+def f(): pass
+@functools.lru_cache(4)
+def g(): pass
+"""
+    assert [name for _, name in _unbounded_caches(ast.parse(src))] == ["a", "b", "c", "d", "e"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_memo_is_bounded(path):
+    # a process-level memo lives as long as the process: the fold-in's plan
+    # cache raised peak memory while it was module-level (cover.py), and a
+    # sweep or a benchmark solves many hosts in one process
+    assert not _unbounded_caches(_tree(path)), path.name
 
 
 def test_gnp_generation_makes_no_random_calls(monkeypatch):
