@@ -2,9 +2,10 @@
 
 Library layout:
   core           graphs, hypergraphs, cluster families, verifiers
-  blowup_search  biclique / blow-up / connection searches
+  blowup_search  biclique search, BlowupSearch, connector search
   cover          s-block partition and its density guard, cover pipelines,
-                 the spanning cycle blow-up driver
+                 reduced Hamilton cycles and singleton absorption, the
+                 spanning cycle blow-up driver (connect and wind)
   generators     seeded instance generators
   inheritance    lemma library: degree inheritance tests, estimates, tail
                  bound
@@ -18,9 +19,9 @@ import neither lemma library module.
 
 from .blowup_search import (
     BicliqueRequest,
+    BlowupSearch,
     connect_clusters,
     find_biclique,
-    find_blowup,
 )
 from .core import (
     BALANCE_EXACT,
@@ -52,13 +53,11 @@ from .cover import (
     PRESETS,
     PipelineFailure,
     SIMPLE,
-    WoundPiece,
     absorb_singleton,
     almost_blowup_cover,
     dirac_hamilton_cycle,
     simple_blowup_cover,
     spanning_cycle_blowup,
-    subdivide_and_wind,
     verify_cover,
 )
 from .generators import (
@@ -96,6 +95,7 @@ __all__ = [
     "BALANCE_WITHIN",
     "BicliqueRequest",
     "Blowup",
+    "BlowupSearch",
     "CLIQUE_UNION_PLUS",
     "CoverParams",
     "CoverResult",
@@ -119,7 +119,6 @@ __all__ = [
     "SIMPLE",
     "SetFamily",
     "Verdict",
-    "WoundPiece",
     "absorb_singleton",
     "almost_blowup_cover",
     "canonical_cycle",
@@ -127,7 +126,6 @@ __all__ = [
     "connect_clusters",
     "dirac_hamilton_cycle",
     "find_biclique",
-    "find_blowup",
     "find_lower_regular_tuple",
     "generate",
     "graph_from_text",
@@ -141,7 +139,6 @@ __all__ = [
     "property_degree_estimate",
     "simple_blowup_cover",
     "spanning_cycle_blowup",
-    "subdivide_and_wind",
     "tuple_density",
     "verify_blowup_hosted",
     "verify_cover",

@@ -3,12 +3,12 @@
 Vertices are nonnegative ints; bit i set means vertex i is in the set.
 Python ints give us branch-free intersection/union and a fast popcount,
 which is what every search loop in this package leans on. Scoring many
-candidates at once (the picks of find_blowup, the side counts of
+candidates at once (the picks of BlowupSearch, the side counts of
 connect_clusters) runs on the packed uint64 view of Graph.packed instead.
 connect_clusters reads only the rows of its two sides there, and the
 cover converts each connector pool, and each pickup's candidates, to an
 index list here once per call;
-find_blowup has masks converted to the word layout and to index arrays
+BlowupSearch has masks converted to the word layout and to index arrays
 here once when a BlowupSearch is prepared and once per search for its
 avoid mask, never per pick. The cover's fold-in unpacks the leftover's
 rows of that view once per call and packs them, transposed, back into

@@ -111,7 +111,7 @@ def find_biclique(req: BicliqueRequest, node_budget: int | None = DEFAULT_NODE_B
 # of at most _BATCH. In the dead-end calls of sparse-600 solves a batch of one
 # restart cost 1.6 plain jittered passes and a batch of 24 about 5, but a
 # separate plain path for the first jittered restarts did not pay: over the
-# 240 find_blowup calls of sparse-600 solves on graph seeds 0-19 (2-vCPU
+# 240 BlowupSearch.find calls of sparse-600 solves on graph seeds 0-19 (2-vCPU
 # x86-64, numpy 2.4, best of three, two alternating runs each) they took
 # 1.03-1.06 s batched from restart 1 and 1.06-1.09 s with restarts 1-2 run
 # one at a time first, against 1.54-1.87 s with every restart one at a time.
@@ -120,35 +120,24 @@ def find_biclique(req: BicliqueRequest, node_budget: int | None = DEFAULT_NODE_B
 _BATCH = 24
 
 
-def find_blowup(host: Graph, F: Graph, t: int, frame: SetFamily | None = None, *,
-                avoid: int = 0, restart_budget: int = DEFAULT_RESTART_BUDGET,
-                seed: int = 0) -> Blowup | None:
-    """Search for a blow-up of F with every cluster of size exactly t.
+class BlowupSearch:
+    """Searches for a blow-up of F with every cluster of size exactly t,
+    prepared once for a host, pattern, cluster size and frame, for any
+    number of searches that differ only in their avoid mask, restart budget
+    and seed. almost_blowup_cover holds one for the extractions of one
+    cover; preparing it once instead of once per extraction took the median
+    benchmark solve of GNP hosts (p = 0.97, delta = 0.75n) at n = 1000 from
+    0.088 to 0.066 s, and one at n = 3000 from 0.72 to 0.37 s.
 
     Clusters are grown simultaneously, one vertex per pattern position per
     round, always taking the candidate that keeps the scarcest neighbouring
     pool largest; ties go to the higher degree, then the lower id. Candidate
     pools only shrink; a dead pool aborts the pass and a jittered restart
-    breaks value ties by jitter first. The search runs on arrays of the
-    frame built once (BlowupSearch): each pick scores its whole pool in one
-    array pass over the words of its neighbours' frame parts, and one AND
-    applies its effect on every pool. The jittered restarts run side by side
-    in batches on the same arrays, and the lowest-numbered survivor wins, so
-    the result is the one a restart-by-restart loop returns. A caller that
-    takes several blow-ups from one frame prepares a BlowupSearch once
-    instead. almost_blowup_cover does, which took the median benchmark
-    solve of GNP hosts (p = 0.97, delta = 0.75n) at n = 1000 from 0.088 to
-    0.066 s, and one at n = 3000 from 0.72 to 0.37 s.
-    """
-    return BlowupSearch(host, F, t, frame).find(avoid=avoid, restart_budget=restart_budget,
-                                                seed=seed)
-
-
-class BlowupSearch:
-    """find_blowup prepared once for a host, pattern, cluster size and frame,
-    for any number of searches that differ only in their avoid mask, restart
-    budget and seed. Package-internal: almost_blowup_cover holds one for the
-    extractions of one cover.
+    breaks value ties by jitter first. Each pick scores its whole pool in
+    one array pass over the words of its neighbours' frame parts, and one
+    AND applies its effect on every pool. The jittered restarts run side by
+    side in batches on the same arrays, and the lowest-numbered survivor
+    wins, so the result is the one a restart-by-restart loop returns.
 
     Part i of the frame (all of the host when there is no frame) keeps its
     vertices in choice order after value and jitter, descending degree then
@@ -213,8 +202,10 @@ class BlowupSearch:
 
     def find(self, *, avoid: int = 0, restart_budget: int = DEFAULT_RESTART_BUDGET,
              seed: int = 0) -> Blowup | None:
-        """The blow-up find_blowup(host, F, t, frame, avoid=avoid,
-        restart_budget=restart_budget, seed=seed) returns."""
+        """A blow-up of F whose clusters avoid the vertices of avoid, or None.
+
+        Restart 0 is the plain greedy pass; restarts 1 to restart_budget
+        are jittered by the streams that seed spawns."""
         start = mask_words([(m & ~avoid) >> (64 * a) for m, a in zip(self.parts, self.lo)],
                            self.words)
         clusters = self._plain(start.copy())

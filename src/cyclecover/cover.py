@@ -4,12 +4,12 @@ A graph with minimum degree above n/2 admits a spanning structure built
 from small blow-ups: almost all of the graph is covered by vertex-disjoint
 blow-ups of a well-connected pattern, the leftover is folded in until the
 blow-ups partition all but a few late vertices into quasi-balanced
-families, each family's singleton cluster is absorbed into a cycle through
-its reduced graph, the families are linked into one ring by connector
-triples, one winding pass lays the clusters out as a single cycle blow-up,
-and each late vertex joins a cycle cluster whose two neighbours it is
-complete to. Every stage keeps enough bookkeeping that the end result
-re-verifies from scratch against the host graph.
+families, each family's singleton cluster is absorbed along the least
+Hamilton cycle of its reduced graph (an exhaustive depth-first search),
+the families are linked into one ring by connector triples, the pipeline
+lays the clusters out along that ring as a single cycle blow-up, and each
+late vertex joins a cycle cluster whose two neighbours it is complete to.
+The end result is re-verified from scratch against the host graph.
 """
 
 from __future__ import annotations
@@ -182,85 +182,37 @@ def verify_cover(G: Graph, result: CoverResult, params: CoverParams) -> Verdict:
 # Hamilton cycles of small reduced graphs
 
 
-def _canon_cycle_order(cycle: list[int]) -> tuple[int, ...]:
-    # rotate to the smallest vertex, then take the lex-smaller direction
-    k = len(cycle)
-    i = cycle.index(min(cycle))
-    fwd = tuple(cycle[(i + j) % k] for j in range(k))
-    bwd = tuple(cycle[(i - j) % k] for j in range(k))
-    return min(fwd, bwd)
-
-
 def dirac_hamilton_cycle(R: Graph) -> tuple[int, ...] | None:
-    """Hamilton cycle by rotation and extension, or None.
+    """The lexicographically least Hamilton cycle of R, or None.
 
-    Grows a path greedily, closes it through a crossing pair when both ends
-    are saturated, and absorbs off-cycle vertices through any attachment
-    point. On hosts with minimum degree >= n/2 the crossing pair always
-    exists on a maximal path, so None is only possible below that degree.
-    Raises on fewer than three vertices.
+    A depth-first search from vertex 0 extends the path by its lowest
+    unused neighbour first and returns the first path that closes, so the
+    cycle starts at 0 and its second vertex is below its last. The search
+    is exhaustive, so None means R has no Hamilton cycle; it is meant for
+    reduced graphs of a few vertices. Raises on fewer than three vertices.
     """
     n = R.n
     if n < 3:
         raise ValueError("a cycle needs at least three vertices")
+    adj = R.adj
     full = (1 << n) - 1
     path = [0]
-    on_path = 1
-    tried: set[int] = set()
-    budget = 8 * n * n + 64
-    while budget > 0:
-        budget -= 1
+
+    def extend(on_path: int) -> bool:
         t = path[-1]
-        free = R.adj[t] & ~on_path
-        if free:
-            v = (free & -free).bit_length() - 1
-            path.append(v)
-            on_path |= 1 << v
-            tried.clear()
-            continue
-        # both ends saturated on the path; try to close it into a cycle
-        head = path[0]
-        cycle = None
-        if R.has_edge(t, head):
-            cycle = list(path)
-        else:
-            for i in range(1, len(path) - 1):
-                if R.has_edge(head, path[i + 1]) and R.has_edge(path[i], t):
-                    cycle = path[: i + 1] + path[i + 1 :][::-1]
-                    break
-        if cycle is not None:
-            cmask = mask_from(cycle)
-            if cmask == full:
-                return _canon_cycle_order(cycle)
-            # spin the cycle open at an attachment point and keep growing
-            grown = False
-            for idx, cv in enumerate(cycle):
-                out = R.adj[cv] & ~cmask
-                if out:
-                    u = (out & -out).bit_length() - 1
-                    path = cycle[idx + 1 :] + cycle[: idx + 1] + [u]
-                    on_path = cmask | (1 << u)
-                    tried.clear()
-                    grown = True
-                    break
-            if grown:
-                continue
-            return None
-        # rotate: pivot on a path neighbour of the tail, reversing the suffix
-        rotated = False
-        for i in range(len(path) - 2):
-            if not R.has_edge(path[i], t):
-                continue
-            cand = path[i + 1]
-            if cand in tried:
-                continue
-            tried.add(cand)
-            path = path[: i + 1] + path[i + 1 :][::-1]
-            rotated = True
-            break
-        if not rotated:
-            return None
-    return None
+        if on_path == full:
+            return bool(adj[t] & 1)
+        free = adj[t] & ~on_path
+        while free:
+            low = free & -free
+            path.append(low.bit_length() - 1)
+            if extend(on_path | low):
+                return True
+            path.pop()
+            free ^= low
+        return False
+
+    return tuple(path) if extend(1) else None
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +232,14 @@ class AbsorbResult:
 def absorb_singleton(B: Blowup) -> AbsorbResult:
     """Fold the singleton cluster into the rest of its family.
 
-    The reduced graph loses the singleton's vertex, a Hamilton cycle C' of
-    the remainder is found, and the scan looks for the first position j
-    whose cluster and next-but-one cluster are both reduced neighbours of
-    the removed vertex. The singleton then joins the cluster sitting
-    between those two, which keeps both of its cycle joins complete. The
-    merged family is declared within (1 +- 2 eta) of its scale (floored so
-    the +1 always fits). Raises AbsorptionError when no cycle or no valid
-    position exists.
+    The reduced graph loses the singleton's vertex, the least Hamilton
+    cycle C' of the remainder is found, and the scan looks for the first
+    position j whose cluster and next-but-one cluster are both reduced
+    neighbours of the removed vertex. The singleton then joins the cluster
+    sitting between those two, which keeps both of its cycle joins
+    complete. The merged family is declared within (1 +- 2 eta) of its
+    scale (floored so the +1 always fits). Raises AbsorptionError when no
+    cycle or no valid position exists.
     """
     fam = B.family
     v = fam.validate()
@@ -876,79 +828,6 @@ def _pickup_direct(G: Graph, params: CoverParams, root: int, t: int, fold: _Fold
 
 
 # ---------------------------------------------------------------------------
-# winding
-
-
-@dataclass(frozen=True)
-class WoundPiece:
-    """One family ready for winding.
-
-    clusters are the post-carving vertex groups; cycle lists cluster
-    indices in traversal order, entry cluster first and exit cluster last,
-    with every consecutive pair (cyclically) a reduced edge.
-    """
-
-    reduced: Graph
-    clusters: tuple[tuple[int, ...], ...]
-    cycle: tuple[int, ...]
-
-
-def subdivide_and_wind(pieces: Sequence[WoundPiece],
-                       connectors: Sequence[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]],
-                       *, n: int, c: float, eta: float) -> CycleBlowupCertificate:
-    """Wind the pieces into one certified cycle blow-up.
-
-    The traversal visits each piece once: it enters after the previous
-    connector's landing side, walks the piece's cycle from the cluster
-    after the entry round to the entry cluster, each cluster whole, and
-    leaves through this piece's connector (exit side, middle, landing
-    side). Connector i joins piece i to piece i+1, cyclically; with one
-    piece its own connector closes the ring. The certificate declares
-    bounds (c, eta) over the host order n. Malformed connectors and empty
-    or overlapping clusters raise with the offending index.
-    """
-    t = len(pieces)
-    if t == 0:
-        raise ValueError("nothing to wind")
-    if len(connectors) != t:
-        raise ValueError("connector endpoint mismatch: need one connector per piece")
-    used = 0
-    for i, con in enumerate(connectors):
-        if len(con) != 3 or any(len(side) == 0 for side in con):
-            raise ValueError(f"connector endpoint mismatch at {i}")
-        for side in con:
-            sm = mask_from(side)
-            if sm & used:
-                raise ValueError(f"connector endpoint mismatch at {i}")
-            used |= sm
-    order: list[tuple[int, ...]] = []
-    for i, piece in enumerate(pieces):
-        k = len(piece.clusters)
-        cyc = piece.cycle
-        if sorted(cyc) != list(range(k)):
-            raise ValueError(f"piece {i} cycle is not a permutation of its clusters")
-        for a in range(k):
-            u, v = cyc[a], cyc[(a + 1) % k]
-            if not piece.reduced.has_edge(u, v):
-                raise ValueError(f"piece {i} cycle skips a reduced edge")
-        for ci, cl in enumerate(piece.clusters):
-            if not cl:
-                raise ValueError(f"empty cluster (piece {i}, cluster {ci})")
-            cm = mask_from(cl)
-            if cm & used:
-                raise ValueError(f"piece {i} overlaps a connector or earlier piece")
-            used |= cm
-        prev = connectors[(i - 1) % t]
-        order.append(tuple(sorted(prev[2])))
-        for ci in cyc[1:] + cyc[:1]:
-            order.append(tuple(sorted(piece.clusters[ci])))
-        con = connectors[i]
-        order.append(tuple(sorted(con[0])))
-        order.append(tuple(sorted(con[1])))
-    return CycleBlowupCertificate(n, c, eta, canonical_cycle(order))
-
-
-# ---------------------------------------------------------------------------
 # the full pipeline
 
 
@@ -1000,26 +879,22 @@ def spanning_cycle_blowup(G: Graph, params: CoverParams):
 
     clusters: list[list[list[int]]] = []
     cycles: list[tuple[int, ...]] = []
-    entry: list[int] = []
-    exit_: list[int] = []
     for ar in absorbed:
         cls = [sorted(c) for c in ar.blowup.family.clusters]
         k = len(cls)
         C = ar.cycle
+        # the exit is the largest cluster, the entry its larger cycle neighbour
         tail = max(range(k), key=lambda ci: (len(cls[ci]), -ci))
         pos = C.index(tail)
-        after = C[(pos + 1) % k]
-        before = C[(pos - 1) % k]
-        if (len(cls[after]), -after) >= (len(cls[before]), -before):
-            cyc = tuple(C[(pos + 1 + j) % k] for j in range(k))
-        else:
-            rev = tuple(reversed(C))
-            pos = rev.index(tail)
-            cyc = tuple(rev[(pos + 1 + j) % k] for j in range(k))
+        after, before = C[(pos + 1) % k], C[pos - 1]
+        if (len(cls[after]), -after) < (len(cls[before]), -before):
+            C = C[::-1]
+            pos = C.index(tail)
+        cyc = C[pos + 1:] + C[:pos + 1]
         clusters.append(cls)
         cycles.append(cyc)
-        entry.append(cyc[0])
-        exit_.append(cyc[-1])
+    entry = [cyc[0] for cyc in cycles]
+    exit_ = [cyc[-1] for cyc in cycles]
 
     min_end = min(min(len(clusters[i][entry[i]]), len(clusters[i][exit_[i]]))
                   for i in range(t))
@@ -1027,7 +902,7 @@ def spanning_cycle_blowup(G: Graph, params: CoverParams):
 
     carve: dict[tuple[int, int], int] = {}
     pending = {(i, entry[i]) for i in range(t)} | {(i, exit_[i]) for i in range(t)}
-    connectors: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
+    connectors: list[tuple[list[int], list[int], list[int]]] = []
     cap = params.eta * m1
     owner = {v: (fj, cj) for fj in range(t) for cj, cl in enumerate(clusters[fj]) for v in cl}
 
@@ -1079,15 +954,18 @@ def spanning_cycle_blowup(G: Graph, params: CoverParams):
             m = donation(*key)
             donated ^= donor[key] ^ m
             donor[key] = m
-        connectors.append((tuple(W1), tuple(W2), tuple(W3)))
+        connectors.append((W1, W2, W3))
 
     if any(not c for cls in clusters for c in cls):
         return PipelineFailure("connect", None, {"emptied_cluster": True})
-    pieces = [WoundPiece(absorbed[i].blowup.reduced,
-                         tuple(tuple(c) for c in clusters[i]), cycles[i])
-              for i in range(t)]
-    cert = subdivide_and_wind(pieces, connectors,
-                              n=n, c=params.c2, eta=4.0 * params.eta)
+    # wind: family i runs from connector i-1's landing side round its cycle,
+    # entry cluster last, each cluster whole, to connector i's exit side and middle
+    order: list[Sequence[int]] = []
+    for i, cyc in enumerate(cycles):
+        order.append(connectors[i - 1][2])
+        order += [clusters[i][ci] for ci in cyc[1:] + cyc[:1]]
+        order += connectors[i][:2]
+    cert = CycleBlowupCertificate(n, params.c2, 4.0 * params.eta, canonical_cycle(order))
     if cover.uncovered:
         cert = _place_late(G, cert, cover.uncovered)
         if isinstance(cert, PipelineFailure):

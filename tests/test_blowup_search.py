@@ -20,9 +20,9 @@ from cyclecover.core import (
 )
 from cyclecover.blowup_search import (
     BicliqueRequest,
+    BlowupSearch,
     connect_clusters,
     find_biclique,
-    find_blowup,
 )
 from cyclecover.generators import GNP_REPAIRED, GeneratorSpec, generate
 from cyclecover.seeding import spawn
@@ -85,7 +85,7 @@ class TestFindBlowup:
         host = Graph.complete_multipartite([4, 4, 4])
         frame = SetFamily.of([set(range(0, 4)), set(range(4, 8)), set(range(8, 12))],
                              BALANCE_EXACT, m=4)
-        blow = find_blowup(host, Graph.complete(3), 4, frame)
+        blow = BlowupSearch(host, Graph.complete(3), 4, frame).find()
         assert blow is not None
         assert all(len(c) == 4 for c in blow.family.clusters)
         assert verify_blowup_hosted(host, blow).status == PASS
@@ -94,19 +94,19 @@ class TestFindBlowup:
         host = generate(GeneratorSpec(GNP_REPAIRED, n=60, p=0.9, seed=21))
         parts = [set(range(0, 20)), set(range(20, 40)), set(range(40, 60))]
         frame = SetFamily.of(parts, BALANCE_EXACT, m=20)
-        blow = find_blowup(host, Graph.complete(3), 5, frame)
+        blow = BlowupSearch(host, Graph.complete(3), 5, frame).find()
         assert blow is not None
         for cluster, part in zip(blow.family.clusters, parts):
             assert cluster <= part
 
     def test_impossible_returns_none(self):
         host = Graph.empty(9)
-        assert find_blowup(host, Graph.complete(3), 2) is None
+        assert BlowupSearch(host, Graph.complete(3), 2).find() is None
 
     def test_avoid_mask_respected(self):
         host = Graph.complete(12)
         avoid = (1 << 6) - 1  # forbid vertices 0..5
-        blow = find_blowup(host, Graph.complete(3), 2, avoid=avoid)
+        blow = BlowupSearch(host, Graph.complete(3), 2).find(avoid=avoid)
         assert blow is not None
         used = set()
         for c in blow.family.clusters:
@@ -115,13 +115,13 @@ class TestFindBlowup:
 
     def test_deterministic(self):
         host = generate(GeneratorSpec(GNP_REPAIRED, n=40, p=0.8, seed=5))
-        a = find_blowup(host, Graph.complete(4), 3, seed=9)
-        b = find_blowup(host, Graph.complete(4), 3, seed=9)
+        a = BlowupSearch(host, Graph.complete(4), 3).find(seed=9)
+        b = BlowupSearch(host, Graph.complete(4), 3).find(seed=9)
         assert a is not None and a.family.clusters == b.family.clusters
 
     def test_dense_random_k4_blowup(self):
         host = generate(GeneratorSpec(GNP_REPAIRED, n=80, p=0.95, seed=13))
-        blow = find_blowup(host, Graph.complete(4), 6)
+        blow = BlowupSearch(host, Graph.complete(4), 6).find()
         assert blow is not None
         assert verify_blowup_hosted(host, blow).status == PASS
 

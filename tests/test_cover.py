@@ -1,6 +1,6 @@
 """Cover assembly tests: Hamilton cycles of reduced graphs, singleton
-absorption, the almost/simple covers, splitting, winding, and the full
-spanning pipeline. Small cases are pinned against the backtracking cycle
+absorption, the almost/simple covers, splitting, and the full spanning
+pipeline. Small cases are pinned against the backtracking cycle
 oracle; structural claims are re-checked through the certificate verifier.
 """
 
@@ -29,7 +29,6 @@ from cyclecover.cover import (
     CoverResult,
     PipelineFailure,
     PRESETS,
-    WoundPiece,
     _EPS,
     _guard_picks,
     _guard_shapes,
@@ -43,7 +42,6 @@ from cyclecover.cover import (
     dirac_hamilton_cycle,
     simple_blowup_cover,
     spanning_cycle_blowup,
-    subdivide_and_wind,
     verify_cover,
 )
 from cyclecover.generators import (CLIQUE_UNION_PLUS, DIRAC_EXTREMAL, GNP_REPAIRED,
@@ -126,9 +124,11 @@ def test_dirac_cycle_agrees_with_oracle_on_dirac_graphs():
                 G = Graph.from_edges(n, edges)
                 if 2 * min_degree(G) >= n:
                     break
-            assert brute_hamilton_cycle(G) is not None
+            want = brute_hamilton_cycle(G)
+            assert want is not None
             cyc = dirac_hamilton_cycle(G)
             assert cycle_is_hamiltonian(G, cyc)
+            assert cyc == want
 
 
 def test_dirac_cycle_output_is_canonical():
@@ -150,6 +150,8 @@ def test_dirac_cycle_valid_whenever_found_below_threshold():
             cyc = dirac_hamilton_cycle(G)
         except ValueError:
             continue
+        # the search is exhaustive, so it misses no cycle below the bound
+        assert (cyc is None) == (brute_hamilton_cycle(G) is None)
         if cyc is not None:
             assert cycle_is_hamiltonian(G, cyc)
             found += 1
@@ -517,47 +519,6 @@ def test_cover_result_validate_rejects_overlap():
         res.n, (Blowup(first.reduced, fam),) + res.blowups[1:],
         res.uncovered, res.kind)
     assert tampered.validate().status == "FAIL"
-
-
-# ---------------------------------------------------------------------------
-# subdivide and wind
-
-
-def triangle_piece(cluster_sizes, base=0):
-    clusters, at = [], base
-    for sz in cluster_sizes:
-        clusters.append(tuple(range(at, at + sz)))
-        at += sz
-    return WoundPiece(Graph.complete(3), tuple(clusters), (0, 1, 2)), at
-
-
-def test_wind_single_pass_keeps_clusters_whole():
-    piece, at = triangle_piece([4, 3, 3])
-    con = ((10, 11), (12, 13), (14, 15))
-    cert = subdivide_and_wind([piece], [con], n=16, c=2.0, eta=1.0)
-    assert len(cert.clusters) == 6
-    assert sorted(len(c) for c in cert.clusters) == [2, 2, 2, 3, 3, 4]
-    assert verify_cycle_blowup(Graph.complete(16), cert).status == "PASS"
-
-
-def test_wind_connector_count_must_match():
-    piece, _ = triangle_piece([2, 2, 2])
-    with pytest.raises(ValueError, match="one connector per piece"):
-        subdivide_and_wind([piece], [], n=6, c=2.0, eta=1.0)
-
-
-def test_wind_rejects_overlapping_connector_sides():
-    piece, _ = triangle_piece([2, 2, 2])
-    con = ((6, 7), (7, 8), (9, 10))
-    with pytest.raises(ValueError, match="connector endpoint mismatch at 0"):
-        subdivide_and_wind([piece], [con], n=11, c=2.0, eta=1.0)
-
-
-def test_wind_rejects_empty_cluster():
-    piece, _ = triangle_piece([2, 0, 2])
-    con = ((4, 5), (6, 7), (8, 9))
-    with pytest.raises(ValueError, match=r"empty cluster \(piece 0, cluster 1\)"):
-        subdivide_and_wind([piece], [con], n=10, c=2.0, eta=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Checks on the package source: the pipeline modules stay off the lemma
-library, no module keeps an import it does not use, numpy loads only
-when something needs it, every process-level memo is bounded, and GNP
-hosts are drawn in blocks, without a random() call per pair or
-numpy.random."""
+library, every function of cover.py runs in the pipeline, no module keeps
+an import it does not use, numpy loads only when something needs it, every
+process-level memo is bounded, and GNP hosts are drawn in blocks, without
+a random() call per pair or numpy.random."""
 
 import ast
 import os
@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+import cyclecover.cover as cover
+from cyclecover.core import CycleBlowupCertificate
 from cyclecover.generators import GNP_REPAIRED, GeneratorSpec, generate
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cyclecover"
@@ -47,6 +49,40 @@ def _imported_modules(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("module", PIPELINE)
 def test_pipeline_module_does_not_import_the_lemma_library(module):
     assert not LEMMA_LIBRARY & _imported_modules(_tree(PACKAGE / f"{module}.py"))
+
+
+def test_every_cover_function_runs_in_the_pipeline():
+    # the pipeline path holds only code the pipeline runs: three desk solves
+    # enter every def of cover.py, methods, properties and nested functions
+    # included. GNP (300, 0.8, 210) seed 9 places a late vertex, and
+    # (600, 0.8, 420) seed 0 takes a direct pickup out of the fold-in.
+    path = cover.__file__
+    # a decorated function's code starts at its first decorator
+    defs = {(node.name, min([node.lineno] + [d.lineno for d in node.decorator_list]))
+            for node in ast.walk(_tree(Path(path)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    hosts = [generate(GeneratorSpec(GNP_REPAIRED, n=n, p=p, delta_target=delta, seed=seed))
+             for n, p, delta, seed in ((300, 0.97, 225, 0), (300, 0.8, 210, 9),
+                                       (600, 0.8, 420, 0))]
+    entered = set()
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename == path:
+            entered.add((code.co_name, code.co_firstlineno))
+        # no local trace function: calls are recorded, lines are not
+
+    cover._guard_picks.cache_clear()  # a warm memo would skip the draw
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        params = cover.CoverParams()
+        certs = [cover.spanning_cycle_blowup(G, params) for G in hosts]
+    finally:
+        sys.settrace(previous)
+    assert all(isinstance(c, CycleBlowupCertificate) for c in certs), certs
+    assert len(defs) > 20
+    assert sorted(defs - entered) == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

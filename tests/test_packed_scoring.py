@@ -1,6 +1,6 @@
 """The packed numpy view of a graph, and the searches that score on it.
 
-find_blowup and connect_clusters score whole candidate pools at once on
+BlowupSearch and connect_clusters score whole candidate pools at once on
 Graph.packed. Each must return what the scalar versions kept in
 tests/oracles.py return, with the same telemetry, on every path: frames,
 avoid masks, jittered restarts in batches, jitter ties, isolated pattern
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from cyclecover.bitset import mask_from, mask_indices
-from cyclecover.blowup_search import BlowupSearch, connect_clusters, find_blowup
+from cyclecover.blowup_search import BlowupSearch, connect_clusters
 from cyclecover.core import BALANCE_WITHIN, Graph, SetFamily
 from cyclecover.seeding import spawn
 
@@ -65,7 +65,7 @@ def test_graph_operations_do_not_build_the_view():
 
 
 # ---------------------------------------------------------------------------
-# find_blowup
+# BlowupSearch
 
 
 @pytest.mark.parametrize("n", ORDERS)
@@ -84,7 +84,8 @@ def test_find_blowup_matches_scalar(n):
         for fr, av in ((None, 0), (frame, 0), (None, avoid), (frame, avoid),
                        (None, avoid | ~G.adj[seed])):  # a negative mask
             want = scalar_find_blowup(G, F, t, fr, avoid=av, restart_budget=8, seed=seed)
-            same_blowup(find_blowup(G, F, t, fr, avoid=av, restart_budget=8, seed=seed), want)
+            got = BlowupSearch(G, F, t, fr).find(avoid=av, restart_budget=8, seed=seed)
+            same_blowup(got, want)
             found += want is not None
     assert found >= 10
 
@@ -127,14 +128,14 @@ def test_find_blowup_matches_scalar_after_restarts(n, seed, framed, avoid, win):
         avoid = mask_from(range(n // 3))
     kw = {"seed": seed, "avoid": avoid or 0}
     if win is None:
-        assert find_blowup(G, F, 4, frame, restart_budget=50, **kw) is None
+        assert BlowupSearch(G, F, 4, frame).find(restart_budget=50, **kw) is None
         assert scalar_find_blowup(G, F, 4, frame, restart_budget=50, **kw) is None
         return
-    assert find_blowup(G, F, 4, frame, restart_budget=win - 1, **kw) is None
-    got = find_blowup(G, F, 4, frame, restart_budget=win, **kw)
+    assert BlowupSearch(G, F, 4, frame).find(restart_budget=win - 1, **kw) is None
+    got = BlowupSearch(G, F, 4, frame).find(restart_budget=win, **kw)
     assert got is not None
     same_blowup(got, scalar_find_blowup(G, F, 4, frame, restart_budget=win, **kw))
-    same_blowup(find_blowup(G, F, 4, frame, restart_budget=50, **kw), got)
+    same_blowup(BlowupSearch(G, F, 4, frame).find(restart_budget=50, **kw), got)
 
 
 def test_find_blowup_breaks_jitter_ties_by_degree_then_id(monkeypatch):
@@ -155,10 +156,10 @@ def test_find_blowup_breaks_jitter_ties_by_degree_then_id(monkeypatch):
     for n, seed in ((64, 10), (64, 14), (64, 18), (130, 0), (130, 3)):
         G = random_graph(n, 0.5, seed)
         for fr in (None, thirds(n)):
-            got = find_blowup(G, F, 4, fr, seed=seed)
+            got = BlowupSearch(G, F, 4, fr).find(seed=seed)
             same_blowup(got, scalar_find_blowup(G, F, 4, fr, seed=seed))
-            batched += got is not None and find_blowup(G, F, 4, fr, restart_budget=0,
-                                                        seed=seed) is None
+            batched += got is not None and BlowupSearch(G, F, 4, fr).find(restart_budget=0,
+                                                                          seed=seed) is None
     assert batched >= 2
 
 
@@ -202,7 +203,7 @@ def test_find_blowup_matches_scalar_with_isolated_pattern_vertex(n):
         G = random_graph(n, 0.6, seed + 50)
         for t in (1, 3):
             for budget in (0, 5):
-                same_blowup(find_blowup(G, F, t, restart_budget=budget, seed=seed),
+                same_blowup(BlowupSearch(G, F, t).find(restart_budget=budget, seed=seed),
                             scalar_find_blowup(G, F, t, restart_budget=budget, seed=seed))
 
 
