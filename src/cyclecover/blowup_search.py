@@ -1,4 +1,4 @@
-"""Searches for bicliques, pattern blow-ups and connector triples.
+"""Searches for pattern blow-ups and connector triples.
 
 All searches share one tie-break everywhere a vertex is chosen: higher host
 degree first, then lower id. Every non-NONE return is re-checked against the
@@ -8,7 +8,6 @@ or an exception but never an invalid certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
@@ -34,77 +33,12 @@ def _order_key(G: Graph):
     return lambda v: (-G.degree(v), v)
 
 
-@dataclass(frozen=True)
-class BicliqueRequest:
-    host: Graph
-    side_a: frozenset
-    side_b: frozenset
-    p: int
-
-    @classmethod
-    def of(cls, host: Graph, side_a: Iterable[int], side_b: Iterable[int], p: int) -> "BicliqueRequest":
-        a = frozenset(side_a)
-        b = frozenset(side_b)
-        if a & b:
-            raise ValueError("sides overlap")
-        if any(not 0 <= v < host.n for v in a | b):
-            raise ValueError("vertex outside the host")
-        if p < 1:
-            raise ValueError("p must be at least 1")
-        if p > min(len(a), len(b)):
-            raise ValueError("p exceeds a side")
-        return cls(host, a, b, p)
-
-
 def _check_biclique(G: Graph, A: Sequence[int], B: Sequence[int]) -> None:
     """Raise AssertionError unless every A-B pair is an edge of G. The raise
     is explicit, so the check also runs under python -O."""
     verdict = is_complete_bipartite(G, A, B)
     if verdict.status != PASS:
         raise AssertionError(f"search returned a non-biclique: {verdict}")
-
-
-def find_biclique(req: BicliqueRequest, node_budget: int | None = DEFAULT_NODE_BUDGET):
-    """A complete bipartite K_{p,p} with sides inside side_a / side_b, or
-    None.
-
-    One pruned DFS over the p-subsets of B in lexicographic order, B sorted
-    by neighbours in A, then degree, then id; the first hit wins. When B
-    has at most _TINY_ENUM p-subsets the DFS ignores node_budget, so None
-    is then a proof of absence; past that, None may also mean the node
-    budget ran out.
-    """
-    G = req.host
-    p = req.p
-    amask = mask_from(req.side_a)
-    key = _order_key(G)
-    b_list = sorted(req.side_b, key=lambda b: (-(G.adj[b] & amask).bit_count(), key(b)))
-    budget = None if comb(len(b_list), p) <= _TINY_ENUM else node_budget
-    nodes = 0
-
-    def dfs(start: int, chosen: list[int], inter: int):
-        nonlocal nodes
-        if len(chosen) == p:
-            a_side = sorted(sorted(bits_list(inter), key=key)[:p])
-            b_side = sorted(chosen)
-            _check_biclique(G, a_side, b_side)
-            return tuple(a_side), tuple(b_side)
-        for idx in range(start, len(b_list)):
-            if budget is not None and nodes >= budget:
-                return None
-            b = b_list[idx]
-            nodes += 1
-            nxt = inter & G.adj[b]
-            if nxt.bit_count() < p:
-                continue
-            if len(b_list) - idx < p - len(chosen):
-                return None
-            res = dfs(idx + 1, chosen + [b], nxt)
-            if res is not None:
-                return res
-        return None
-
-    return dfs(0, [], amask)
 
 
 # Every jittered restart runs in BlowupSearch._jittered, in lockstep batches

@@ -19,11 +19,10 @@ from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
-from .blowup_search import BicliqueRequest, connect_clusters, find_biclique
+from .blowup_search import connect_clusters
 from .core import (
     CycleBlowupCertificate,
     Graph,
-    Hypergraph,
     graph_from_file,
     graph_to_text,
     verify_cycle_blowup,
@@ -44,8 +43,15 @@ from .generators import (
     GeneratorSpec,
     generate,
 )
-from .inheritance import PropertySpec, inherits_degree, property_degree_estimate
-from .tiling import hypergraph_perfect_matching
+from .lemmas import (
+    BicliqueRequest,
+    Hypergraph,
+    PropertySpec,
+    find_biclique,
+    hypergraph_perfect_matching,
+    inherits_degree,
+    property_degree_estimate,
+)
 
 SCHEMA_LINE = "# schema=1"
 ROW_HEADER = "n,seed,preset,outcome,clusters,size_mode,c_effective,wall_ms"

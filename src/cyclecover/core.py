@@ -1,12 +1,11 @@
-"""Graphs, uniform hypergraphs, cluster families, and the verifiers.
+"""Graphs, cluster families, and the verifiers.
 
 Everything downstream reduces to the objects here: a Graph with bitmask
-adjacency rows, an s-uniform Hypergraph with an explicit edge set, a
-SetFamily of disjoint vertex clusters with a declared balance shape, a
-Blowup pairing a reduced graph with a family, and a CycleBlowupCertificate
-that can be re-checked from scratch against a host graph. Verifiers
-return Verdict values with witnesses instead of raising, except where a
-precondition is plainly violated.
+adjacency rows, a SetFamily of disjoint vertex clusters with a declared
+balance shape, a Blowup pairing a reduced graph with a family, and a
+CycleBlowupCertificate that can be re-checked from scratch against a host
+graph. Verifiers return Verdict values with witnesses instead of raising,
+except where a precondition is plainly violated.
 """
 
 from __future__ import annotations
@@ -39,12 +38,8 @@ class Verdict:
     reason: str = ""
     witness: object = None
 
-    @property
-    def ok(self) -> bool:
-        return self.status == PASS
-
     def __bool__(self) -> bool:  # pragma: no cover - guard against misuse
-        raise TypeError("Verdict is not a boolean; check .status or .ok")
+        raise TypeError("Verdict is not a boolean; check .status")
 
 
 def _pass() -> Verdict:
@@ -189,47 +184,6 @@ def is_complete_bipartite(G: Graph, A: Iterable[int], B: Iterable[int]) -> Verdi
     return _pass()
 
 
-class Hypergraph:
-    """s-uniform hypergraph with an explicit frozen edge set; edges are
-    stored as sorted tuples."""
-
-    __slots__ = ("s", "universe", "edge_set")
-
-    def __init__(self, s, universe, edge_set):
-        self.s = s
-        self.universe = universe
-        self.edge_set = edge_set
-
-    @classmethod
-    def from_edges(cls, s: int, universe: Iterable[int], edges: Iterable[Iterable[int]]) -> "Hypergraph":
-        uni = frozenset(universe)
-        if s < 1:
-            raise ValueError("uniformity must be positive")
-        edge_set = set()
-        for e in edges:
-            t = tuple(sorted(e))
-            if len(t) != s or len(set(t)) != s:
-                raise ValueError(f"edge {t} is not an s-set")
-            if not all(v in uni for v in t):
-                raise ValueError(f"edge {t} leaves the universe")
-            edge_set.add(t)
-        return cls(s, uni, frozenset(edge_set))
-
-    def __repr__(self) -> str:
-        return f"Hypergraph(s={self.s}, |V|={len(self.universe)}, |E|={len(self.edge_set)})"
-
-
-def hypergraph_min_degree(P: Hypergraph) -> int:
-    """Minimum vertex degree of a hypergraph."""
-    counts = {v: 0 for v in P.universe}
-    for e in P.edge_set:
-        for v in e:
-            counts[v] += 1
-    if not counts:
-        raise ValueError("empty hypergraph")
-    return min(counts.values())
-
-
 @dataclass(frozen=True)
 class SetFamily:
     """Disjoint vertex clusters plus a declared balance shape.
@@ -297,9 +251,6 @@ class SetFamily:
             u |= mask_from(c)
         return u
 
-    def total(self) -> int:
-        return sum(len(c) for c in self.clusters)
-
 
 @dataclass(frozen=True)
 class Blowup:
@@ -366,14 +317,27 @@ class CycleBlowupCertificate:
     def from_json(cls, text: str) -> "CycleBlowupCertificate":
         """Parse to_json output. The order and every vertex id must be JSON
         integers: a fractional or boolean one raises ValueError instead of
-        being truncated to a different vertex."""
+        being truncated to a different vertex. c and eta must be finite JSON
+        numbers: a boolean, a string, NaN or an infinity raises ValueError."""
         obj = json.loads(text)
         n = obj["n"]
         clusters = tuple(tuple(cl) for cl in obj["clusters"])
         # type() and not isinstance(): True and False are ints to isinstance
         if type(n) is not int or any(type(v) is not int for cl in clusters for v in cl):
             raise ValueError("certificate order and vertex ids must be JSON integers")
-        return cls(n, float(obj["c"]), float(obj["eta"]), clusters)
+        c, eta = obj["c"], obj["eta"]
+        if not (_finite_number(c) and _finite_number(eta)):
+            raise ValueError("certificate c and eta must be finite JSON numbers")
+        return cls(n, float(c), float(eta), clusters)
+
+
+def _finite_number(x) -> bool:
+    """Is x an int or a float, and not a boolean, NaN, an infinity or an int
+    past the float range?"""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def canonical_cycle(clusters: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

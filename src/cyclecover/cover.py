@@ -333,8 +333,7 @@ def _guard_shapes(G: Graph, picks, floor_deg: float) -> dict[tuple[tuple[int, in
     return shapes
 
 
-def almost_blowup_cover(G: Graph, params: CoverParams, *,
-                        scale: int | None = None) -> CoverResult:
+def almost_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     """Cover most of G by disjoint blow-ups with exactly balanced clusters.
 
     The vertex set is cut into s blocks of floor(n/s) consecutive ids; the
@@ -344,18 +343,14 @@ def almost_blowup_cover(G: Graph, params: CoverParams, *,
     reach min(16 eta, 1/2) / 4. When it does, the most frequent inheriting
     shape among those same samples becomes the pattern (ties go to the
     lexicographically smallest edge list), and framed extraction
-    pulls blow-ups at the cover scale until the unused fraction of every
-    block drops below rho. A rejected guard or a stall leaves a partial
-    cover plus diagnostics, never an invalid structure.
-
-    scale overrides the default cluster size m1 = floor(c1 ln n).
+    pulls blow-ups with clusters of the cover scale m1 = floor(c1 ln n)
+    until the unused fraction of every block drops below rho. A rejected
+    guard or a stall leaves a partial cover plus diagnostics, never an
+    invalid structure.
     """
     n = G.n
     s = params.s
     m1, _, _ = params.scales(n)
-    t_scale = m1 if scale is None else scale
-    if t_scale < 1:
-        raise ValueError("cluster scale must be at least 1")
 
     block = n // s
     parts = [list(range(i * block, (i + 1) * block)) for i in range(s)]
@@ -374,7 +369,7 @@ def almost_blowup_cover(G: Graph, params: CoverParams, *,
     blowups: list[Blowup] = []
     used = 0
     # every extraction searches the same frame, so its arrays are built once
-    search = BlowupSearch(G, pattern, t_scale, frame) if pattern is not None else None
+    search = BlowupSearch(G, pattern, m1, frame) if pattern is not None else None
     while search is not None and not all(
             (pm & ~used).bit_count() < params.rho * len(p) for p, pm in zip(parts, frame.masks)):
         # the 0 in the extract label is pinned by the golden certificate digests
@@ -697,10 +692,10 @@ def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     endgame-stuck diagnostic.
     """
     n = G.n
-    m1, _, m3 = params.scales(n)
+    _, _, m3 = params.scales(n)
     lo_p, hi_p = _piece_band(params, n)
 
-    base = almost_blowup_cover(G, params, scale=m1)
+    base = almost_blowup_cover(G, params)
     diags = list(base.diagnostics)
     fams: list[list[list[int]]] = [
         [sorted(c) for c in B.family.clusters] for B in base.blowups]

@@ -1,17 +1,25 @@
-"""Partite densities, lower-regular tuples, and hypergraph matchings.
+"""The lemma library: explicit uniform hypergraphs, degree inheritance on
+sampled s-sets, partite densities and lower-regular tuples, hypergraph
+perfect matchings, and bicliques.
 
-A lemma library over explicit uniform hypergraphs: the acceptance criteria
-exercise the regular-tuple finder and the matcher, and the cover pipeline
-imports nothing from here.
+These are the lemmas the blow-up cover is built from. Acceptance criteria
+4-8 and the CLI's biclique, match and inherit-scan commands run them; a
+solve runs none of them. This module may import the pipeline modules, and
+none of them imports it.
 
-The quantified regularity notion: an s-tuple of disjoint parts is
-(rho, d)-lower-regular when every choice of sub-parts of relative size at
-least rho spans partite density at least d - rho. Certification runs
-through an averaging reduction: a violating choice of large sub-parts
-exists exactly when one of minimal size ceil(rho |V_i|) does, so only
-exact-size subsets are enumerated and the budget is charged on that reduced
-state count. The partition retries of the matcher derive their randomness
-from per-call seeds.
+Degree inheritance: a vertex set S inherits the host's degree condition
+when the induced subgraph has minimum degree at least (1/2 + eps/2)|S|.
+The inheriting s-sets form a property hypergraph; callers probe it through
+inherits_degree or estimate its degrees by seeded sampling.
+
+Lower regularity: an s-tuple of disjoint parts is (rho, d)-lower-regular
+when every choice of sub-parts of relative size at least rho spans partite
+density at least d - rho. Certification runs through an averaging
+reduction: a violating choice of large sub-parts exists exactly when one of
+minimal size ceil(rho |V_i|) does, so only exact-size subsets are
+enumerated and the budget is charged on that reduced state count. The
+partition retries of the matcher derive their randomness from per-call
+seeds.
 """
 
 from __future__ import annotations
@@ -21,13 +29,153 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterable, Sequence
 
-from .core import FAIL, Hypergraph, PASS, Verdict
-from .seeding import draw_subset, spawn
+from .bitset import bits_list, mask_from
+from .blowup_search import DEFAULT_NODE_BUDGET, _TINY_ENUM, _check_biclique, _order_key
+from .core import FAIL, Graph, PASS, Verdict
+from .seeding import draw_subset, spawn, spawner
 
 EXHAUSTIVE = "EXHAUSTIVE"
 
+# slack of the inheritance threshold (1/2 + eps/2) s
+_DEGREE_EPS = 1e-12
+# slack of the density comparisons and the sub-part sizes ceil(rho m)
+_DENSITY_EPS = 1e-9
+# reduced states one lower-regularity check may enumerate
 _STATE_BUDGET = 10 ** 7
-_EPS = 1e-9
+# shrink rounds of find_lower_regular_tuple
+_SHRINK_ROUNDS = 60
+# exchange candidates the matcher examines per partition
+_EXCHANGE_BUDGET = 200_000
+
+
+# -- hypergraphs --------------------------------------------------------
+
+
+class Hypergraph:
+    """s-uniform hypergraph with an explicit frozen edge set; edges are
+    stored as sorted tuples."""
+
+    __slots__ = ("s", "universe", "edge_set")
+
+    def __init__(self, s, universe, edge_set):
+        self.s = s
+        self.universe = universe
+        self.edge_set = edge_set
+
+    @classmethod
+    def from_edges(cls, s: int, universe: Iterable[int], edges: Iterable[Iterable[int]]) -> "Hypergraph":
+        uni = frozenset(universe)
+        if s < 1:
+            raise ValueError("uniformity must be positive")
+        edge_set = set()
+        for e in edges:
+            t = tuple(sorted(e))
+            if len(t) != s or len(set(t)) != s:
+                raise ValueError(f"edge {t} is not an s-set")
+            if not all(v in uni for v in t):
+                raise ValueError(f"edge {t} leaves the universe")
+            edge_set.add(t)
+        return cls(s, uni, frozenset(edge_set))
+
+    def __repr__(self) -> str:
+        return f"Hypergraph(s={self.s}, |V|={len(self.universe)}, |E|={len(self.edge_set)})"
+
+
+def hypergraph_min_degree(P: Hypergraph) -> int:
+    """Minimum vertex degree of a hypergraph."""
+    counts = {v: 0 for v in P.universe}
+    for e in P.edge_set:
+        for v in e:
+            counts[v] += 1
+    if not counts:
+        raise ValueError("empty hypergraph")
+    return min(counts.values())
+
+
+# -- degree inheritance -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PropertySpec:
+    """Host graph plus the inheritance parameters (s, eps)."""
+
+    host: Graph
+    s: int
+    eps: float
+
+    def __post_init__(self):
+        if not (0.0 < self.eps < 1.0):
+            raise ValueError("eps must lie in (0, 1)")
+        if not (2 <= self.s <= self.host.n):
+            raise ValueError("s must satisfy 2 <= s <= n")
+
+
+@dataclass(frozen=True)
+class DegreeEstimate:
+    """Sampled fraction of inheriting (s-1)-extensions at one vertex."""
+
+    vertex: int
+    estimate: float
+    successes: int
+    trials: int
+    seed: int
+
+
+def inherits_degree(spec: PropertySpec, S: Iterable[int]) -> bool:
+    """Does the s-set S inherit the degree condition of the host, i.e. is
+    the minimum degree of G[S] at least (1/2 + eps/2) s?"""
+    G = spec.host
+    sm = mask_from(S)
+    if sm.bit_count() != spec.s:
+        raise ValueError(f"expected an s-set of size {spec.s}")
+    thresh = (0.5 + spec.eps / 2.0) * spec.s - _DEGREE_EPS
+    m = sm
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        if (G.adj[v] & sm).bit_count() < thresh:
+            return False
+        m ^= low
+    return True
+
+
+def property_degree_estimate(spec: PropertySpec, v: int, trials: int, seed: int = 0) -> DegreeEstimate:
+    """Estimate the degree of v in the property hypergraph by sampling
+    uniform (s-1)-subsets of V minus v.
+
+    Subsets are drawn by a partial Fisher-Yates pass over the ascending
+    vertex list; trial i derives its own generator from (seed, v, i), so
+    estimates reproduce exactly and trials are independent of ordering.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if not (0 <= v < spec.host.n):
+        raise ValueError("vertex outside host")
+    pool = [u for u in range(spec.host.n) if u != v]
+    successes = 0
+    trial_rng = spawner(seed, f"degree-estimate:{v}")
+    for i in range(trials):
+        rng = trial_rng(i)
+        rest = draw_subset(rng, pool, spec.s - 1)
+        if inherits_degree(spec, rest + [v]):
+            successes += 1
+    return DegreeEstimate(v, successes / trials, successes, trials, seed)
+
+
+def hypergeometric_tail_bound(n_draws: int, ell: float) -> float:
+    """Two-sided deviation bound 2 exp(-2 ell^2 / n_draws) for the number of
+    marked items seen in n_draws dependent draws without replacement.
+
+    Checked values: (10, 5) -> 2 e^-5, (100, 10) -> 2 e^-2.
+    """
+    if not isinstance(n_draws, int) or n_draws < 1:
+        raise ValueError("n_draws must be a positive integer")
+    if ell <= 0:
+        raise ValueError("ell must be positive")
+    return 2.0 * math.exp(-2.0 * ell * ell / n_draws)
+
+
+# -- densities ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -50,9 +198,6 @@ class Matching:
     """Disjoint s-edges of the host hypergraph."""
 
     edges: tuple[tuple[int, ...], ...]
-
-
-# -- densities ----------------------------------------------------------
 
 
 def _part_maps(parts: Sequence[Iterable[int]]):
@@ -144,7 +289,7 @@ def _exhaustive_check(P: Hypergraph, lists, ks, rho, d) -> Verdict:
         for v in range(m1):
             T[v] = I2 @ E[v].astype(np.float32) @ I3.T
         bottom = np.sort(T, axis=0)[: ks[0]].sum(axis=0)
-        limit = thresh_density * total_sub - _EPS
+        limit = thresh_density * total_sub - _DENSITY_EPS
         viol = np.argwhere(bottom < limit)
         if viol.size == 0:
             return Verdict(PASS)
@@ -159,7 +304,7 @@ def _exhaustive_check(P: Hypergraph, lists, ks, rho, d) -> Verdict:
     # generic arity: nested enumeration with incremental edge filtering
     _, edges = _partite_edges(P, lists)
     m1 = len(lists[0])
-    limit = thresh_density * total_sub - _EPS
+    limit = thresh_density * total_sub - _DENSITY_EPS
 
     def rec(depth: int, chosen: list[tuple[int, ...]], pool):
         if depth == s:
@@ -188,12 +333,11 @@ def _exhaustive_check(P: Hypergraph, lists, ks, rho, d) -> Verdict:
 
 
 def check_lower_regular(P: Hypergraph, parts: Sequence[Iterable[int]],
-                        rho: float, d: float, mode: str = EXHAUSTIVE, *,
-                        budget: int = _STATE_BUDGET) -> Verdict:
+                        rho: float, d: float, mode: str = EXHAUSTIVE) -> Verdict:
     """Is the tuple (rho, d)-lower-regular?
 
     Returns PASS, or FAIL with a violating exact-size sub-tuple as witness.
-    The reduced enumeration must fit the state budget, or ValueError is
+    The reduced enumeration must fit _STATE_BUDGET, or ValueError is
     raised. EXHAUSTIVE is the only mode; the argument stays because
     acceptance criterion 6 passes it.
     """
@@ -206,36 +350,35 @@ def check_lower_regular(P: Hypergraph, parts: Sequence[Iterable[int]],
         raise ValueError("tuple arity must equal the uniformity")
     if any(len(p) == 0 for p in lists):
         raise ValueError("empty part")
-    ks = [max(1, math.ceil(rho * len(p) - _EPS)) for p in lists]
-    if _reduced_states([len(p) for p in lists], ks) > budget:
+    ks = [max(1, math.ceil(rho * len(p) - _DENSITY_EPS)) for p in lists]
+    if _reduced_states([len(p) for p in lists], ks) > _STATE_BUDGET:
         raise ValueError("exhaustive budget exceeded")
     return _exhaustive_check(P, lists, ks, rho, d)
 
 
 def find_lower_regular_tuple(P: Hypergraph, parts: Sequence[Iterable[int]],
                              rho: float, d: float, *, seed: int = 0,
-                             telemetry: list | None = None,
-                             max_iters: int = 60) -> RegularTuple | None:
+                             telemetry: list | None = None) -> RegularTuple | None:
     """Shrink toward a certified (rho, d)-lower-regular tuple.
 
     The input tuple must already have density at least d. Each round either
     certifies the current tuple or takes a violating witness, keeps the
     exact-size witness blocks, partitions the rest of every part into
     blocks of the same size, and recurses into the densest block tuple; by
-    averaging that density never drops. NONE only when parts would shrink
-    below s vertices. Every round is certified by check_lower_regular, so a
-    tuple over its state budget raises ValueError. The search draws no
-    randomness; seed is accepted and ignored because acceptance criterion 6
-    passes it.
+    averaging that density never drops. None when parts would shrink below
+    s vertices, or after _SHRINK_ROUNDS rounds. Every round is certified by
+    check_lower_regular, so a tuple over its state budget raises
+    ValueError. The search draws no randomness; seed is accepted and
+    ignored because acceptance criterion 6 passes it.
     """
     lists = [sorted(p) for p in parts]
     dens = tuple_density(P, lists)
-    if dens < d - _EPS:
+    if dens < d - _DENSITY_EPS:
         raise ValueError("density precondition")
 
-    for it in range(max_iters):
+    for it in range(_SHRINK_ROUNDS):
         sizes = [len(p) for p in lists]
-        ks = [max(1, math.ceil(rho * m - _EPS)) for m in sizes]
+        ks = [max(1, math.ceil(rho * m - _DENSITY_EPS)) for m in sizes]
         verdict = check_lower_regular(P, lists, rho, d)
         if verdict.status == PASS:
             return RegularTuple(tuple(frozenset(p) for p in lists), rho, d)
@@ -256,7 +399,7 @@ def find_lower_regular_tuple(P: Hypergraph, parts: Sequence[Iterable[int]],
         best_dens = -1.0
         for combo in product(*block_lists):
             cd = tuple_density(P, combo)
-            if cd > best_dens + _EPS:
+            if cd > best_dens + _DENSITY_EPS:
                 best, best_dens = combo, cd
         if telemetry is not None:
             telemetry.append({"iteration": it, "current_density": dens,
@@ -270,27 +413,8 @@ def find_lower_regular_tuple(P: Hypergraph, parts: Sequence[Iterable[int]],
 # -- hypergraph perfect matching ----------------------------------------
 
 
-def _partite_info(P: Hypergraph, parts: Sequence[Sequence[int]]):
-    part_of = {}
-    for pi, p in enumerate(parts):
-        for v in p:
-            part_of[v] = pi
-    s = len(parts)
-    partite = []
-    for e in P.edge_set:
-        idx = [part_of.get(v) for v in e]
-        if None in idx or sorted(idx) != list(range(s)):
-            continue
-        by_part = [None] * s
-        for v in e:
-            by_part[part_of[v]] = v
-        partite.append(tuple(by_part))
-    return partite
-
-
 def hypergraph_perfect_matching(P: Hypergraph, *, eps: float = 0.1, seed: int = 0,
-                                partition_retries: int = 50,
-                                exchange_budget: int = 200_000) -> Matching | None:
+                                partition_retries: int = 50) -> Matching | None:
     """Perfect matching in a uniform hypergraph.
 
     Strategy: random equipartitions are retried until the partite minimum
@@ -298,7 +422,8 @@ def hypergraph_perfect_matching(P: Hypergraph, *, eps: float = 0.1, seed: int = 
     a greedy partite matching is padded with flagged placeholder edges, and
     placeholders are then eliminated by an exchange step that redistributes
     s-1 matched edges plus the uncovered vertices into s real edges. Every
-    partition that fails to finish triggers a retry; None after the budget.
+    partition that fails to finish within _EXCHANGE_BUDGET exchange
+    candidates triggers a retry; None after the budget.
     """
     uni = sorted(P.universe)
     n = len(uni)
@@ -315,7 +440,8 @@ def hypergraph_perfect_matching(P: Hypergraph, *, eps: float = 0.1, seed: int = 
         rng = spawn(seed, "matching-partition", r)
         order = draw_subset(rng, uni, n)
         parts = [sorted(order[i * m:(i + 1) * m]) for i in range(s)]
-        partite = _partite_info(P, parts)
+        lists, slots = _partite_edges(P, parts)
+        partite = [tuple(p[vi] for p, vi in zip(lists, e)) for e in slots]
         deg = {v: 0 for v in uni}
         for e in partite:
             for v in e:
@@ -327,7 +453,7 @@ def hypergraph_perfect_matching(P: Hypergraph, *, eps: float = 0.1, seed: int = 
     attempts.sort(key=lambda a: (-a[0], a[1]))
 
     for dmin, _r, parts, partite in attempts:
-        got = _match_one_partition(P, parts, partite, exchange_budget)
+        got = _match_one_partition(P, parts, partite)
         if got is not None:
             edges = tuple(sorted(tuple(sorted(e)) for e in got))
             flat = [v for e in edges for v in e]
@@ -338,7 +464,7 @@ def hypergraph_perfect_matching(P: Hypergraph, *, eps: float = 0.1, seed: int = 
     return None
 
 
-def _match_one_partition(P: Hypergraph, parts, partite, exchange_budget):
+def _match_one_partition(P: Hypergraph, parts, partite):
     s = len(parts)
     partite_sorted = sorted(partite)
     used: set[int] = set()
@@ -360,7 +486,7 @@ def _match_one_partition(P: Hypergraph, parts, partite, exchange_budget):
         fixed = None
         for X in permutations(rest, s - 1):
             examined += 1
-            if examined > exchange_budget:
+            if examined > _EXCHANGE_BUDGET:
                 return None
             new_edges = []
             good = True
@@ -381,3 +507,71 @@ def _match_one_partition(P: Hypergraph, parts, partite, exchange_budget):
         pool = [(e, flag) for e, flag in rest if e not in removed]
         pool.extend((e, False) for e in new_edges)
     return [e for e, _flag in pool]
+
+
+# -- bicliques ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BicliqueRequest:
+    host: Graph
+    side_a: frozenset
+    side_b: frozenset
+    p: int
+
+    @classmethod
+    def of(cls, host: Graph, side_a: Iterable[int], side_b: Iterable[int], p: int) -> "BicliqueRequest":
+        a = frozenset(side_a)
+        b = frozenset(side_b)
+        if a & b:
+            raise ValueError("sides overlap")
+        if any(not 0 <= v < host.n for v in a | b):
+            raise ValueError("vertex outside the host")
+        if p < 1:
+            raise ValueError("p must be at least 1")
+        if p > min(len(a), len(b)):
+            raise ValueError("p exceeds a side")
+        return cls(host, a, b, p)
+
+
+def find_biclique(req: BicliqueRequest, node_budget: int | None = DEFAULT_NODE_BUDGET):
+    """A complete bipartite K_{p,p} with sides inside side_a / side_b, or
+    None.
+
+    One pruned DFS over the p-subsets of B in lexicographic order, B sorted
+    by neighbours in A, then degree, then id; the first hit wins. When B
+    has at most _TINY_ENUM p-subsets the DFS ignores node_budget, so None
+    is then a proof of absence; past that, None may also mean the node
+    budget ran out.
+    """
+    G = req.host
+    p = req.p
+    amask = mask_from(req.side_a)
+    key = _order_key(G)
+    b_list = sorted(req.side_b, key=lambda b: (-(G.adj[b] & amask).bit_count(), key(b)))
+    budget = None if math.comb(len(b_list), p) <= _TINY_ENUM else node_budget
+    nodes = 0
+
+    def dfs(start: int, chosen: list[int], inter: int):
+        nonlocal nodes
+        if len(chosen) == p:
+            a_side = sorted(sorted(bits_list(inter), key=key)[:p])
+            b_side = sorted(chosen)
+            _check_biclique(G, a_side, b_side)
+            return tuple(a_side), tuple(b_side)
+        for idx in range(start, len(b_list)):
+            if budget is not None and nodes >= budget:
+                return None
+            b = b_list[idx]
+            nodes += 1
+            nxt = inter & G.adj[b]
+            if nxt.bit_count() < p:
+                continue
+            if len(b_list) - idx < p - len(chosen):
+                return None
+            res = dfs(idx + 1, chosen + [b], nxt)
+            if res is not None:
+                return res
+        return None
+
+    return dfs(0, [], amask)

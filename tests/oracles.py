@@ -400,10 +400,10 @@ def reference_simple_blowup_cover(G: Graph, params):
                                   _split_family, _split_plan, almost_blowup_cover)
 
     n = G.n
-    m1, _, m3 = params.scales(n)
+    _, _, m3 = params.scales(n)
     lo_p, hi_p = _piece_band(params, n)
 
-    base = almost_blowup_cover(G, params, scale=m1)
+    base = almost_blowup_cover(G, params)
     diags = list(base.diagnostics)
     fams = [[sorted(c) for c in B.family.clusters] for B in base.blowups]
     reds = [B.reduced for B in base.blowups]

@@ -17,13 +17,12 @@ from itertools import combinations, product
 
 import numpy as np
 
-from cyclecover.blowup_search import BicliqueRequest, connect_clusters, find_biclique
+from cyclecover.blowup_search import connect_clusters
 from cyclecover.cli import experiment_row
 from cyclecover.core import (
     PASS,
     CycleBlowupCertificate,
     Graph,
-    Hypergraph,
     is_complete_bipartite,
     min_degree,
     verify_cycle_blowup,
@@ -36,16 +35,17 @@ from cyclecover.cover import (
     verify_cover,
 )
 from cyclecover.generators import GNP_REPAIRED, GeneratorSpec, generate
-from cyclecover.inheritance import (
-    PropertySpec,
-    hypergeometric_tail_bound,
-    property_degree_estimate,
-)
-from cyclecover.tiling import (
+from cyclecover.lemmas import (
     EXHAUSTIVE,
+    BicliqueRequest,
+    Hypergraph,
+    PropertySpec,
     check_lower_regular,
+    find_biclique,
     find_lower_regular_tuple,
+    hypergeometric_tail_bound,
     hypergraph_perfect_matching,
+    property_degree_estimate,
 )
 
 from oracles import (

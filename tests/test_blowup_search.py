@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cyclecover.blowup_search as bs
+import cyclecover.lemmas as lemmas
 
 from cyclecover.core import (
     BALANCE_EXACT,
@@ -18,13 +19,9 @@ from cyclecover.core import (
     is_complete_bipartite,
     verify_blowup_hosted,
 )
-from cyclecover.blowup_search import (
-    BicliqueRequest,
-    BlowupSearch,
-    connect_clusters,
-    find_biclique,
-)
+from cyclecover.blowup_search import BlowupSearch, connect_clusters
 from cyclecover.generators import GNP_REPAIRED, GeneratorSpec, generate
+from cyclecover.lemmas import BicliqueRequest, find_biclique
 from cyclecover.seeding import spawn
 
 from oracles import brute_biclique_exists, brute_connect_exists
@@ -194,7 +191,7 @@ def test_enumeration_limit_decides_whether_the_budget_applies(monkeypatch, past)
     for seed in range(6):
         G = random_graph(14, 0.6, seed + 40)
         A, B = set(range(7)), set(range(7, 14))
-        monkeypatch.setattr(bs, "_TINY_ENUM", comb(len(B), 2) - past)
+        monkeypatch.setattr(lemmas, "_TINY_ENUM", comb(len(B), 2) - past)
         got = find_biclique(BicliqueRequest.of(G, A, B, 2), node_budget=1)
         assert got is None if past else (got is not None) == brute_biclique_exists(G, A, B, 2)
 
@@ -211,19 +208,19 @@ def test_enumeration_limit_decides_whether_the_budget_applies(monkeypatch, past)
 OPTIMIZED_CHECKS = """
 import sys
 import cyclecover.blowup_search as bs
-import cyclecover.tiling as tiling
-from cyclecover.core import FAIL, Graph, Hypergraph, Verdict
+import cyclecover.lemmas as lemmas
+from cyclecover.core import FAIL, Graph, Verdict
 
 assert sys.flags.optimize  # a bare assert is stripped from here on
 bs.is_complete_bipartite = lambda G, A, B: Verdict(FAIL, "forced", None)
 G = Graph.complete(12)
 calls = {
     "connect": lambda: bs.connect_clusters(G, {0, 1}, {2, 3}, {4, 5, 6}, 1),
-    "biclique": lambda: bs.find_biclique(bs.BicliqueRequest.of(G, {0, 1}, {2, 3}, 1)),
-    "matching": lambda: tiling.hypergraph_perfect_matching(
-        Hypergraph(2, frozenset(range(4)), frozenset({(0, 1), (2, 3)}))),
+    "biclique": lambda: lemmas.find_biclique(lemmas.BicliqueRequest.of(G, {0, 1}, {2, 3}, 1)),
+    "matching": lambda: lemmas.hypergraph_perfect_matching(
+        lemmas.Hypergraph(2, frozenset(range(4)), frozenset({(0, 1), (2, 3)}))),
 }
-tiling._match_one_partition = lambda *a: [(0, 1), (0, 1)]
+lemmas._match_one_partition = lambda *a: [(0, 1), (0, 1)]
 for name, call in calls.items():
     try:
         call()

@@ -165,6 +165,12 @@ def test_verify_reads_graph_text_grammar(tmp_path, capsys):
     '{"n": 12.9, "c": 1.2, "eta": 0.25, "clusters": [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]}',
     '{"n": 12, "c": 1.2, "eta": 0.25, "clusters": [[0.7, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]}',
     '{"n": 12, "c": 1.2, "eta": 0.25, "clusters": [[true, 0, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]}',
+    # a c or eta that is not a finite number, which used to raise in
+    # size_bounds or, for a boolean, to verify
+    '{"n": 12, "c": NaN, "eta": 0.25, "clusters": [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]}',
+    '{"n": 12, "c": 1.2, "eta": Infinity, "clusters": [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]}',
+    '{"n": 12, "c": true, "eta": 0.25, "clusters": [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]}',
+    '{"n": 12, "c": 1.2, "eta": "0.25", "clusters": [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]}',
 ])
 def test_verify_bad_certificate_exits_two(tmp_path, capsys, text):
     g = write_graph(tmp_path / "g.txt", Graph.complete(12))

@@ -13,18 +13,17 @@ from cyclecover.core import (
     CycleBlowupCertificate,
     FAIL,
     Graph,
-    Hypergraph,
     PASS,
     SetFamily,
     canonical_cycle,
     graph_from_text,
     graph_to_text,
-    hypergraph_min_degree,
     is_complete_bipartite,
     min_degree,
     verify_blowup_hosted,
     verify_cycle_blowup,
 )
+from cyclecover.lemmas import Hypergraph, hypergraph_min_degree
 from cyclecover.seeding import spawn
 
 from oracles import (
@@ -282,15 +281,19 @@ class TestSerialization:
         assert again.to_json() == cert.to_json()
 
     @pytest.mark.parametrize("field,value", [
-        ("n", 12.9), ("n", 12.0), ("n", True), ("id", 0.7), ("id", 1.0), ("id", False)])
+        ("n", 12.9), ("n", 12.0), ("n", True), ("id", 0.7), ("id", 1.0), ("id", False),
+        ("c", math.nan), ("c", math.inf), ("c", True), ("c", "1.2"),
+        pytest.param("c", 10 ** 400, id="c-int-past-float"),
+        ("eta", -math.inf), ("eta", False), ("eta", "0.25")])
     def test_certificate_refuses_non_integer_numbers(self, field, value):
         blob = {"n": 12, "c": 1.2, "eta": 0.25,
                 "clusters": [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]}
-        if field == "n":
-            blob["n"] = value
-        else:
+        if field == "id":
             blob["clusters"][0][0] = value
-        with pytest.raises(ValueError, match="JSON integers"):
+        else:
+            blob[field] = value
+        want = "JSON integers" if field in ("n", "id") else "finite JSON numbers"
+        with pytest.raises(ValueError, match=want):
             CycleBlowupCertificate.from_json(json.dumps(blob))
 
     def test_canonical_cycle_rotation(self):

@@ -274,14 +274,17 @@ def test_split_plan_and_family_agree():
 
 
 def test_almost_cover_complete_graph_partitions_exactly():
-    G = Graph.complete(60)
-    res = almost_blowup_cover(G, DESK, scale=3)
+    # m1 = floor(c1 ln 64) = 4 at desk, and 4 blow-ups of four 4-vertex
+    # clusters fill the four 16-vertex blocks
+    G = Graph.complete(64)
+    assert DESK.scales(64)[0] == 4
+    res = almost_blowup_cover(G, DESK)
     assert res.validate().status == "PASS"
     assert res.uncovered == frozenset()
-    assert len(res.blowups) == 5
+    assert len(res.blowups) == 4
     for b in res.blowups:
         assert b.reduced.n == 4
-        assert all(len(c) == 3 for c in b.family.clusters)
+        assert all(len(c) == 4 for c in b.family.clusters)
     assert verify_cover(G, res, DESK).status == "PASS"
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from cyclecover.core import Graph
 from cyclecover.generators import GNP_REPAIRED, GeneratorSpec, generate
-from cyclecover.inheritance import (
+from cyclecover.lemmas import (
     PropertySpec,
     hypergeometric_tail_bound,
     inherits_degree,

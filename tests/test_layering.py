@@ -1,8 +1,9 @@
 """Checks on the package source: the pipeline modules stay off the lemma
-library, every function of cover.py runs in the pipeline, no module keeps
-an import it does not use, numpy loads only when something needs it, every
-process-level memo is bounded, and GNP hosts are drawn in blocks, without
-a random() call per pair or numpy.random."""
+library and `import cyclecover` does not load it, every function of
+cover.py, blowup_search.py and seeding.py runs in the pipeline, no module
+keeps an import it does not use, numpy loads only when something needs it,
+every process-level memo is bounded, and GNP hosts are drawn in blocks,
+without a random() call per pair or numpy.random."""
 
 import ast
 import os
@@ -13,16 +14,18 @@ from pathlib import Path
 
 import pytest
 
+import cyclecover.blowup_search as blowup_search
 import cyclecover.cover as cover
+import cyclecover.seeding as seeding
 from cyclecover.core import CycleBlowupCertificate
-from cyclecover.generators import GNP_REPAIRED, GeneratorSpec, generate
+from cyclecover.generators import DIRAC_EXTREMAL, GNP_REPAIRED, GeneratorSpec, generate
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cyclecover"
 
 # modules the solve path and the verifier run; the lemma library is
 # exercised by the acceptance criteria and the CLI only
 PIPELINE = ("cover", "blowup_search", "seeding", "core", "bitset", "generators")
-LEMMA_LIBRARY = {"tiling", "inheritance"}
+LEMMA_LIBRARY = {"lemmas"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -51,25 +54,37 @@ def test_pipeline_module_does_not_import_the_lemma_library(module):
     assert not LEMMA_LIBRARY & _imported_modules(_tree(PACKAGE / f"{module}.py"))
 
 
+def test_importing_the_package_does_not_load_the_lemma_library():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = ("import sys, cyclecover; "
+            f"print(sorted(m for m in {sorted(LEMMA_LIBRARY)} if 'cyclecover.' + m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
 def test_every_cover_function_runs_in_the_pipeline():
-    # the pipeline path holds only code the pipeline runs: three desk solves
-    # enter every def of cover.py, methods, properties and nested functions
-    # included. GNP (300, 0.8, 210) seed 9 places a late vertex, and
-    # (600, 0.8, 420) seed 0 takes a direct pickup out of the fold-in.
-    path = cover.__file__
+    # the pipeline path holds only code the pipeline runs: generating and
+    # solving four desk hosts enters every def of cover.py, blowup_search.py
+    # and seeding.py, methods, properties and nested functions included.
+    # GNP (300, 0.8, 210) seed 9 places a late vertex, (600, 0.8, 420) seed 0
+    # takes a direct pickup out of the fold-in, and the relabelled
+    # DIRAC_EXTREMAL host draws its relabelling with draw_subset.
+    paths = {m.__file__ for m in (cover, blowup_search, seeding)}
     # a decorated function's code starts at its first decorator
-    defs = {(node.name, min([node.lineno] + [d.lineno for d in node.decorator_list]))
-            for node in ast.walk(_tree(Path(path)))
+    defs = {(path, node.name, min([node.lineno] + [d.lineno for d in node.decorator_list]))
+            for path in paths for node in ast.walk(_tree(Path(path)))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    hosts = [generate(GeneratorSpec(GNP_REPAIRED, n=n, p=p, delta_target=delta, seed=seed))
+    specs = [GeneratorSpec(GNP_REPAIRED, n=n, p=p, delta_target=delta, seed=seed)
              for n, p, delta, seed in ((300, 0.97, 225, 0), (300, 0.8, 210, 9),
                                        (600, 0.8, 420, 0))]
+    specs.append(GeneratorSpec(DIRAC_EXTREMAL, n=300, delta_target=225, seed=1))
     entered = set()
 
     def on_call(frame, event, arg):
         code = frame.f_code
-        if code.co_filename == path:
-            entered.add((code.co_name, code.co_firstlineno))
+        if code.co_filename in paths:
+            entered.add((code.co_filename, code.co_name, code.co_firstlineno))
         # no local trace function: calls are recorded, lines are not
 
     cover._guard_picks.cache_clear()  # a warm memo would skip the draw
@@ -77,12 +92,12 @@ def test_every_cover_function_runs_in_the_pipeline():
     sys.settrace(on_call)
     try:
         params = cover.CoverParams()
-        certs = [cover.spanning_cycle_blowup(G, params) for G in hosts]
+        certs = [cover.spanning_cycle_blowup(generate(spec), params) for spec in specs]
     finally:
         sys.settrace(previous)
     assert all(isinstance(c, CycleBlowupCertificate) for c in certs), certs
-    assert len(defs) > 20
-    assert sorted(defs - entered) == []
+    assert all(sum(d[0] == path for d in defs) >= 5 for path in paths)
+    assert sorted((Path(path).name, name, line) for path, name, line in defs - entered) == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

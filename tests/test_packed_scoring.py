@@ -272,16 +272,9 @@ def test_connect_clusters_reads_every_input_form(n):
     pytest.param(0.75, 1, 4, 3, False, id="dfs-gives-up-at-3"),
     pytest.param(0.4, 4, 3, 5, False, id="dfs-gives-up-at-5"),
 ])
-def test_connect_clusters_matches_scalar_on_dfs_budget(monkeypatch, p, seed, m_prime, budget,
-                                                       answered):
+def test_connect_clusters_matches_scalar_on_dfs_budget(p, seed, m_prime, budget, answered):
     # C(110, m_prime) is past the enumeration limit, so the node budget
-    # applies; a DFS that gives up returns None and nothing else is tried
-    import cyclecover.blowup_search as bs
-
-    def no_fallback(*a, **kw):
-        raise AssertionError("connect_clusters called find_biclique")
-
-    monkeypatch.setattr(bs, "find_biclique", no_fallback)
+    # applies; a DFS that gives up returns None
     G = random_graph(130, p, 300 + seed)
     args = (G, range(10), range(10, 20), range(20, 130), m_prime)
     assert (connect_both(*args, node_budget=budget) is not None) == answered

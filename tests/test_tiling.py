@@ -4,9 +4,9 @@ from itertools import combinations
 
 import pytest
 
-from cyclecover.core import FAIL, Hypergraph, PASS
-from cyclecover.seeding import spawn
-from cyclecover.tiling import (
+from cyclecover.core import FAIL, PASS
+from cyclecover.lemmas import (
+    Hypergraph,
     Matching,
     RegularTuple,
     check_lower_regular,
@@ -14,6 +14,7 @@ from cyclecover.tiling import (
     hypergraph_perfect_matching,
     tuple_density,
 )
+from cyclecover.seeding import spawn
 
 from oracles import brute_lower_regular, brute_perfect_matching
 
