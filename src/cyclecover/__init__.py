@@ -57,10 +57,8 @@ from .cover import (
 from .generators import (
     CLIQUE_UNION_PLUS,
     DIRAC_EXTREMAL,
-    FROM_FILE,
     GNP_REPAIRED,
     GeneratorSpec,
-    KINDS,
     generate,
 )
 
@@ -79,11 +77,9 @@ __all__ = [
     "CycleBlowupCertificate",
     "DIRAC_EXTREMAL",
     "FAIL",
-    "FROM_FILE",
     "GNP_REPAIRED",
     "GeneratorSpec",
     "Graph",
-    "KINDS",
     "PASS",
     "PRESETS",
     "PipelineFailure",

@@ -28,6 +28,7 @@ from .core import (
     verify_cycle_blowup,
 )
 from .cover import (
+    N_FLOOR,
     PRESETS,
     PipelineFailure,
     almost_blowup_cover,
@@ -38,7 +39,6 @@ from .cover import (
 from .generators import (
     CLIQUE_UNION_PLUS,
     DIRAC_EXTREMAL,
-    FROM_FILE,
     GNP_REPAIRED,
     GeneratorSpec,
     generate,
@@ -60,34 +60,36 @@ _KINDS = {
     "gnp": GNP_REPAIRED,
     "dirac": DIRAC_EXTREMAL,
     "cliques": CLIQUE_UNION_PLUS,
-    "file": FROM_FILE,
+}
+
+# flags that several subcommands share; each subcommand takes those it reads
+_SHARED = {
+    "--seed": dict(type=int, default=0,
+                   help="base seed for every random choice (default 0)"),
+    "--preset": dict(default="desk", help="parameter preset name (default desk)"),
+    "--budget": dict(type=int, default=None, help="search node budget override"),
+    "--out": dict(default=None, help="output file (default standard output)"),
 }
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0,
-                     help="base seed for every random choice (default 0)")
-    sub.add_argument("--preset", default="desk",
-                     help="parameter preset name (default desk)")
-    sub.add_argument("--budget", type=int, default=None,
-                     help="search node budget override")
-    sub.add_argument("--out", default=None,
-                     help="output file (default standard output)")
-
-
-def _params(args):
-    """The preset named by the common flags, with their seed and budget; an
-    unknown preset or a negative budget ends the command with exit code 2."""
+def _preset(args):
+    """The preset named by --preset; an unknown name ends the command with
+    exit code 2."""
     if args.preset not in PRESETS:
         print(f"refused: unknown preset {args.preset!r}", file=sys.stderr)
         raise SystemExit(2)
-    if args.budget is not None and args.budget < 0:
+    return PRESETS[args.preset]
+
+
+def _budget(args, default):
+    """--budget, or default when it is not given; a negative one ends the
+    command with exit code 2."""
+    if args.budget is None:
+        return default
+    if args.budget < 0:
         print(f"refused: --budget must be nonnegative, got {args.budget}", file=sys.stderr)
         raise SystemExit(2)
-    p = replace(PRESETS[args.preset], seed=args.seed)
-    if args.budget is not None:
-        p = replace(p, node_budget=args.budget)
-    return p
+    return args.budget
 
 
 def _emit(args, text: str) -> None:
@@ -180,11 +182,10 @@ def cmd_generate(args) -> int:
     kind = _KINDS[args.kind]
     spec = GeneratorSpec(kind=kind, n=args.n, p=args.p,
                          delta_target=args.delta_target, seed=args.seed,
-                         overlap=args.overlap, pieces=args.pieces,
-                         path=args.path)
+                         overlap=args.overlap, pieces=args.pieces)
     try:
         G = generate(spec)
-    except (OSError, ValueError) as exc:  # bad parameters or --path file
+    except ValueError as exc:  # bad parameters
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     _emit(args, graph_to_text(G))
@@ -192,17 +193,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    preset = _preset(args)
+    params = replace(preset, seed=args.seed,
+                     node_budget=_budget(args, preset.node_budget))
     G = _read_graph(args.graph)
-    params = _params(args)
+    if G.n < N_FLOOR:
+        print(f"refused: host order {G.n} below {N_FLOOR}; at this order run an "
+              "exhaustive cycle search directly", file=sys.stderr)
+        return 2
     t0 = time.perf_counter()
-    try:
-        result = spanning_cycle_blowup(G, params)
-    except ValueError as exc:
-        if "n_floor" in str(exc):
-            print(f"refused: {exc}; at this order run an exhaustive "
-                  "cycle search directly", file=sys.stderr)
-            return 2
-        raise
+    result = spanning_cycle_blowup(G, params)
     wall = time.perf_counter() - t0
     if args.csv is not None:
         row = experiment_row(G.n, args.seed, args.preset, result, wall)
@@ -239,8 +239,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    params = replace(_preset(args), seed=args.seed)
     G = _read_graph(args.graph)
-    params = _params(args)
     try:
         params.scales(G.n)
     except ValueError as exc:  # a host too small for the cluster scales
@@ -260,8 +260,9 @@ def cmd_cover(args) -> int:
 
 
 def cmd_connect(args) -> int:
+    params = _preset(args)
+    node_budget = _budget(args, params.node_budget)
     G = _read_graph(args.graph)
-    params = _params(args)
     try:
         U = _id_list(args.side_a)
         V = _id_list(args.side_b)
@@ -271,7 +272,7 @@ def cmd_connect(args) -> int:
             used = set(U) | set(V)
             W = [v for v in range(G.n) if v not in used]
         res = connect_clusters(G, U, V, W, args.m_prime, eps=params.eps,
-                               node_budget=params.node_budget)
+                               node_budget=node_budget)
     except ValueError as exc:  # unreadable, overlapping, unbalanced or out-of-host sides
         print(f"refused: {exc}", file=sys.stderr)
         return 2
@@ -285,6 +286,7 @@ def cmd_connect(args) -> int:
 
 
 def cmd_biclique(args) -> int:
+    node_budget = _budget(args, None)
     G = _read_graph(args.graph)
     try:
         if (args.side_a is None) != (args.side_b is None):
@@ -299,7 +301,7 @@ def cmd_biclique(args) -> int:
     except ValueError as exc:  # unreadable, overlapping or out-of-host sides, or a bad p
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    found = find_biclique(req, node_budget=args.budget)
+    found = find_biclique(req, node_budget=node_budget)
     if found is None:
         print("NONE")
         return 2
@@ -310,8 +312,8 @@ def cmd_biclique(args) -> int:
 
 
 def cmd_match(args) -> int:
+    params = _preset(args)
     G = _read_graph(args.graph)
-    params = _params(args)
     s = args.s if args.s is not None else params.s
     try:
         spec = PropertySpec(G, s, params.eps)  # refuses s outside 2..n
@@ -329,8 +331,8 @@ def cmd_match(args) -> int:
 
 
 def cmd_inherit_scan(args) -> int:
+    params = _preset(args)
     G = _read_graph(args.graph)
-    params = _params(args)
     lines = [SCHEMA_LINE, "vertex,successes,trials,estimate"]
     try:
         spec = PropertySpec(G, params.s, params.eps)
@@ -345,6 +347,7 @@ def cmd_inherit_scan(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _preset(args)
     try:
         ns = _int_range(args.ns)
         seeds = _int_range(args.seeds)
@@ -378,91 +381,85 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: a prefix of a long flag is not a second
+    # spelling of it
     parser = argparse.ArgumentParser(
         prog="cyclecover",
-        description="cycle blow-up pipeline tools")
+        description="cycle blow-up pipeline tools", allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("generate", help="emit a test instance")
-    _common_flags(p)
+    def command(name, func, help, *shared):
+        p = subs.add_parser(name, help=help, allow_abbrev=False)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("generate", cmd_generate, "emit a test instance", "--seed", "--out")
     p.add_argument("--kind", choices=sorted(_KINDS), default="gnp")
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--delta-target", type=int, default=None)
     p.add_argument("--overlap", type=int, default=None)
     p.add_argument("--pieces", type=int, default=3)
-    p.add_argument("--path", default=None)
-    p.set_defaults(func=cmd_generate)
 
-    p = subs.add_parser("solve", help="full spanning pipeline on a graph file")
-    _common_flags(p)
+    p = command("solve", cmd_solve, "full spanning pipeline on a graph file",
+                "--seed", "--preset", "--budget", "--out")
     p.add_argument("graph")
     p.add_argument("--csv", default=None, help="also write a telemetry row")
-    p.set_defaults(func=cmd_solve)
 
-    p = subs.add_parser("verify", help="check a certificate against a graph")
-    _common_flags(p)
+    p = command("verify", cmd_verify, "check a certificate against a graph")
     p.add_argument("graph")
     p.add_argument("certificate")
-    p.set_defaults(func=cmd_verify)
 
-    p = subs.add_parser("cover", help="blow-up cover of a graph file")
-    _common_flags(p)
+    p = command("cover", cmd_cover, "blow-up cover of a graph file",
+                "--seed", "--preset", "--out")
     p.add_argument("graph")
     p.add_argument("--mode", choices=("almost", "simple"), default="simple")
-    p.set_defaults(func=cmd_cover)
 
-    p = subs.add_parser("connect", help="3-cluster connection between two sets")
-    _common_flags(p)
+    p = command("connect", cmd_connect, "3-cluster connection between two sets",
+                "--preset", "--budget", "--out")
     p.add_argument("graph")
     p.add_argument("--side-a", required=True, help="comma separated ids")
     p.add_argument("--side-b", required=True)
     p.add_argument("--pool", default=None,
                    help="middle pool (default: everything else)")
     p.add_argument("--m-prime", type=int, default=2)
-    p.set_defaults(func=cmd_connect)
 
-    p = subs.add_parser("biclique", help="balanced complete bipartite search")
-    _common_flags(p)
+    p = command("biclique", cmd_biclique, "balanced complete bipartite search",
+                "--budget", "--out")
     p.add_argument("graph")
     p.add_argument("--side-a", default=None)
     p.add_argument("--side-b", default=None)
     p.add_argument("-p", type=int, default=2)
-    p.set_defaults(func=cmd_biclique)
 
-    p = subs.add_parser("match", help="perfect matching of the property "
-                        "hypergraph")
-    _common_flags(p)
+    p = command("match", cmd_match, "perfect matching of the property hypergraph",
+                "--seed", "--preset", "--out")
     p.add_argument("graph")
     p.add_argument("--s", type=int, default=None)
-    p.set_defaults(func=cmd_match)
 
-    p = subs.add_parser("inherit-scan", help="per-vertex inheritance estimates")
-    _common_flags(p)
+    p = command("inherit-scan", cmd_inherit_scan, "per-vertex inheritance estimates",
+                "--seed", "--preset", "--out")
     p.add_argument("graph")
     p.add_argument("--trials", type=int, default=2000)
-    p.set_defaults(func=cmd_inherit_scan)
 
-    p = subs.add_parser("sweep", help="pipeline runs over (n, seed) grid")
-    _common_flags(p)
+    p = command("sweep", cmd_sweep, "pipeline runs over (n, seed) grid",
+                "--preset", "--out")
     p.add_argument("--ns", required=True,
                    help="orders: comma list or a:b[:step]")
     p.add_argument("--seeds", required=True,
                    help="seeds: comma list or a:b[:step]")
-    p.add_argument("--kind", choices=("gnp", "dirac", "cliques"),
-                   default="gnp")
+    p.add_argument("--kind", choices=sorted(_KINDS), default="gnp")
     p.add_argument("--p", type=float, default=0.97)
     p.add_argument("--delta-frac", type=float, default=0.75)
     p.add_argument("--pieces", type=int, default=3)
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _params(args)  # every subcommand takes the common flags; refuse bad ones up front
     return args.func(args)
 
 

@@ -360,7 +360,8 @@ def verify_cycle_blowup(G: Graph, cert: CycleBlowupCertificate) -> Verdict:
     PASS requires: at least 3 clusters, all nonempty and disjoint, union
     equal to V(G), cyclically consecutive clusters completely joined, and
     every cluster size inside the declared [ (1-eta)c ln n, (1+eta)c ln n ]
-    window (floor/ceil applied outward on the declared bounds).
+    window (floor/ceil applied outward on the declared bounds), which must
+    be finite.
     """
     k = len(cert.clusters)
     if k < 3:
@@ -387,7 +388,10 @@ def verify_cycle_blowup(G: Graph, cert: CycleBlowupCertificate) -> Verdict:
         masks.append(cm)
     if seen != vmask:
         return Verdict(FAIL, "not spanning", lowest_bit(vmask & ~seen))
-    lo, hi = cert.size_bounds()
+    try:
+        lo, hi = cert.size_bounds()
+    except (ValueError, OverflowError):  # c ln n past the float range: NaN or inf
+        return Verdict(FAIL, "declared window overflows", (cert.c, cert.eta))
     for i, cl in enumerate(cert.clusters):
         if not (lo <= len(cl) <= hi):
             return Verdict(FAIL, "size out of range", (i, len(cl)))

@@ -45,6 +45,9 @@ SIMPLE = "SIMPLE"
 _EPS = 1e-9
 # sampled s-sets of the partition density guard in almost_blowup_cover
 _DENSITY_TRIALS = 192
+# spanning_cycle_blowup refuses hosts below this order: exhaustive cycle
+# search is the tool there
+N_FLOOR = 50
 
 
 class AbsorptionError(RuntimeError):
@@ -72,7 +75,6 @@ class CoverParams:
     c2: float = 0.4
     c3: float = 0.4
     eta: float = 0.25
-    n_floor: int = 50
     node_budget: int = 1_000_000
     seed: int = 0
 
@@ -103,6 +105,12 @@ class CoverParams:
 
 
 PRESETS: dict[str, CoverParams] = {"desk": CoverParams()}
+
+
+def _declaration(params: CoverParams, n: int, clusters=()) -> CycleBlowupCertificate:
+    """A certificate with the scale (c2, 4 eta) the pipeline declares at
+    order n; its size_bounds() is the window every cycle cluster must fit."""
+    return CycleBlowupCertificate(n, params.c2, 4.0 * params.eta, clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +402,11 @@ def _piece_band(params: CoverParams, n: int) -> tuple[int, int]:
     """Allowed non-singleton piece sizes for quasi families.
 
     The band rides the pickup scale m3 but is clamped into the declared
-    certificate window, whose upper bound floor((1 + 4 eta) c2 ln n) every
-    surviving cluster must respect.
+    certificate window (_declaration), whose upper bound every surviving
+    cluster must respect.
     """
     _, _, m3 = params.scales(n)
-    hi_cert = int((1.0 + 4.0 * params.eta) * params.c2 * math.log(n) + _EPS)
+    _, hi_cert = _declaration(params, n).size_bounds()
     lo = max(2, m3)
     hi = min(hi_cert, max(2 * m3, lo + 1))
     if hi < lo:
@@ -842,13 +850,13 @@ def spanning_cycle_blowup(G: Graph, params: CoverParams):
     vertices (see _place_late). The resulting certificate is re-verified
     against G before it is returned, so a PASS is always independently
     checkable and a failure at any stage comes back as a PipelineFailure
-    naming the stage. Hosts below the configured order floor are refused
-    outright (exhaustive search is the right tool there), and hosts below
-    Dirac's bound, 2 delta(G) < n, fail at stage degree before any search.
+    naming the stage. Hosts below N_FLOOR vertices raise ValueError
+    (exhaustive search is the right tool there), and hosts below Dirac's
+    bound, 2 delta(G) < n, fail at stage degree before any search.
     """
     n = G.n
-    if n < params.n_floor:
-        raise ValueError("host order below n_floor")
+    if n < N_FLOOR:
+        raise ValueError(f"host order {n} below N_FLOOR = {N_FLOOR}")
     delta = min_degree(G)
     if 2 * delta < n:
         return PipelineFailure("degree", None, {"min_degree": delta})
@@ -960,7 +968,7 @@ def spanning_cycle_blowup(G: Graph, params: CoverParams):
         order.append(connectors[i - 1][2])
         order += [clusters[i][ci] for ci in cyc[1:] + cyc[:1]]
         order += connectors[i][:2]
-    cert = CycleBlowupCertificate(n, params.c2, 4.0 * params.eta, canonical_cycle(order))
+    cert = _declaration(params, n, canonical_cycle(order))
     if cover.uncovered:
         cert = _place_late(G, cert, cover.uncovered)
         if isinstance(cert, PipelineFailure):

@@ -19,15 +19,12 @@ import math
 from dataclasses import dataclass
 
 from .bitset import lowest_bit, rows_from_matrix
-from .core import Graph, graph_from_file, min_degree
+from .core import Graph, min_degree
 from .seeding import draw_subset, random_doubles, spawn
 
 GNP_REPAIRED = "GNP_REPAIRED"
 DIRAC_EXTREMAL = "DIRAC_EXTREMAL"
 CLIQUE_UNION_PLUS = "CLIQUE_UNION_PLUS"
-FROM_FILE = "FROM_FILE"
-
-KINDS = (GNP_REPAIRED, DIRAC_EXTREMAL, CLIQUE_UNION_PLUS, FROM_FILE)
 
 # floats per random_doubles call in GNP_REPAIRED: 1024 made an n = 600 host
 # cost 12.6 ms against 9.4 ms (2-vCPU x86-64), and 32768 was no faster
@@ -43,7 +40,6 @@ class GeneratorSpec:
     seed: int = 0                # edge draws (GNP_REPAIRED) or relabelling
     overlap: int | None = None   # DIRAC_EXTREMAL half-overlap, derived if None
     pieces: int = 3              # CLIQUE_UNION_PLUS clique count
-    path: str | None = None      # FROM_FILE source
 
 
 def _repair_to_min_degree(adj: list[int], n: int, target: int) -> None:
@@ -164,13 +160,9 @@ def generate(spec: GeneratorSpec) -> Graph:
         G = _seeded_labels(_dirac_extremal(spec), spec.seed)
     elif spec.kind == CLIQUE_UNION_PLUS:
         G = _seeded_labels(_clique_union_plus(spec), spec.seed)
-    elif spec.kind == FROM_FILE:
-        if spec.path is None:
-            raise ValueError("FROM_FILE needs a path")
-        G = graph_from_file(spec.path)
     else:
         raise ValueError(f"unknown generator kind {spec.kind!r}")
-    if spec.delta_target is not None and spec.kind != FROM_FILE:
+    if spec.delta_target is not None:
         got = min_degree(G)
         if got < spec.delta_target:
             raise ValueError(f"generator missed degree floor: {got} < {spec.delta_target}")

@@ -3,6 +3,7 @@ with temporary files, checking outputs, exit codes, and the byte-level
 determinism contract of the CSV emitters (wall clock column excluded).
 """
 
+import argparse
 import json
 import time
 
@@ -59,26 +60,18 @@ def test_generate_extremal_overlap_meets_target(tmp_path):
     assert min(G.degree(v) for v in range(G.n)) >= 5
 
 
-def test_generate_from_file_reads_a_lone_carriage_return_as_a_space(tmp_path):
-    src, out = tmp_path / "src.txt", tmp_path / "out.txt"
-    src.write_bytes(b"3 2\n0\r1\n1 2\n")
-    rc = main(["generate", "--kind", "file", "--path", str(src), "--n", "3", "--out", str(out)])
-    assert rc == 0
-    assert graph_from_text(out.read_text()) == Graph.from_edges(3, [(0, 1), (1, 2)])
-
-
+# each id is argv<k>-<needle>; k never changes, so a deleted case leaves a gap
 @pytest.mark.parametrize("argv, needle", [
-    (["--kind", "gnp", "--n", "10", "--delta-target", "10"], "infeasible"),
-    (["--kind", "file"], "needs a path"),
-    (["--kind", "dirac", "--n", "10", "--overlap", "8"], "overlap too large"),
-    (["--kind", "gnp", "--n", "-3"], "vertex count n must be nonnegative"),
-    (["--kind", "dirac", "--n", "-3"], "vertex count n must be nonnegative"),
-    (["--kind", "cliques", "--n", "-3"], "vertex count n must be nonnegative"),
-    (["--kind", "file", "--n", "-3"], "vertex count n must be nonnegative"),
-    (["--kind", "gnp", "--p", "1.7"], "edge probability p must lie in [0, 1]"),
-    (["--kind", "gnp", "--p", "-0.1"], "edge probability p must lie in [0, 1]"),
-    (["--kind", "gnp", "--p", "nan"], "edge probability p must lie in [0, 1]"),
-    (["--kind", "file", "--path", "no/such/graph.txt"], "No such file"),
+    pytest.param(argv, needle, id=f"argv{k}-{needle}") for k, argv, needle in [
+        (0, ["--kind", "gnp", "--n", "10", "--delta-target", "10"], "infeasible"),
+        (2, ["--kind", "dirac", "--n", "10", "--overlap", "8"], "overlap too large"),
+        (3, ["--kind", "gnp", "--n", "-3"], "vertex count n must be nonnegative"),
+        (4, ["--kind", "dirac", "--n", "-3"], "vertex count n must be nonnegative"),
+        (5, ["--kind", "cliques", "--n", "-3"], "vertex count n must be nonnegative"),
+        (7, ["--kind", "gnp", "--p", "1.7"], "edge probability p must lie in [0, 1]"),
+        (8, ["--kind", "gnp", "--p", "-0.1"], "edge probability p must lie in [0, 1]"),
+        (9, ["--kind", "gnp", "--p", "nan"], "edge probability p must lie in [0, 1]"),
+    ]
 ])
 def test_generate_refusals_exit_two_with_diagnostics(argv, needle, capsys):
     rc = main(["generate"] + argv)
@@ -158,6 +151,31 @@ def test_verify_reads_graph_text_grammar(tmp_path, capsys):
     assert "bad edge line '10 11 # last'" in capsys.readouterr().err
 
 
+def test_verify_reads_a_lone_carriage_return_as_a_space(tmp_path, capsys):
+    # ln 12 = 2.4849, c = 1.2, eta = 0.25 pins every size to exactly 3
+    cert = CycleBlowupCertificate(12, 1.2, 0.25, ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(cert.to_json())
+    head, first, *rest = graph_to_text(Graph.complete(12)).splitlines()
+    g = tmp_path / "g.txt"
+    g.write_bytes("\n".join([head, first.replace(" ", "\r")] + rest).encode() + b"\n")
+    assert main(["verify", str(g), str(cert_path)]) == 0
+    assert capsys.readouterr().out == "PASS\n"
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.5])
+def test_verify_fails_a_window_that_overflows(tmp_path, capsys, eta):
+    # c ln 60 overflows to inf: (1 - eta) inf is NaN at eta = 1 and inf below
+    clusters = [list(range(i, i + 3)) for i in range(0, 60, 3)]
+    g = write_graph(tmp_path / "g.txt", Graph.complete(60))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps({"n": 60, "c": 1e308, "eta": eta, "clusters": clusters}))
+    assert main(["verify", g, str(cert_path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("FAIL declared window overflows")
+
+
 @pytest.mark.parametrize("text", [
     '{"n": 3',                                   # truncated JSON
     '{"n": 12, "c": 1.2, "eta": 0.25}',          # no "clusters" key
@@ -191,9 +209,9 @@ def test_missing_graph_file_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("argv, reason", [
     (["solve", "G", "--preset", "nope"], "unknown preset 'nope'"),
     (["sweep", "--ns", "60", "--seeds", "0", "--preset", "nope"], "unknown preset 'nope'"),
-    (["generate", "--n", "10", "--preset", "nope"], "unknown preset 'nope'"),
+    (["biclique", "G", "--budget", "-5"], "--budget must be nonnegative"),
     (["solve", "G", "--budget", "-5"], "--budget must be nonnegative"),
-], ids=["solve-preset", "sweep-preset", "generate-preset", "solve-budget"])
+], ids=["solve-preset", "sweep-preset", "biclique-budget", "solve-budget"])
 def test_bad_common_flags_exit_two(tmp_path, capsys, argv, reason):
     g = write_graph(tmp_path / "g.txt", Graph.complete(52))
     with pytest.raises(SystemExit) as exc:
@@ -202,6 +220,71 @@ def test_bad_common_flags_exit_two(tmp_path, capsys, argv, reason):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("refused: ") and reason in out.err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["biclique", "G", "--p", "3"], "--p"),
+    (["solve", "G", "--bud", "0"], "--bud"),
+    (["verify", "G", "C", "--out", "x"], "--out"),
+    (["sweep", "--ns", "60", "--seeds", "0", "--budget", "5"], "--budget"),
+    (["generate", "--n", "10", "--preset", "desk"], "--preset"),
+], ids=["biclique-p-prefix", "solve-budget-prefix", "verify-out", "sweep-budget",
+        "generate-preset"])
+def test_flags_a_subcommand_does_not_read_exit_two(tmp_path, capsys, argv, flag):
+    # neither a flag the subcommand never reads nor a prefix of a long flag
+    # is accepted
+    g = write_graph(tmp_path / "g.txt", Graph.complete(52))
+    with pytest.raises(SystemExit) as exc:
+        main([{"G": g, "C": g}.get(a, a) for a in argv])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: unrecognized arguments: {flag}" in out.err
+
+
+class Recording(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._read = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            super().__getattribute__("_read").add(name)
+        return super().__getattribute__(name)
+
+
+def test_every_parsed_flag_is_read(tmp_path):
+    """Each subcommand, run once on a small host, reads every value it
+    parsed. A flag read into a CoverParams field that the command's search
+    never consults still counts as read; this test cannot see that."""
+    g = write_graph(tmp_path / "g.txt", Graph.complete(52))
+    small = write_graph(tmp_path / "k12.txt", Graph.complete(12))
+    cert = tmp_path / "cert.json"
+    runs = [
+        ["generate", "--n", "10", "--out", str(tmp_path / "gen.txt")],
+        ["solve", g, "--out", str(cert), "--csv", str(tmp_path / "run.csv")],
+        ["verify", g, str(cert)],
+        ["cover", g, "--out", str(tmp_path / "cover.txt")],
+        ["connect", g, "--side-a", "0,1,2,3", "--side-b", "4,5,6,7",
+         "--out", str(tmp_path / "connect.txt")],
+        ["biclique", small, "--out", str(tmp_path / "biclique.txt")],
+        ["match", small, "--s", "4", "--out", str(tmp_path / "match.txt")],
+        ["inherit-scan", small, "--trials", "5", "--out", str(tmp_path / "scan.txt")],
+        ["sweep", "--ns", "52", "--seeds", "0", "--out", str(tmp_path / "sweep.csv")],
+    ]
+    assert sorted(r[0] for r in runs) == sorted(cli.build_parser()._subparsers
+                                                ._group_actions[0].choices)
+    unread = {}
+    for argv in runs:
+        args = cli.build_parser().parse_args(argv, namespace=Recording())
+        args._read.clear()  # argparse itself reads while parsing
+        assert args.func(args) == 0, argv
+        dests = set(vars(args)) - {"func", "command", "_read"}
+        if dests - args._read:
+            unread[argv[0]] = sorted(dests - args._read)
+    assert unread == {}
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,14 @@ class TestVerifyCycleBlowup:
     def test_complete_host_passes(self):
         assert verify_cycle_blowup(Graph.complete(12), self.cert_for_k12()).status == PASS
 
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    def test_window_that_overflows_fails(self, eta):
+        # c ln 60 overflows to inf: (1 - eta) inf is NaN at eta = 1 and inf below
+        clusters = tuple(tuple(range(i, i + 3)) for i in range(0, 60, 3))
+        cert = CycleBlowupCertificate(60, 1e308, eta, clusters)
+        verdict = verify_cycle_blowup(Graph.complete(60), cert)
+        assert (verdict.status, verdict.reason) == (FAIL, "declared window overflows")
+
     def test_degenerate_cycle(self):
         cert = CycleBlowupCertificate(12, 1.2, 0.25, ((0, 1), (2, 3)))
         v = verify_cycle_blowup(Graph.complete(12), cert)

@@ -561,7 +561,7 @@ def test_pipeline_does_not_refuse_a_host_at_dirac_bound():
 
 
 def test_pipeline_enforces_order_floor():
-    with pytest.raises(ValueError, match="n_floor"):
+    with pytest.raises(ValueError, match="below N_FLOOR = 50"):
         spanning_cycle_blowup(Graph.complete(49), DESK)
 
 

@@ -6,11 +6,10 @@ from dataclasses import replace
 import pytest
 from oracles import reference_gnp_repaired, reference_repair_to_min_degree
 
-from cyclecover.core import Graph, graph_to_text, min_degree
+from cyclecover.core import graph_to_text, min_degree
 from cyclecover.generators import (
     CLIQUE_UNION_PLUS,
     DIRAC_EXTREMAL,
-    FROM_FILE,
     GNP_REPAIRED,
     GeneratorSpec,
     _repair_to_min_degree,
@@ -78,19 +77,6 @@ class TestCliqueUnionPlus:
         assert G.has_edge(0, 3)       # inside first clique of size 4
         assert not G.has_edge(0, 4)   # across cliques
         assert min_degree(G) == 3
-
-
-class TestFromFile:
-    def test_round_trip(self, tmp_path):
-        G = Graph.cycle(7)
-        path = tmp_path / "c7.txt"
-        path.write_text(graph_to_text(G))
-        got = generate(GeneratorSpec(FROM_FILE, path=str(path)))
-        assert got == G
-
-    def test_missing_path(self):
-        with pytest.raises(ValueError):
-            generate(GeneratorSpec(FROM_FILE))
 
 
 @pytest.mark.parametrize("spec", [
