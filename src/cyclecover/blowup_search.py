@@ -1,9 +1,12 @@
 """Searches for pattern blow-ups and connector triples.
 
-All searches share one tie-break everywhere a vertex is chosen: higher host
-degree first, then lower id. Every non-NONE return is re-checked against the
-defining property before it leaves the module, so a bug can produce a NONE
-or an exception but never an invalid certificate.
+Both searches are deterministic and draw no random numbers. All share one
+tie-break everywhere a vertex is chosen: higher host degree first, then
+lower id. The blow-up search is one greedy pass that gives up when a pool
+dies; what it leaves uncovered is the fold-in's to place. Every non-NONE
+return is re-checked against the defining property before it leaves the
+module, so a bug can produce a NONE or an exception but never an invalid
+certificate.
 """
 
 from __future__ import annotations
@@ -21,10 +24,8 @@ from .core import (
     is_complete_bipartite,
     verify_blowup_hosted,
 )
-from .seeding import random_doubles, spawner
 
 DEFAULT_NODE_BUDGET = 10 ** 6
-DEFAULT_RESTART_BUDGET = 50
 _TINY_ENUM = 200_000
 
 
@@ -41,40 +42,26 @@ def _check_biclique(G: Graph, A: Sequence[int], B: Sequence[int]) -> None:
         raise AssertionError(f"search returned a non-biclique: {verdict}")
 
 
-# Every jittered restart runs in BlowupSearch._jittered, in lockstep batches
-# of at most _BATCH. In the dead-end calls of sparse-600 solves a batch of one
-# restart cost 1.6 plain jittered passes and a batch of 24 about 5, but a
-# separate plain path for the first jittered restarts did not pay: over the
-# 240 BlowupSearch.find calls of sparse-600 solves on graph seeds 0-19 (2-vCPU
-# x86-64, numpy 2.4, best of three, two alternating runs each) they took
-# 1.03-1.06 s batched from restart 1 and 1.06-1.09 s with restarts 1-2 run
-# one at a time first, against 1.54-1.87 s with every restart one at a time.
-# In one run each, batches of 16, 32 or 48 took 0.92, 0.90 or 1.03 s and
-# batches of 24 took 0.86 s.
-_BATCH = 24
-
-
 class BlowupSearch:
     """Searches for a blow-up of F with every cluster of size exactly t,
     prepared once for a host, pattern, cluster size and frame, for any
-    number of searches that differ only in their avoid mask, restart budget
-    and seed. almost_blowup_cover holds one for the extractions of one
-    cover; preparing it once instead of once per extraction took the median
+    number of searches that differ only in their avoid mask.
+    almost_blowup_cover holds one for the extractions of one cover;
+    preparing it once instead of once per extraction took the median
     benchmark solve of GNP hosts (p = 0.97, delta = 0.75n) at n = 1000 from
     0.088 to 0.066 s, and one at n = 3000 from 0.72 to 0.37 s.
 
     Clusters are grown simultaneously, one vertex per pattern position per
     round, always taking the candidate that keeps the scarcest neighbouring
     pool largest; ties go to the higher degree, then the lower id. Candidate
-    pools only shrink; a dead pool aborts the pass and a jittered restart
-    breaks value ties by jitter first. Each pick scores its whole pool in
-    one array pass over the words of its neighbours' frame parts, and one
-    AND applies its effect on every pool. The jittered restarts run side by
-    side in batches on the same arrays, and the lowest-numbered survivor
-    wins, so the result is the one a restart-by-restart loop returns.
+    pools only shrink, and a dead pool ends the search with None: there is
+    no second pass, as the cover only has to take most of the host and its
+    fold-in places what extraction leaves. Each pick scores its whole pool
+    in one array pass over the words of its neighbours' frame parts, and
+    one AND applies its effect on every pool.
 
     Part i of the frame (all of the host when there is no frame) keeps its
-    vertices in choice order after value and jitter, descending degree then
+    vertices in choice order after value, descending degree then
     ascending id, so that the first of a tie is the one a pick takes. A pool
     is held as uint64 words of its part's own id window, the word range that
     covers the part; the pools of all s parts form one (s, W) block, W the
@@ -134,18 +121,12 @@ class BlowupSearch:
             self.scoring.append(score)
             self.update.append(upd)
 
-    def find(self, *, avoid: int = 0, restart_budget: int = DEFAULT_RESTART_BUDGET,
-             seed: int = 0) -> Blowup | None:
-        """A blow-up of F whose clusters avoid the vertices of avoid, or None.
-
-        Restart 0 is the plain greedy pass; restarts 1 to restart_budget
-        are jittered by the streams that seed spawns."""
-        start = mask_words([(m & ~avoid) >> (64 * a) for m, a in zip(self.parts, self.lo)],
-                           self.words)
-        clusters = self._plain(start.copy())
-        if clusters is None and restart_budget > 0:
-            clusters = self._jittered(start, avoid, spawner(seed, "blowup-restart"),
-                                      range(1, restart_budget + 1))
+    def find(self, *, avoid: int = 0) -> Blowup | None:
+        """A blow-up of F whose clusters avoid the vertices of avoid, or
+        None when the greedy pass dies."""
+        free = mask_words([(m & ~avoid) >> (64 * a) for m, a in zip(self.parts, self.lo)],
+                          self.words).copy()  # mask_words returns a read-only view
+        clusters = self._plain(free)
         if clusters is None:
             return None
         fam = SetFamily.of(clusters, BALANCE_EXACT, m=self.t)
@@ -156,7 +137,7 @@ class BlowupSearch:
         return blow
 
     def _plain(self, free) -> list[list[int]] | None:
-        """Restart 0, the greedy pass without jitter, on the (s, W) pools.
+        """The greedy pass on the (s, W) pools, which it updates in place.
 
         It scores every candidate of the frame part, in its pool or not:
         cutting the arrays to the search's base columns first cost about as
@@ -183,76 +164,6 @@ class BlowupSearch:
                 clusters[i].append(int(idx[i][k]))
                 free &= update[i][k]
         return clusters
-
-    def _jittered(self, start, avoid: int, restart_rng, restarts: range):
-        """The clusters of the lowest-numbered jittered restart in `restarts`
-        that survives the greedy pass, or None.
-
-        The restarts run in lockstep batches on (R, s, W) pools, one pass
-        per neighbour scoring the pick of every live restart. Dead restarts
-        are dropped at once. The batches score only the columns of the
-        search's base (frame minus avoid), cut from the prepared arrays once
-        for all restarts: on sparse GNP solves (n = 600, p = 0.8), whose last
-        extraction runs all 50 restarts late in the cover, that took the
-        restarts from about 28 to 21 ms per solve.
-        """
-        import numpy as np
-
-        if not start.any(axis=1).all():
-            return None  # a part with an empty pool kills every pass
-        t = self.t
-        s = len(self.idx)
-        cols = [np.flatnonzero(np.unpackbits(w.view(np.uint8), bitorder="little")[p])
-                for w, p in zip(start, self.pos)]
-        idx = [x[c] for x, c in zip(self.idx, cols)]
-        pos = [x[c] for x, c in zip(self.pos, cols)]
-        scoring = [x.take(c, axis=2) for x, c in zip(self.scoring, cols)]  # contiguous in B_i
-        update = [x[c] for x, c in zip(self.update, cols)]
-        # each restart draws one double per vertex outside avoid, in id order
-        full_idx = mask_indices(self.host.vertices_mask() & ~avoid, self.host.n)
-        at_draw = [np.searchsorted(full_idx, x) for x in idx]
-        for first in range(restarts.start, restarts.stop, _BATCH):
-            batch = range(first, min(first + _BATCH, restarts.stop))
-            R = len(batch)
-            jit = [np.empty((R, len(x))) for x in idx]
-            for r, restart in enumerate(batch):
-                draw = random_doubles(restart_rng(restart), len(full_idx))
-                for i in range(s):
-                    jit[i][r] = draw[at_draw[i]]
-            free = np.repeat(start[None], R, axis=0)
-            picks = np.empty((R, t, s), dtype=np.int64)
-            for rnd in range(t):
-                need = t - rnd - 1
-                for i in self.order:
-                    pool = np.unpackbits(free[:, i].view(np.uint8), axis=1,
-                                         bitorder="little")[:, pos[i]]
-                    top = pool
-                    if self.nbrs[i]:
-                        value = None
-                        for score, j in zip(scoring[i], self.nbrs[i]):
-                            w = self.width[j]
-                            c = np.bitwise_count(score[:w] & free[:, j, :w, None]).sum(
-                                axis=1, dtype=np.int64)
-                            value = c if value is None else np.minimum(value, c, out=value)
-                        value = np.where(pool, value, -1)
-                        top = value == value.max(axis=1, keepdims=True)
-                    # jitter as drawn, never folded into a float key with the
-                    # value, where rounding could merge two candidates
-                    k = np.where(top, jit[i], 2.0).argmin(axis=1)
-                    picks[:, rnd, i] = idx[i][k]
-                    free &= update[i][k]
-                    alive = np.count_nonzero(pool, axis=1) > need  # the pick left >= need
-                    if not alive.all():
-                        picks = picks[alive]
-                        free = free[alive]
-                        jit = [a[alive] for a in jit]
-                        if not len(picks):
-                            break
-                if not len(picks):
-                    break
-            if len(picks):
-                return [picks[0, :, i].tolist() for i in range(s)]
-        return None
 
 
 def connect_clusters(G: Graph, U: Iterable[int], V: Iterable[int], W: Iterable[int],

@@ -352,9 +352,10 @@ def almost_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     shape among those same samples becomes the pattern (ties go to the
     lexicographically smallest edge list), and framed extraction
     pulls blow-ups with clusters of the cover scale m1 = floor(c1 ln n)
-    until the unused fraction of every block drops below rho. A rejected
-    guard or a stall leaves a partial cover plus diagnostics, never an
-    invalid structure.
+    until the unused fraction of every block drops below rho, or until the
+    first extraction whose greedy pass dies (a stall). A rejected guard or
+    a stall leaves a partial cover plus diagnostics, never an invalid
+    structure; simple_blowup_cover folds the rest in.
     """
     n = G.n
     s = params.s
@@ -380,8 +381,7 @@ def almost_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     search = BlowupSearch(G, pattern, m1, frame) if pattern is not None else None
     while search is not None and not all(
             (pm & ~used).bit_count() < params.rho * len(p) for p, pm in zip(parts, frame.masks)):
-        # the 0 in the extract label is pinned by the golden certificate digests
-        b = search.find(avoid=used, seed=mix(params.seed, "cover", "extract", 0, len(blowups)))
+        b = search.find(avoid=used)
         if b is None:
             unused = [(pm & ~used).bit_count() for pm in frame.masks]
             diags.append(("extraction-stalled", tuple(unused)))
@@ -520,9 +520,13 @@ _UNPACK_BYTES = 1 << 22
 class _Fold:
     """The covered families and the leftover of one simple_blowup_cover call.
 
-    Split plans are memoised by size tuple for the insert sweep's join
-    keys and the pickup's live sizes. The memo lives as long as the
-    fold-in, not the process: a module-level plan cache raised peak memory.
+    The insert sweep's join keys and the pickup's live sizes only ask
+    whether a family's cluster sizes keep a split plan. That answer does
+    not depend on the order of the sizes (every per-cluster bound is a
+    function of its own size, and the sigma fill closes whenever the
+    bounds' sums bracket f), so it is memoised on the sorted sizes. The
+    memo lives as long as the fold-in, not the process: a module-level
+    plan cache raised peak memory.
     Column j is the position of a vertex in the starting leftover, and a
     column stays alive while its vertex is leftover. Over the columns, as
     Python int bitsets:
@@ -547,7 +551,7 @@ class _Fold:
         self.fams = fams
         self.leftover = leftover
         self.lo, self.hi = lo, hi
-        self.memo: dict[tuple[int, ...], Any] = {}
+        self.memo: dict[tuple[int, ...], bool] = {}
         self.k = len(fams[0]) if fams else 0
         # near[fi][ci]: the clusters of family fi that are reduced neighbours
         # of ci, which a vertex joining ci must be complete to
@@ -581,11 +585,13 @@ class _Fold:
         for fi in range(len(fams)):
             self._rebuild(fi)
 
-    def plan(self, sizes: Sequence[int]):
-        key = tuple(sizes)
-        if key not in self.memo:
-            self.memo[key] = _split_plan(key, self.lo, self.hi)
-        return self.memo[key]
+    def feasible(self, sizes: Sequence[int]) -> bool:
+        """Whether clusters of these sizes have a split plan."""
+        key = tuple(sorted(sizes))
+        ok = self.memo.get(key)
+        if ok is None:
+            ok = self.memo[key] = _split_plan(key, self.lo, self.hi) is not None
+        return ok
 
     def sizes(self, fi: int) -> list[int]:
         return [len(c) for c in self.fams[fi]]
@@ -606,7 +612,7 @@ class _Fold:
         union = 0
         for ci, near in enumerate(self.near[fi]):
             sizes[ci] += 1
-            ok = self.plan(sizes) is not None
+            ok = self.feasible(sizes)
             sizes[ci] -= 1
             if ok:
                 keys.append((sizes[ci] * len(self.fams) + fi) * self.k + ci)
@@ -733,7 +739,7 @@ def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     m_q, eta_q = _quasi_declaration(lo_p, hi_p)
     out: list[Blowup] = []
     for fi in range(len(fams)):
-        plan = fold.plan(fold.sizes(fi))
+        plan = _split_plan(fold.sizes(fi), lo_p, hi_p)
         if plan is None:  # pragma: no cover - guarded at every mutation
             raise AssertionError("committed family lost its split plan")
         f, sigma = plan
@@ -801,7 +807,7 @@ def _pickup_direct(G: Graph, params: CoverParams, root: int, t: int, fold: _Fold
                     if sizes is None:
                         sizes = live[fi] = fold.sizes(fi)
                     sizes[ci] -= 1
-                    ok = fold.plan(sizes) is not None
+                    ok = fold.feasible(sizes)
                 else:
                     ok = True
                 if ok:

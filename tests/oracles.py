@@ -240,12 +240,10 @@ def _order_key(G: Graph):
     return lambda v: (-G.degree(v), v)
 
 
-def scalar_find_blowup(host: Graph, F: Graph, t: int, frame=None, *,
-                       avoid: int = 0, restart_budget: int = 50, seed: int = 0):
+def scalar_find_blowup(host: Graph, F: Graph, t: int, frame=None, *, avoid: int = 0):
     """find_blowup as it scored one pool vertex per loop step."""
     from cyclecover.bitset import bits_list, iter_bits, mask_from
     from cyclecover.core import BALANCE_EXACT, PASS, Blowup, SetFamily, verify_blowup_hosted
-    from cyclecover.seeding import spawn
 
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -253,60 +251,45 @@ def scalar_find_blowup(host: Graph, F: Graph, t: int, frame=None, *,
         raise ValueError("frame must have one part per pattern vertex")
     s = F.n
     full = host.vertices_mask() & ~avoid
-    base = [mask_from(frame.clusters[i]) & full if frame is not None else full
+    cand = [mask_from(frame.clusters[i]) & full if frame is not None else full
             for i in range(s)]
     nbrs = [bits_list(F.adj[i]) for i in range(s)]
     order = sorted(range(s), key=lambda i: (-F.degree(i), i))
     adj = host.adj
     negdeg = [-row.bit_count() for row in adj]
 
-    for restart in range(restart_budget + 1):
-        jitter = None
-        if restart > 0:
-            rng = spawn(seed, "blowup-restart", restart)
-            jitter = {v: rng.random() for v in bits_list(full)}
-        cand = list(base)
-        clusters: list[list[int]] = [[] for _ in range(s)]
-        used = 0
-        dead = False
-        for _round in range(t):
-            for i in order:
-                pool = cand[i] & ~used
-                free = [cand[j] & ~used for j in nbrs[i]]
-                best = None
-                best_rank = None
-                for x in iter_bits(pool):
-                    if free:
-                        row = adj[x]
-                        value = min((f & row).bit_count() for f in free)
-                    else:
-                        value = host.n
-                    rank = (-value, jitter[x] if jitter is not None else 0.0,
-                            negdeg[x], x)
-                    if best_rank is None or rank < best_rank:
-                        best, best_rank = x, rank
-                if best is None:
-                    dead = True
-                    break
-                clusters[i].append(best)
-                used |= 1 << best
-                for j in nbrs[i]:
-                    cand[j] &= host.adj[best]
-                need = t - len(clusters[i])
-                if (cand[i] & ~used).bit_count() < need:
-                    dead = True
-                    break
-            if dead:
-                break
-        if dead:
-            continue
-        fam = SetFamily.of(clusters, BALANCE_EXACT, m=t)
-        blow = Blowup(F, fam)
-        verdict = verify_blowup_hosted(host, blow)
-        if verdict.status != PASS:
-            raise AssertionError(f"blow-up failed self check: {verdict}")
-        return blow
-    return None
+    clusters: list[list[int]] = [[] for _ in range(s)]
+    used = 0
+    for _round in range(t):
+        for i in order:
+            pool = cand[i] & ~used
+            free = [cand[j] & ~used for j in nbrs[i]]
+            best = None
+            best_rank = None
+            for x in iter_bits(pool):
+                if free:
+                    row = adj[x]
+                    value = min((f & row).bit_count() for f in free)
+                else:
+                    value = host.n
+                rank = (-value, negdeg[x], x)
+                if best_rank is None or rank < best_rank:
+                    best, best_rank = x, rank
+            if best is None:
+                return None
+            clusters[i].append(best)
+            used |= 1 << best
+            for j in nbrs[i]:
+                cand[j] &= host.adj[best]
+            need = t - len(clusters[i])
+            if (cand[i] & ~used).bit_count() < need:
+                return None
+    fam = SetFamily.of(clusters, BALANCE_EXACT, m=t)
+    blow = Blowup(F, fam)
+    verdict = verify_blowup_hosted(host, blow)
+    if verdict.status != PASS:
+        raise AssertionError(f"blow-up failed self check: {verdict}")
+    return blow
 
 
 def scalar_connect_clusters(G: Graph, U, V, W, m_prime: int, *, eps: float = 0.25,

@@ -8,10 +8,13 @@ tests/oracles.py returns, which rebuilt everything on every sweep: the same
 blow-ups, leftover, kind and diagnostics, on hosts that end stuck, hosts
 with no families, and hosts whose fold-in runs many pickups. The bitsets
 themselves are checked against the adjacency and the split plans they
-stand for, and the pickup search against a tight recursion limit.
+stand for, the split-plan memo against every order of the sizes it keys
+on, and the pickup search against a tight recursion limit.
 """
 
 import sys
+from itertools import combinations_with_replacement, permutations
+from math import comb
 
 import pytest
 
@@ -163,3 +166,15 @@ def test_pickup_search_depth_is_bounded():
     finally:
         sys.setrecursionlimit(old)
     assert got == reference_simple_blowup_cover(G, DESK)
+
+
+@pytest.mark.parametrize("lo,hi", [(2, 3), (2, 4), (3, 6)])  # the desk bands, n = 50 to 10^4
+def test_split_feasibility_memo_ignores_the_order_of_sizes(lo, hi):
+    # the memo is keyed on the sorted sizes: for every size multiset, each
+    # of its orders must get the answer _split_plan gives that order
+    fold = cover._Fold(Graph.empty(1), [], [], [], lo, hi)
+    for k, top in ((3, 12), (4, 12), (5, 8)):
+        for sizes in combinations_with_replacement(range(1, top + 1), k):
+            for order in set(permutations(sizes)):
+                assert fold.feasible(order) == (_split_plan(order, lo, hi) is not None)
+    assert len(fold.memo) == comb(14, 3) + comb(15, 4) + comb(12, 5)

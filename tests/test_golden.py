@@ -24,32 +24,33 @@ GOLDEN = [
      "00f3b2d3fccd1c8dd0bd81ce07d0965a60fc5ddc3cb3eaefe5e0292d0eaab5d8", GNP_REPAIRED),
     (200, 0.97, 150, 2,
      "e0cf5cb9e14861714a9b6c67592b893e05ee0dfe483d9c1f3ecdf26077a8a519", GNP_REPAIRED),
+    # the cover endgame strands one vertex on each of the three (300, 0.8)
+    # hosts, which joins a cycle cluster after winding
     (300, 0.8, 210, 0,
-     "f49bf117ec48b9238f5f34ac0bb6e891de69b094b7a9ae2ca39bbf496e37ee81", GNP_REPAIRED),
+     "f525d0cfa1787d17aaa9a378777a904fc69231d8f81840c47fe8ddd80f1a90d1", GNP_REPAIRED),
     (300, 0.8, 210, 1,
-     "e09eb06f62dcbf77c06b59833bf7fc74f702ebc28e550f6eb4f342201c4cb17c", GNP_REPAIRED),
-    # the cover endgame strands one vertex, which joins a cycle cluster
-    # after winding
+     "4b65e35d5a0b04cc1475515474878387b148e7a772f6280357752622f8b5d4ef", GNP_REPAIRED),
     (300, 0.8, 210, 9,
-     "2bd76af70b9f5befebaf1dfda15a278ff2264c9d027e810f646443292e67ae5e", GNP_REPAIRED),
+     "b83e2160404ec9e42961821ed24b3ea5d4a8f44ff92722cbe3bea680efce9e0e", GNP_REPAIRED),
     # the partition density guard rejects this host as labelled (its blocks
     # fall into different cliques); the fold-in covers all but 6 vertices,
     # which join cycle clusters after winding
     (300, None, 225, 0,
      "d57c7e71e9457c2e3d80f3973a26a3e30f3bd2391ddd57eaafeac8b5bffa42fc", DIRAC_EXTREMAL),
-    # the sparse shape at n = 60: the fold-in strands 3 vertices, which
-    # join cycle clusters after winding
+    # the sparse shape at n = 60: the almost cover takes no blow-up, and the
+    # fold-in strands 4 vertices, which join cycle clusters after winding
     (60, 0.8, 42, 0,
-     "3d14990913d08e9a2b0470455dcde21401f9a3128908d646006683187ef53b9c", GNP_REPAIRED),
-    # first-pass solves of the sparse-600 benchmark shape, where folding the
-    # leftover into the cover is the largest stage
+     "0c1fa95487657409733c3bafce197eb7405cd5802c079a2b53d5e269597687bf", GNP_REPAIRED),
+    # first-pass solves of the sparse-600 benchmark shape, where the almost
+    # cover takes 6 or 7 blow-ups and folding the leftover in is the largest
+    # stage
     (600, 0.8, 420, 0,
-     "b8e5ff36a5fcd52ec8656c768cf843f01b5fcbf17d375de23894035974b624c4", GNP_REPAIRED),
+     "dcef04acd01639b296a717c5bba38735facf98e1dac102f0c41110536ae3e90e", GNP_REPAIRED),
     (600, 0.8, 420, 1,
-     "47244b5e8f8dd9af535df1afc6735ba9a0c293a0ea9455134d1c4eaab799ed8b", GNP_REPAIRED),
+     "687fa0a2cc1d7e4a225d03c8501a1574edb0c5215522ed153109245a6465a545", GNP_REPAIRED),
     # certified on the first pass, with every pickup the fold-in finds kept
     (600, 0.8, 420, 90002,
-     "c2e95cbefe48283521dbcb1aa55e18990e6b944a9c16df2f36d13cd1359ffb3f", GNP_REPAIRED),
+     "c9654ed0ad06bc5058fe701a61298a98b9fac8b32b6fba14dd2d5958f1b3b060", GNP_REPAIRED),
     # the audit-1000 host, whose almost cover takes 28 blow-ups out of one
     # frame; captured with the scalar searches before they moved onto the
     # packed view

@@ -1,11 +1,13 @@
 """Checks on the package source: the pipeline modules stay off the lemma
-library and `import cyclecover` does not load it, every function of
-cover.py, blowup_search.py and seeding.py runs in the pipeline, no module
-keeps an import it does not use, numpy loads only when something needs it,
-every process-level memo is bounded, and GNP hosts are drawn in blocks,
-without a random() call per pair or numpy.random."""
+library and `import cyclecover` does not load it, the blow-up search draws
+no random numbers, every function of cover.py, blowup_search.py and
+seeding.py runs in the pipeline, no module keeps an import it does not
+use, numpy loads only when something needs it, every process-level memo is
+bounded, and GNP hosts are drawn in blocks, without a random() call per
+pair or numpy.random."""
 
 import ast
+import inspect
 import os
 import random
 import subprocess
@@ -61,6 +63,14 @@ def test_importing_the_package_does_not_load_the_lemma_library():
     out = subprocess.run([sys.executable, "-c", code],
                          env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_blowup_search_has_no_search_stream_or_restart_knob():
+    # extraction is one greedy pass: the search module spawns no random
+    # stream, and a search differs from another only in what it avoids
+    assert "seeding" not in _imported_modules(_tree(PACKAGE / "blowup_search.py"))
+    params = inspect.signature(blowup_search.BlowupSearch.find).parameters
+    assert list(params) == ["self", "avoid"]
 
 
 def test_every_cover_function_runs_in_the_pipeline():

@@ -3,15 +3,12 @@
 BlowupSearch and connect_clusters score whole candidate pools at once on
 Graph.packed. Each must return what the scalar versions kept in
 tests/oracles.py return, with the same telemetry, on every path: frames,
-avoid masks, jittered restarts in batches, jitter ties, isolated pattern
-vertices, one prepared search reused over a sequence of extractions,
+avoid masks, passes that die, value ties, isolated pattern vertices, one
+prepared search reused over a sequence of extractions,
 t = 1, an empty or repeating W given as any iterable, the DFS with and
 without its node budget, and hosts whose order sits on either side of a
 64-bit word boundary.
 """
-
-import math
-import random
 
 import numpy as np
 import pytest
@@ -83,8 +80,8 @@ def test_find_blowup_matches_scalar(n):
         avoid = mask_from(v for v in range(n) if rng.random() < 0.3)
         for fr, av in ((None, 0), (frame, 0), (None, avoid), (frame, avoid),
                        (None, avoid | ~G.adj[seed])):  # a negative mask
-            want = scalar_find_blowup(G, F, t, fr, avoid=av, restart_budget=8, seed=seed)
-            got = BlowupSearch(G, F, t, fr).find(avoid=av, restart_budget=8, seed=seed)
+            want = scalar_find_blowup(G, F, t, fr, avoid=av)
+            got = BlowupSearch(G, F, t, fr).find(avoid=av)
             same_blowup(got, want)
             found += want is not None
     assert found >= 10
@@ -96,104 +93,88 @@ def thirds(n):
                         BALANCE_WITHIN, m=block, eta=1.0)
 
 
-# win is the first restart whose pass survives, None when all 51 die. The
-# jittered restarts run in batches (restarts 1-24, 25-48 and 49-50 at the
-# default budget), so the probe at win - 1 and win pins the batch's choice
-# of its lowest-numbered survivor. The avoid masks are
-# random, or the whole of the first frame part.
-@pytest.mark.parametrize("n,seed,framed,avoid,win", [
-    pytest.param(64, 12, False, None, 3, id="64-12"),
-    pytest.param(64, 16, False, None, 2, id="64-16"),
-    pytest.param(130, 2, False, None, 1, id="130-2"),
-    pytest.param(130, 9, False, None, 1, id="130-9"),
-    pytest.param(64, 14, False, None, 24, id="64-14-batch-one"),
-    pytest.param(64, 10, False, None, 32, id="64-10-batch-two"),
-    pytest.param(130, 0, True, None, 14, id="framed-130-0-batch-one"),
-    pytest.param(130, 3, True, None, 32, id="framed-130-3-batch-two"),
-    pytest.param(64, 7, False, "random", 22, id="avoid-64-7-batch-one"),
-    pytest.param(130, 33, False, "random", 46, id="avoid-130-33-batch-two"),
-    pytest.param(64, 66, False, None, 49, id="64-66-batch-three"),
-    pytest.param(64, 18, False, None, None, id="64-18-every-restart-dies"),
-    pytest.param(64, 0, True, "random", None, id="framed-avoid-64-0-every-restart-dies"),
-    pytest.param(64, 0, True, "part", None, id="framed-64-0-empty-part"),
+# hosts where the greedy pass for three clusters of four dies, while the
+# pass for clusters of two survives unless the avoid mask empties a part;
+# each is compared with the scalar oracle at t = 2, 3 and 4. The avoid
+# masks are random, or the whole of the first frame part.
+@pytest.mark.parametrize("n,seed,framed,avoid", [
+    pytest.param(64, 12, False, None, id="64-12"),
+    pytest.param(64, 16, False, None, id="64-16"),
+    pytest.param(130, 2, False, None, id="130-2"),
+    pytest.param(130, 9, False, None, id="130-9"),
+    pytest.param(64, 14, False, None, id="64-14"),
+    pytest.param(64, 10, False, None, id="64-10"),
+    pytest.param(130, 0, True, None, id="framed-130-0"),
+    pytest.param(130, 3, True, None, id="framed-130-3"),
+    pytest.param(64, 7, False, "random", id="avoid-64-7"),
+    pytest.param(130, 33, False, "random", id="avoid-130-33"),
+    pytest.param(64, 66, False, None, id="64-66"),
+    pytest.param(64, 18, False, None, id="64-18"),
+    pytest.param(64, 0, True, "random", id="framed-avoid-64-0"),
+    pytest.param(64, 0, True, "part", id="framed-64-0-empty-part"),
 ])
-def test_find_blowup_matches_scalar_after_restarts(n, seed, framed, avoid, win):
+def test_find_blowup_matches_scalar_where_the_pass_dies(n, seed, framed, avoid):
     G = random_graph(n, 0.5, seed)
     F = Graph.complete(3)
     frame = thirds(n) if framed else None
+    empty_part = avoid == "part"
     if avoid == "random":
         rng = spawn(seed, "avoid-case", n)
         avoid = mask_from(v for v in range(n) if rng.random() < 0.2)
-    elif avoid == "part":
+    elif empty_part:
         avoid = mask_from(range(n // 3))
-    kw = {"seed": seed, "avoid": avoid or 0}
-    if win is None:
-        assert BlowupSearch(G, F, 4, frame).find(restart_budget=50, **kw) is None
-        assert scalar_find_blowup(G, F, 4, frame, restart_budget=50, **kw) is None
-        return
-    assert BlowupSearch(G, F, 4, frame).find(restart_budget=win - 1, **kw) is None
-    got = BlowupSearch(G, F, 4, frame).find(restart_budget=win, **kw)
-    assert got is not None
-    same_blowup(got, scalar_find_blowup(G, F, 4, frame, restart_budget=win, **kw))
-    same_blowup(BlowupSearch(G, F, 4, frame).find(restart_budget=50, **kw), got)
+    found = []
+    for t in (2, 3, 4):
+        got = BlowupSearch(G, F, t, frame).find(avoid=avoid or 0)
+        same_blowup(got, scalar_find_blowup(G, F, t, frame, avoid=avoid or 0))
+        found.append(got is not None)
+    assert found[0] != empty_part and not found[2]
 
 
-def test_find_blowup_breaks_jitter_ties_by_degree_then_id(monkeypatch):
-    # jitter drawn in quarters leaves most value ties tied, so the degree
-    # and then the id decide, on the plain pass and on the batched restarts
-    import cyclecover.blowup_search as bs
-    import cyclecover.seeding as seeding
-
-    class Coarse(random.Random):
-        def random(self):
-            return math.floor(super().random() * 4) / 4
-
-    monkeypatch.setattr(seeding, "spawn", lambda seed, *parts: Coarse(seeding.mix(seed, *parts)))
-    monkeypatch.setattr(bs, "random_doubles",
-                        lambda rng, k: np.floor(seeding.random_doubles(rng, k) * 4) / 4)
+def test_find_blowup_breaks_value_ties_by_degree_then_id():
+    # K12 less the edges 0-1 and 5-6, framed in thirds: every candidate of
+    # a part scores the same, so part 0 passes over 0 and 1 and part 1 over
+    # 5 and 6 for their lower degree, and part 2 takes the lowest ids
     F = Graph.complete(3)
-    batched = 0
+    G = Graph.from_edges(12, [(u, v) for u in range(12) for v in range(u + 1, 12)
+                              if (u, v) not in ((0, 1), (5, 6))])
+    got = BlowupSearch(G, F, 2, thirds(12)).find()
+    assert [sorted(c) for c in got.family.clusters] == [[2, 3], [4, 7], [8, 9]]
+    same_blowup(got, scalar_find_blowup(G, F, 2, thirds(12)))
     for n, seed in ((64, 10), (64, 14), (64, 18), (130, 0), (130, 3)):
         G = random_graph(n, 0.5, seed)
         for fr in (None, thirds(n)):
-            got = BlowupSearch(G, F, 4, fr).find(seed=seed)
-            same_blowup(got, scalar_find_blowup(G, F, 4, fr, seed=seed))
-            batched += got is not None and BlowupSearch(G, F, 4, fr).find(restart_budget=0,
-                                                                          seed=seed) is None
-    assert batched >= 2
+            same_blowup(BlowupSearch(G, F, 3, fr).find(), scalar_find_blowup(G, F, 3, fr))
 
 
 # One prepared search serves a sequence of extractions, each avoiding the
-# blow-ups before it, as almost_blowup_cover runs them. passes[e] is the
-# pass that answers extraction e: 0 the plain pass, 1 or 2 the first or
-# second batch of jittered restarts, None when all 51 passes die.
-@pytest.mark.parametrize("n,p,t,seed,passes", [
-    pytest.param(130, 0.6, 4, 0, [0, 0, 1, 1, 2, 1, None], id="130-second-batch"),
-    pytest.param(63, 0.6, 4, 1, [2, None], id="63-second-batch"),
-    pytest.param(63, 0.6, 3, 0, [0, 1, 1, 1, None], id="63-first-batch"),
-    pytest.param(65, 0.7, 3, 4, [0, 0, 1, 1, None], id="65-first-batch"),
+# blow-ups before it, as almost_blowup_cover runs them, until the pass dies
+# after `count` of them.
+@pytest.mark.parametrize("n,p,t,seed,count", [
+    pytest.param(130, 0.6, 3, 0, 8, id="130-t3"),
+    pytest.param(63, 0.6, 2, 1, 7, id="63-t2"),
+    pytest.param(63, 0.6, 2, 0, 6, id="63-t2-seed0"),
+    pytest.param(65, 0.7, 3, 4, 2, id="65-t3"),
 ])
-def test_prepared_search_serves_a_sequence_of_extractions(n, p, t, seed, passes):
+def test_prepared_search_serves_a_sequence_of_extractions(n, p, t, seed, count):
     G = random_graph(n, p, seed, "reuse-host")
     F = Graph.complete(3)
     frame = thirds(n)
     search = BlowupSearch(G, F, t, frame)
-    used, calls, got = 0, [], []
-    for e, answered in enumerate(passes):
-        kw = {"avoid": used, "restart_budget": 50, "seed": e}
-        blow = search.find(**kw)
-        same_blowup(blow, scalar_find_blowup(G, F, t, frame, **kw))
-        reached = [search.find(avoid=used, restart_budget=b, seed=e) is not None
-                   for b in (0, 24, 48)]
-        assert (reached.index(True) if blow is not None else None) == answered
-        calls.append(kw)
+    used, avoids, got = 0, [], []
+    while True:
+        blow = search.find(avoid=used)
+        same_blowup(blow, scalar_find_blowup(G, F, t, frame, avoid=used))
+        avoids.append(used)
         got.append(blow)
-        if blow is not None:
-            used |= blow.family.union_mask()
+        if blow is None:
+            break
+        used |= blow.family.union_mask()
+    assert len(got) == count + 1
     # the same calls again, latest first: nothing a call leaves behind
     # changes another one's result
-    for kw, blow in reversed(list(zip(calls, got))):
-        same_blowup(search.find(**kw), blow)
+    for avoid, blow in reversed(list(zip(avoids, got))):
+        same_blowup(search.find(avoid=avoid), blow)
 
 
 @pytest.mark.parametrize("n", ORDERS)
@@ -202,9 +183,7 @@ def test_find_blowup_matches_scalar_with_isolated_pattern_vertex(n):
     for seed in range(3):
         G = random_graph(n, 0.6, seed + 50)
         for t in (1, 3):
-            for budget in (0, 5):
-                same_blowup(BlowupSearch(G, F, t).find(restart_budget=budget, seed=seed),
-                            scalar_find_blowup(G, F, t, restart_budget=budget, seed=seed))
+            same_blowup(BlowupSearch(G, F, t).find(), scalar_find_blowup(G, F, t))
 
 
 # ---------------------------------------------------------------------------
