@@ -2,7 +2,7 @@
 
 Library layout:
   core           graphs, cluster families, verifiers
-  blowup_search  BlowupSearch, connector search
+  blowup_search  BlowupSearch, the subset DFS of connector and biclique search
   cover          s-block partition and its density guard, cover pipelines,
                  reduced Hamilton cycles and singleton absorption, the
                  spanning cycle blow-up driver (connect and wind)

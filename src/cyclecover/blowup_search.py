@@ -181,12 +181,10 @@ def connect_clusters(G: Graph, U: Iterable[int], V: Iterable[int], W: Iterable[i
     of u in U adjacent to w, so the unpacked rows of U, summed, count it for
     every vertex at once, and likewise for V; W only selects from those
     counts, through a membership vector, so a call costs O(m n + |W|)
-    whatever the size of W. The search is one pruned DFS over the
-    m_prime-subsets of the pool in lexicographic order, the pool sorted by
-    the smaller of its two side counts, largest first, then by degree, then
-    by id, and the first hit wins. When the pool has at most _TINY_ENUM
-    such subsets the DFS ignores node_budget, so None is then a proof of
-    absence; past that, None may also mean the node budget ran out.
+    whatever the size of W. The search is _subset_dfs over the pool, sorted
+    by the smaller of its two side counts, largest first, then by degree,
+    then by id, with U and V as its two sides; so None is a proof of
+    absence unless the pool is past the enumeration limit.
 
     Pool sizes land in the telemetry dict when one is supplied. W may
     repeat an id: the pool holds it once, but n_prime, w_u and w_v count W
@@ -240,31 +238,48 @@ def connect_clusters(G: Graph, U: Iterable[int], V: Iterable[int], W: Iterable[i
         telemetry["w_u"] = int(np.count_nonzero(on_u[w_idx]))
         telemetry["w_v"] = int(np.count_nonzero(on_v[w_idx]))
         telemetry["w_star"] = len(order)
+    return _subset_dfs(G, order, (umask, vmask), m_prime, node_budget)
+
+
+def _subset_dfs(G: Graph, order: Sequence[int], sides: Sequence[int], p: int,
+                node_budget: int | None):
+    """The first p-subset of order, in lexicographic order, with at least p
+    common neighbours in every side mask: each side's p best common
+    neighbours (higher degree, then lower id), then the subset, each sorted;
+    or None. A candidate that leaves a side short is skipped, and a level
+    ends once too few candidates remain to complete it. When order has at
+    most _TINY_ENUM p-subsets node_budget is ignored and None proves
+    absence; past that, None may also mean that node_budget candidate
+    visits ran out. Every side of a hit is re-checked with _check_biclique.
+    """
+    budget = None if comb(len(order), p) <= _TINY_ENUM else node_budget
     key = _order_key(G)
-    budget = None if comb(len(order), m_prime) <= _TINY_ENUM else node_budget
+    adj = G.adj
     nodes = 0
 
-    def dfs(start: int, chosen: list[int], iu: int, iv: int):
+    def dfs(start: int, chosen: list[int], inter: Sequence[int]):
         nonlocal nodes
-        if len(chosen) == m_prime:
-            u_side = sorted(sorted(bits_list(iu), key=key)[:m_prime])
-            v_side = sorted(sorted(bits_list(iv), key=key)[:m_prime])
-            w_side = sorted(chosen)
-            _check_biclique(G, u_side, w_side)
-            _check_biclique(G, v_side, w_side)
-            return tuple(u_side), tuple(v_side), tuple(w_side)
+        if len(chosen) == p:
+            found = sorted(chosen)
+            hit = []
+            for common in inter:
+                side = sorted(sorted(bits_list(common), key=key)[:p])
+                _check_biclique(G, side, found)
+                hit.append(tuple(side))
+            return (*hit, tuple(found))
         for idx in range(start, len(order)):
             if budget is not None and nodes >= budget:
                 return None
             nodes += 1
-            w = order[idx]
-            nu = iu & G.adj[w]
-            nv = iv & G.adj[w]
-            if nu.bit_count() < m_prime or nv.bit_count() < m_prime:
+            row = adj[order[idx]]
+            nxt = [common & row for common in inter]
+            if min(map(int.bit_count, nxt)) < p:
                 continue
-            res = dfs(idx + 1, chosen + [w], nu, nv)
+            if len(order) - idx < p - len(chosen):
+                return None
+            res = dfs(idx + 1, chosen + [order[idx]], nxt)
             if res is not None:
                 return res
         return None
 
-    return dfs(0, [], umask, vmask)
+    return dfs(0, [], sides)

@@ -92,13 +92,23 @@ def _budget(args, default):
     return args.budget
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to path; an unwritable path ends the command with exit
+    code 2."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _emit(args, text: str) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if args.out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
-        Path(args.out).write_text(text if text.endswith("\n") else text + "\n")
+        _write(args.out, text)
 
 
 def _read_graph(path: str) -> Graph:
@@ -206,7 +216,7 @@ def cmd_solve(args) -> int:
     wall = time.perf_counter() - t0
     if args.csv is not None:
         row = experiment_row(G.n, args.seed, args.preset, result, wall)
-        Path(args.csv).write_text(f"{SCHEMA_LINE}\n{ROW_HEADER}\n{row}\n")
+        _write(args.csv, f"{SCHEMA_LINE}\n{ROW_HEADER}\n{row}\n")
     if isinstance(result, PipelineFailure):
         print(f"FAILURE stage={result.stage} index={result.index} "
               f"details={result.details}", file=sys.stderr)

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -369,19 +370,21 @@ def verify_cycle_blowup(G: Graph, cert: CycleBlowupCertificate) -> Verdict:
     if cert.n != G.n:
         return Verdict(FAIL, "vertex count mismatch", (cert.n, G.n))
     vmask = G.vertices_mask()
+    # ids are checked against 0..n-1 before any shift, as a huge one would ask
+    # for a mask of its own size; one pass over all ids clears a certificate
+    # (a min and a max per cluster made the dense-300 audit 14% slower)
+    ids = list(chain.from_iterable(cert.clusters))
+    inside = not ids or 0 <= min(ids) and max(ids) < G.n
     seen = 0
     masks = []
     for i, cl in enumerate(cert.clusters):
         if len(cl) == 0:
             return Verdict(FAIL, "empty cluster", i)
-        try:
-            cm = mask_from(cl)
-        except ValueError:  # a negative id has no bit to shift to
+        if not inside and (min(cl) < 0 or max(cl) >= G.n):
             return Verdict(FAIL, "vertex outside host", i)
+        cm = mask_from(cl)
         if cm.bit_count() != len(cl):
             return Verdict(FAIL, "repeated vertex inside cluster", i)
-        if cm & ~vmask:
-            return Verdict(FAIL, "vertex outside host", i)
         if cm & seen:
             return Verdict(FAIL, "clusters overlap", i)
         seen |= cm

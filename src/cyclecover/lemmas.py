@@ -1,6 +1,8 @@
 """The lemma library: explicit uniform hypergraphs, degree inheritance on
 sampled s-sets, partite densities and lower-regular tuples, hypergraph
-perfect matchings, and bicliques.
+perfect matchings, and bicliques. The biclique search is the subset DFS
+of blowup_search, which connect_clusters runs too; this module keeps no
+copy of it.
 
 These are the lemmas the blow-up cover is built from. Acceptance criteria
 4-8 and the CLI's biclique, match and inherit-scan commands run them; a
@@ -17,9 +19,9 @@ when every choice of sub-parts of relative size at least rho spans partite
 density at least d - rho. Certification runs through an averaging
 reduction: a violating choice of large sub-parts exists exactly when one of
 minimal size ceil(rho |V_i|) does, so only exact-size subsets are
-enumerated and the budget is charged on that reduced state count. The
-partition retries of the matcher derive their randomness from per-call
-seeds.
+enumerated and the budget is charged on that reduced state count. One
+numpy kernel certifies every arity. The partition retries of the matcher
+derive their randomness from per-call seeds.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterable, Sequence
 
-from .bitset import bits_list, mask_from
-from .blowup_search import DEFAULT_NODE_BUDGET, _TINY_ENUM, _check_biclique, _order_key
+from .bitset import mask_from
+from .blowup_search import DEFAULT_NODE_BUDGET, _order_key, _subset_dfs
 from .core import FAIL, Graph, PASS, Verdict
 from .seeding import draw_subset, spawn, spawner
 
@@ -76,20 +78,6 @@ class Hypergraph:
                 raise ValueError(f"edge {t} leaves the universe")
             edge_set.add(t)
         return cls(s, uni, frozenset(edge_set))
-
-    def __repr__(self) -> str:
-        return f"Hypergraph(s={self.s}, |V|={len(self.universe)}, |E|={len(self.edge_set)})"
-
-
-def hypergraph_min_degree(P: Hypergraph) -> int:
-    """Minimum vertex degree of a hypergraph."""
-    counts = {v: 0 for v in P.universe}
-    for e in P.edge_set:
-        for v in e:
-            counts[v] += 1
-    if not counts:
-        raise ValueError("empty hypergraph")
-    return min(counts.values())
 
 
 # -- degree inheritance -------------------------------------------------
@@ -186,12 +174,6 @@ class RegularTuple:
     rho: float
     d: float
 
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.parts)
-
-    def total(self) -> int:
-        return sum(len(p) for p in self.parts)
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -253,83 +235,43 @@ def tuple_density(P: Hypergraph, parts: Sequence[Iterable[int]]) -> float:
 
 
 def _reduced_states(sizes: Sequence[int], ks: Sequence[int]) -> int:
-    states = 1
-    for m, k in zip(sizes[1:], ks[1:]):
-        states *= math.comb(m, k)
-    return states
+    return math.prod(math.comb(m, k) for m, k in zip(sizes[1:], ks[1:]))
 
 
 def _exhaustive_check(P: Hypergraph, lists, ks, rho, d) -> Verdict:
-    """Complete certification through the exact-size averaging reduction."""
+    """Complete certification through the exact-size averaging reduction.
+
+    T[v, j_2, ..., j_s] counts the partite edges at vertex v of part 1 into
+    the j_i-th ks[i]-subset (in combinations order) of every later part i:
+    the 0/1 partite array contracted with each later part's exact-size
+    subset indicators in turn. The ks[0] smallest entries of a column sum
+    to the fewest edges a choice of sub-parts with those later subsets
+    spans; the first column below the limit, in C order, gives the
+    witness. Counts stay far below 2^24, so float32 is exact, and a count
+    lies below the limit exactly when it lies below the limit's ceiling,
+    which float32 holds without rounding.
+    """
     import numpy as np
 
-    s = len(lists)
-    thresh_density = d - rho
-    total_sub = 1
-    for k in ks:
-        total_sub *= k
-
-    if s == 3:
-        m1, m2, m3 = (len(p) for p in lists)
-        _, edges = _partite_edges(P, lists)
-        E = np.zeros((m1, m2, m3), dtype=np.int8)
-        for a, b, c in edges:
-            E[a, b, c] = 1
-        subs2 = list(combinations(range(m2), ks[1]))
-        subs3 = list(combinations(range(m3), ks[2]))
-        I2 = np.zeros((len(subs2), m2), dtype=np.float32)
-        for i, sub in enumerate(subs2):
-            I2[i, list(sub)] = 1.0
-        I3 = np.zeros((len(subs3), m3), dtype=np.float32)
-        for i, sub in enumerate(subs3):
-            I3[i, list(sub)] = 1.0
-        # T[v, j, k] = partite edges at part-1 vertex v into (subs2[j], subs3[k]);
-        # counts stay far below 2^24 so float32 is exact
-        T = np.empty((m1, len(subs2), len(subs3)), dtype=np.float32)
-        for v in range(m1):
-            T[v] = I2 @ E[v].astype(np.float32) @ I3.T
-        bottom = np.sort(T, axis=0)[: ks[0]].sum(axis=0)
-        limit = thresh_density * total_sub - _DENSITY_EPS
-        viol = np.argwhere(bottom < limit)
-        if viol.size == 0:
-            return Verdict(PASS)
-        j, k = (int(x) for x in viol[0])
-        col = T[:, j, k]
-        order = np.argsort(col, kind="stable")[: ks[0]]
-        w1 = tuple(lists[0][int(i)] for i in sorted(order.tolist()))
-        w2 = tuple(lists[1][i] for i in subs2[j])
-        w3 = tuple(lists[2][i] for i in subs3[k])
-        return Verdict(FAIL, "violating sub-tuple", (w1, w2, w3))
-
-    # generic arity: nested enumeration with incremental edge filtering
     _, edges = _partite_edges(P, lists)
-    m1 = len(lists[0])
-    limit = thresh_density * total_sub - _DENSITY_EPS
-
-    def rec(depth: int, chosen: list[tuple[int, ...]], pool):
-        if depth == s:
-            counts = [0] * m1
-            for e in pool:
-                counts[e[0]] += 1
-            low = sorted(range(m1), key=lambda v: (counts[v], v))[: ks[0]]
-            if sum(counts[v] for v in low) < limit:
-                w1 = tuple(lists[0][v] for v in sorted(low))
-                rest = tuple(tuple(lists[i][x] for x in chosen[i - 1])
-                             for i in range(1, s))
-                return (w1,) + rest
-            return None
-        for sub in combinations(range(len(lists[depth])), ks[depth]):
-            keep = set(sub)
-            sub_pool = [e for e in pool if e[depth] in keep]
-            res = rec(depth + 1, chosen + [sub], sub_pool)
-            if res is not None:
-                return res
-        return None
-
-    wit = rec(1, [], edges)
-    if wit is None:
+    T = np.zeros([len(p) for p in lists], dtype=np.float32)
+    T[tuple(np.array(edges, dtype=np.intp).reshape(-1, len(lists)).T)] = 1.0
+    subsets = []
+    for p, k in zip(lists[1:], ks[1:]):
+        subs = list(combinations(range(len(p)), k))
+        ind = np.zeros((len(subs), len(p)), dtype=np.float32)
+        ind[np.arange(len(subs))[:, None], subs] = 1.0
+        T = np.tensordot(T, ind, axes=([1], [1]))
+        subsets.append(subs)
+    bottom = np.sort(T, axis=0)[:ks[0]].sum(axis=0)
+    viol = np.argwhere(bottom < math.ceil((d - rho) * math.prod(ks) - _DENSITY_EPS))
+    if len(viol) == 0:
         return Verdict(PASS)
-    return Verdict(FAIL, "violating sub-tuple", wit)
+    at = tuple(int(j) for j in viol[0])
+    low = np.sort(np.argsort(T[(slice(None), *at)], kind="stable")[:ks[0]])
+    witness = [tuple(lists[0][int(v)] for v in low)]
+    witness += [tuple(p[x] for x in subs[j]) for p, subs, j in zip(lists[1:], subsets, at)]
+    return Verdict(FAIL, "violating sub-tuple", tuple(witness))
 
 
 def check_lower_regular(P: Hypergraph, parts: Sequence[Iterable[int]],
@@ -535,43 +477,17 @@ class BicliqueRequest:
 
 
 def find_biclique(req: BicliqueRequest, node_budget: int | None = DEFAULT_NODE_BUDGET):
-    """A complete bipartite K_{p,p} with sides inside side_a / side_b, or
-    None.
+    """A complete bipartite K_{p,p} with sides inside side_a / side_b, as
+    (A', B'), or None.
 
-    One pruned DFS over the p-subsets of B in lexicographic order, B sorted
-    by neighbours in A, then degree, then id; the first hit wins. When B
-    has at most _TINY_ENUM p-subsets the DFS ignores node_budget, so None
-    is then a proof of absence; past that, None may also mean the node
-    budget ran out.
+    The search is connect_clusters' subset DFS (blowup_search._subset_dfs)
+    over B sorted by neighbours in A, then degree, then id, with A as its
+    one side: the first p-subset of B in lexicographic order with p common
+    neighbours in A wins. None is a proof of absence unless B is past the
+    enumeration limit.
     """
     G = req.host
-    p = req.p
     amask = mask_from(req.side_a)
     key = _order_key(G)
     b_list = sorted(req.side_b, key=lambda b: (-(G.adj[b] & amask).bit_count(), key(b)))
-    budget = None if math.comb(len(b_list), p) <= _TINY_ENUM else node_budget
-    nodes = 0
-
-    def dfs(start: int, chosen: list[int], inter: int):
-        nonlocal nodes
-        if len(chosen) == p:
-            a_side = sorted(sorted(bits_list(inter), key=key)[:p])
-            b_side = sorted(chosen)
-            _check_biclique(G, a_side, b_side)
-            return tuple(a_side), tuple(b_side)
-        for idx in range(start, len(b_list)):
-            if budget is not None and nodes >= budget:
-                return None
-            b = b_list[idx]
-            nodes += 1
-            nxt = inter & G.adj[b]
-            if nxt.bit_count() < p:
-                continue
-            if len(b_list) - idx < p - len(chosen):
-                return None
-            res = dfs(idx + 1, chosen + [b], nxt)
-            if res is not None:
-                return res
-        return None
-
-    return dfs(0, [], amask)
+    return _subset_dfs(G, b_list, (amask,), req.p, node_budget)

@@ -42,14 +42,6 @@ def brute_hyper_min_degree(edges, universe) -> int:
     return min(sum(1 for e in edges if v in e) for v in universe)
 
 
-def fano_plane_edges():
-    # The 7-point projective plane, lines as 3-sets.
-    return [
-        (0, 1, 2), (0, 3, 4), (0, 5, 6),
-        (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5),
-    ]
-
-
 def brute_biclique(G: Graph, A, B, p):
     """Smallest (by sorted pair) complete bipartite K_{p,p} with sides inside
     A and B, or None after exhausting every candidate pair of subsets."""

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import cyclecover.blowup_search as bs
-import cyclecover.lemmas as lemmas
 
 from cyclecover.core import (
     BALANCE_EXACT,
@@ -192,7 +191,7 @@ def test_enumeration_limit_decides_whether_the_budget_applies(monkeypatch, past)
     for seed in range(6):
         G = random_graph(14, 0.6, seed + 40)
         A, B = set(range(7)), set(range(7, 14))
-        monkeypatch.setattr(lemmas, "_TINY_ENUM", comb(len(B), 2) - past)
+        monkeypatch.setattr(bs, "_TINY_ENUM", comb(len(B), 2) - past)
         got = find_biclique(BicliqueRequest.of(G, A, B, 2), node_budget=1)
         assert got is None if past else (got is not None) == brute_biclique_exists(G, A, B, 2)
 

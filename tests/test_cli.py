@@ -176,6 +176,23 @@ def test_verify_fails_a_window_that_overflows(tmp_path, capsys, eta):
     assert out.err.startswith("FAIL declared window overflows")
 
 
+@pytest.mark.parametrize("big", [10 ** 30, 2 ** 63], ids=["10e30", "2e63"])
+def test_verify_fails_a_huge_vertex_id(tmp_path, capsys, big):
+    # a solved certificate with one id replaced: the verifier refuses it by
+    # name rather than building a mask of that many bits
+    g = write_graph(tmp_path / "g.txt", Graph.complete(60))
+    cert_path = tmp_path / "cert.json"
+    assert main(["solve", g, "--out", str(cert_path)]) == 0
+    blob = json.loads(cert_path.read_text())
+    blob["clusters"][2][0] = big
+    cert_path.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["verify", g, str(cert_path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "FAIL vertex outside host 2\n"
+
+
 @pytest.mark.parametrize("text", [
     '{"n": 3',                                   # truncated JSON
     '{"n": 12, "c": 1.2, "eta": 0.25}',          # no "clusters" key
@@ -196,6 +213,21 @@ def test_verify_bad_certificate_exits_two(tmp_path, capsys, text):
     cert_path.write_text(text)
     assert main(["verify", g, str(cert_path)]) == 2
     assert capsys.readouterr().err.startswith(f"bad certificate file {cert_path}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--kind", "gnp", "--n", "60", "--out", "{missing}/g.txt"],
+    ["solve", "{g}", "--csv", "{missing}/x.csv"],
+], ids=["generate-out", "solve-csv"])
+def test_unwritable_output_exits_two(tmp_path, capsys, argv):
+    g = write_graph(tmp_path / "g.txt", Graph.complete(52))
+    missing = tmp_path / "absent"
+    argv = [a.format(g=g, missing=missing) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"cannot write {argv[-1]}: ")
+    assert not missing.exists()
 
 
 def test_missing_graph_file_exits_two(tmp_path, capsys):

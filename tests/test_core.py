@@ -23,15 +23,10 @@ from cyclecover.core import (
     verify_blowup_hosted,
     verify_cycle_blowup,
 )
-from cyclecover.lemmas import Hypergraph, hypergraph_min_degree
+from cyclecover.lemmas import Hypergraph
 from cyclecover.seeding import spawn
 
-from oracles import (
-    brute_hyper_min_degree,
-    brute_is_complete_bipartite,
-    brute_min_degree,
-    fano_plane_edges,
-)
+from oracles import brute_is_complete_bipartite, brute_min_degree
 
 
 def random_graph(n, p, seed):
@@ -104,22 +99,6 @@ class TestCompleteBipartite:
 
 
 class TestHypergraphDegree:
-    def test_complete_three_graph(self):
-        from itertools import combinations
-        edges = list(combinations(range(5), 3))
-        P = Hypergraph.from_edges(3, range(5), edges)
-        assert hypergraph_min_degree(P) == 6  # C(4, 2)
-
-    def test_single_edge(self):
-        P = Hypergraph.from_edges(3, range(6), [(0, 1, 2)])
-        assert hypergraph_min_degree(P) == 0
-
-    def test_fano_plane(self):
-        edges = fano_plane_edges()
-        expected = brute_hyper_min_degree(edges, range(7))
-        P = Hypergraph.from_edges(3, range(7), edges)
-        assert hypergraph_min_degree(P) == expected == 3
-
     def test_bad_edge_rejected(self):
         with pytest.raises(ValueError):
             Hypergraph.from_edges(3, range(4), [(0, 1)])
@@ -229,6 +208,16 @@ class TestVerifyCycleBlowup:
         v = verify_cycle_blowup(Graph.complete(12), cert)
         assert v.status == FAIL and v.reason == "vertex outside host"
         assert v.witness == 0
+
+    # refused before the id becomes a shift: a mask of 10**30 or 2**63 bits
+    # raised OverflowError or MemoryError
+    @pytest.mark.parametrize("big", [10 ** 30, 2 ** 63], ids=["10e30", "2e63"])
+    def test_huge_vertex_is_outside_host(self, big):
+        clusters = ((0, 1, 2), (3, big, 5), (6, 7, 8), (9, 10, 11))
+        cert = CycleBlowupCertificate(12, 1.2, 0.25, clusters)
+        v = verify_cycle_blowup(Graph.complete(12), cert)
+        assert v.status == FAIL and v.reason == "vertex outside host"
+        assert v.witness == 1
 
     def test_disjointness_violation(self):
         clusters = ((0, 1, 2), (2, 4, 5), (6, 7, 8), (9, 10, 11))

@@ -1,7 +1,7 @@
 """Checks on the package source: the pipeline modules stay off the lemma
-library and `import cyclecover` does not load it, the blow-up search draws
-no random numbers, every function of cover.py, blowup_search.py and
-seeding.py runs in the pipeline, no module keeps an import it does not
+library and `import cyclecover` does not load it, the lemma library keeps
+no search of its own, the blow-up search draws no random numbers, every
+function of cover.py, blowup_search.py and seeding.py runs in the pipeline, no module keeps an import it does not
 use, numpy loads only when something needs it, every process-level memo is
 bounded, and GNP hosts are drawn in blocks, without a random() call per
 pair or numpy.random."""
@@ -18,8 +18,9 @@ import pytest
 
 import cyclecover.blowup_search as blowup_search
 import cyclecover.cover as cover
+import cyclecover.lemmas as lemmas
 import cyclecover.seeding as seeding
-from cyclecover.core import CycleBlowupCertificate
+from cyclecover.core import CycleBlowupCertificate, Graph
 from cyclecover.generators import DIRAC_EXTREMAL, GNP_REPAIRED, GeneratorSpec, generate
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cyclecover"
@@ -63,6 +64,30 @@ def test_importing_the_package_does_not_load_the_lemma_library():
     out = subprocess.run([sys.executable, "-c", code],
                          env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_lemma_library_keeps_no_search_of_its_own(monkeypatch):
+    # the biclique search is connect_clusters' subset DFS, not a copy of it:
+    # lemmas.py nests no function (a biclique DFS and an arity recursion
+    # were the two it had), and find_biclique runs blowup_search._subset_dfs
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    nested = sorted((inner.lineno, inner.name)
+                    for outer in ast.walk(_tree(PACKAGE / "lemmas.py")) if isinstance(outer, defs)
+                    for inner in ast.walk(outer) if inner is not outer and isinstance(inner, defs))
+    assert nested == []
+    real = blowup_search._subset_dfs
+    assert lemmas._subset_dfs is real
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(lemmas, "_subset_dfs", counting)
+    req = lemmas.BicliqueRequest.of(Graph.complete(8), {0, 1, 2}, {3, 4, 5}, 2)
+    assert lemmas.find_biclique(req) == ((0, 1), (3, 4))
+    assert calls == 1
 
 
 def test_blowup_search_has_no_search_stream_or_restart_knob():

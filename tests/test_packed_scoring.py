@@ -13,6 +13,8 @@ without its node budget, and hosts whose order sits on either side of a
 import numpy as np
 import pytest
 
+import cyclecover.blowup_search as bs
+import oracles
 from cyclecover.bitset import mask_from, mask_indices
 from cyclecover.blowup_search import BlowupSearch, connect_clusters
 from cyclecover.core import BALANCE_WITHIN, Graph, SetFamily
@@ -262,3 +264,33 @@ def test_connect_clusters_matches_scalar_on_dfs_budget(p, seed, m_prime, budget,
     assert (connect_both(*args, node_budget=budget) is not None) == answered
     # every instance has a triple, which an unbounded DFS finds
     assert connect_both(*args, node_budget=None) is not None
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_connect_clusters_matches_scalar_under_a_binding_budget(monkeypatch, n):
+    # with both enumeration limits at 0 every budget applies. The search
+    # ends a level once too few candidates remain to complete it, which the
+    # oracle does not, so where the oracle runs out of nodes the search may
+    # still reach the first triple; it returns nothing else
+    monkeypatch.setattr(bs, "_TINY_ENUM", 0)
+    monkeypatch.setattr(oracles, "_TINY_ENUM", 0)
+    answered = gave_up = 0
+    for seed in range(12):
+        rng = spawn(seed, "packed-budget", n)
+        G = random_graph(n, (0.3, 0.5, 0.7)[seed % 3], 9100 + 100 * seed + n)
+        picks = list(range(n))
+        rng.shuffle(picks)
+        m = 4 + seed % 3
+        U, V, W = picks[:m], picks[m:2 * m], picks[2 * m:2 * m + 6 + seed % 4]
+        m_prime = 2 + seed % 2
+        full = scalar_connect_clusters(G, U, V, W, m_prime, node_budget=None)
+        for budget in (1, 3, 10, 50):
+            want = scalar_connect_clusters(G, U, V, W, m_prime, node_budget=budget)
+            got = connect_clusters(G, U, V, W, m_prime, node_budget=budget)
+            if want is not None:
+                assert got == want
+                answered += 1
+            else:
+                assert got in (None, full)
+                gave_up += full is not None
+    assert answered >= 6 and gave_up >= 6  # the instances are not vacuous

@@ -1,6 +1,7 @@
 """Tests for partite densities, lower-regularity checks and the matcher."""
 
-from itertools import combinations
+import math
+from itertools import combinations, product
 
 import pytest
 
@@ -8,7 +9,6 @@ from cyclecover.core import FAIL, PASS
 from cyclecover.lemmas import (
     Hypergraph,
     Matching,
-    RegularTuple,
     check_lower_regular,
     find_lower_regular_tuple,
     hypergraph_perfect_matching,
@@ -145,6 +145,27 @@ def test_generic_arity_two_agrees_with_direct_quantifier(seed):
     assert (mine.status == PASS) == regular
 
 
+@pytest.mark.parametrize("rho,d", [(0.3, 0.9), (0.5, 0.9), (0.6, 0.95)])
+def test_arity_four_agrees_with_direct_quantifier(rho, d):
+    # parts of 3: sub-parts of one vertex at rho 0.3, of two at 0.5 and 0.6
+    parts = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+    ks = [math.ceil(rho * 3 - 1e-9)] * 4
+    verdicts = set()
+    for seed in range(8):
+        rng = spawn(seed, "regular-agree-4", 0)
+        p = (0.5, 0.8, 0.95, 1.0)[seed % 4]
+        edges = [e for e in product(*parts) if rng.random() < p]
+        P = Hypergraph.from_edges(4, range(12), edges or [(0, 3, 6, 9)])
+        mine = check_lower_regular(P, parts, rho=rho, d=d)
+        regular, _ = brute_lower_regular(P.edge_set, parts, rho=rho, d=d)
+        assert (mine.status == PASS) == regular
+        if not regular:  # an exact-size sub-tuple below the threshold
+            assert [len(w) for w in mine.witness] == ks
+            assert tuple_density(P, [set(w) for w in mine.witness]) < d - rho
+        verdicts.add(regular)
+    assert verdicts == {True, False}
+
+
 def test_check_rho_out_of_range():
     P = complete_3graph(6)
     for rho in (0.0, 1.0, -0.2, 1.5):
@@ -167,7 +188,7 @@ def test_find_tuple_certifies_complete_host_immediately():
     P = complete_partite_3graph(parts)
     tup = find_lower_regular_tuple(P, parts, rho=0.5, d=0.5)
     assert tup is not None
-    assert tup.sizes() == (4, 4, 4)
+    assert tuple(len(p) for p in tup.parts) == (4, 4, 4)
     assert [sorted(p) for p in tup.parts] == parts
 
 
@@ -300,10 +321,3 @@ def test_matching_determinism():
     a = hypergraph_perfect_matching(P, eps=0.1, seed=11)
     b = hypergraph_perfect_matching(P, eps=0.1, seed=11)
     assert a == b
-
-
-def test_regular_tuple_shapes():
-    t = RegularTuple((frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6})),
-                     0.5, 0.25)
-    assert t.sizes() == (2, 2, 2)
-    assert t.total() == 6
