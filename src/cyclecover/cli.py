@@ -112,11 +112,12 @@ def _emit(args, text: str) -> None:
 
 
 def _read_graph(path: str) -> Graph:
-    """Parse a graph file; an unreadable or malformed one ends the command
-    with exit code 2."""
+    """Parse a graph file; an unreadable or malformed one, or one whose
+    adjacency matrix does not fit in memory, ends the command with exit
+    code 2."""
     try:
         return graph_from_file(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"bad graph file {path}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 

@@ -413,11 +413,17 @@ def verify_cycle_blowup(G: Graph, cert: CycleBlowupCertificate) -> Verdict:
 # Adjacency rows rendered at a time by graph_to_text, and characters of text
 # parsed at a time by graph_from_text: they bound the numpy temporaries of
 # both, whatever the size of the text. On the 3.8 MB text of an n = 1000
-# host, chunks of 2**15 to 2**19 characters parsed equally fast (medians
-# 0.064-0.067 s, 2-vCPU x86-64), and blocks of 16 to 256 rows wrote it
-# equally fast; the peak memory of a parse grows with its chunk.
+# host, chunks of 2**16 to 2**18 characters parsed equally fast (medians
+# 14.9-15.7 ms, 2-vCPU x86-64; 2**15 took 16.9 and 2**20 17.9 ms), and
+# blocks of 16 to 256 rows wrote it equally fast; the peak memory of a
+# parse grows with its chunk.
 _ROW_BLOCK = 64
 _TEXT_CHUNK = 1 << 18
+# Shape changes past which a chunk in the writer's layout gathers its ids
+# digit by digit rather than reading each run of lines of one shape as a
+# matrix: a sorted text changes shape a few dozen times per chunk at most,
+# a shuffled one on most lines, where a matrix per run would cost more.
+_SHAPE_CHANGES = 64
 
 
 def graph_to_text(G: Graph) -> str:
@@ -477,8 +483,8 @@ def _scan_lines(raw: bytes):
     comment[filled] = b[first_token] == ord("#")
     data = filled & ~comment
     digit = np.subtract(b, ord("0"), dtype=np.uint8) < 10
-    foreign = np.zeros(len(starts), dtype=bool)
-    foreign[np.searchsorted(ends, np.flatnonzero(~(space | digit)))] = True
+    # every line holds its newline, so the starts ascend strictly
+    foreign = np.logical_or.reduceat(~(space | digit), starts)
     wrong = data & (foreign | (counts != 2))
     return starts, ends, comment, np.flatnonzero(data), np.flatnonzero(wrong)
 
@@ -500,6 +506,67 @@ def _read_ids(raw: bytes, d, ends, lengths):
     return ids
 
 
+def _one_shape(raw: bytes, b, nondigit, start: int):
+    """(rows, width, space) when raw[start:], which ends in a newline, is
+    rows lines of one shape in the layout graph_to_text writes, 'digits SP
+    digits NL', each width bytes long with the space at column space and no
+    token past 18 digits; None otherwise. b is raw as uint8 and nondigit
+    marks its bytes that are not ASCII digits."""
+    import numpy as np
+
+    width = raw.find(b"\n", start) + 1 - start
+    space = raw.find(b" ", start, start + width) - start
+    rows, rest = divmod(len(raw) - start, width)
+    if rest or not (0 < space <= 18 and 0 < width - 2 - space <= 18):
+        return None
+    lines = b[start:].reshape(rows, width)
+    # a space and a newline per line, in their columns, and digits elsewhere
+    if (np.count_nonzero(nondigit[start:]) == 2 * rows and (lines[:, space] == ord(" ")).all()
+            and (lines[:, -1] == ord("\n")).all()):
+        return rows, width, space
+    return None
+
+
+def _shape_blocks(stops, runs):
+    """The (start, rows, width, space) blocks of consecutive lines of one
+    shape in a chunk in the writer's layout, whose edge lines end their
+    digit runs runs[i] at the bytes stops[i]; None when a token has more
+    than 18 digits or the shape changes more than _SHAPE_CHANGES times."""
+    import numpy as np
+
+    us, vs = runs[0::2], runs[1::2]
+    if len(us) == 0:
+        return []
+    if max(us.max(), vs.max()) > 18:
+        return None
+    firsts = np.flatnonzero((us[1:] != us[:-1]) | (vs[1:] != vs[:-1])) + 1
+    if len(firsts) > _SHAPE_CHANGES:
+        return None
+    firsts = np.concatenate(([0], firsts))
+    rows = np.diff(firsts, append=len(us))
+    return [(int(stops[2 * k] - us[k]), int(r), int(us[k] + vs[k] + 2), int(us[k]))
+            for k, r in zip(firsts, rows)]
+
+
+def _read_block(d, start: int, rows: int, width: int, space: int):
+    """(u, v) int64 arrays of the rows edge lines of one shape, width bytes
+    each with the space at column space, that begin at d[start], where d
+    holds the bytes of the chunk minus ord('0'). The lines are read as a
+    (rows, width) matrix, each id column by column by place value."""
+    import numpy as np
+
+    lines = d[start:start + rows * width].reshape(rows, width)
+
+    def column_value(lo: int, hi: int):
+        ids = lines[:, lo].astype(np.int64)
+        for k in range(lo + 1, hi):
+            ids *= 10
+            ids += lines[:, k]
+        return ids
+
+    return column_value(0, space), column_value(space + 1, width - 1)
+
+
 def graph_from_text(text: str) -> Graph:
     """Parse the 'n m' header plus one 'u v' line per edge, 0-based ids.
 
@@ -513,19 +580,23 @@ def graph_from_text(text: str) -> Graph:
 
     The text is read in chunks of about _TEXT_CHUNK characters, cut after a
     newline, and each chunk's edges are set before the next is read. A
-    chunk in the layout graph_to_text writes, where the bytes other than
-    digits alternate a single space and a newline and each follows a
-    digit, holds only lines of two ids, so it skips the per-line scan that
-    every other chunk takes. The first error in this order is raised: no
-    header line; the first line of the wrong shape; an edge count other
-    than the header's; the first edge that is a loop or has an id outside
-    0..n-1.
+    chunk in the layout graph_to_text writes, 'digits SP digits NL' on
+    every line, skips the per-line scan that every other chunk takes. Its
+    lines are read as fixed-width byte matrices, one per run of lines of
+    one shape (the digit counts of u and of v), column by column: a chunk
+    whose lines all share one shape is recognised before its non-digit
+    bytes are listed, and a chunk of a few shapes (at most _SHAPE_CHANGES
+    changes) is cut into its runs. A chunk of more shape changes, such as
+    a shuffled file, or with a token past 18 digits, gathers each id digit
+    by digit. The first error in this order is raised: no header line; the
+    first line of the wrong shape; an edge count other than the header's;
+    the first edge that is a loop or has an id outside 0..n-1.
     """
     import numpy as np
 
     n = m = None
     found = 0          # edge lines so far
-    bad_edge = None    # the first edge line holding a loop or an id outside 0..n-1
+    bad_edge = None    # (u, v) of the first edge line holding a loop or an id outside 0..n-1
     A = None           # the adjacency matrix, allocated at the first edge
     fits = True        # False once A failed to allocate; that error is raised last
     pos = 0
@@ -538,62 +609,87 @@ def graph_from_text(text: str) -> Graph:
             raw += b"\n"
         b = np.frombuffer(raw, dtype=np.uint8)
         d = np.subtract(b, ord("0"), dtype=np.uint8)
-        stops = np.flatnonzero(d >= 10)             # the bytes that are not digits
-        runs = np.diff(stops, prepend=-1) - 1       # the digits just before each
-        seps = b[stops]
-        skip = 0
-        # the layout graph_to_text writes: the last stop is the final newline,
-        # so alternation also makes every line 'digits SP digits NL'
-        if (runs.min() > 0 and (seps[0::2] == ord(" ")).all()
-                and (seps[1::2] == ord("\n")).all()):
+        nondigit = d >= 10
+        blocks = None      # (start, rows, width, space) of each run of lines of one shape
+        start = 0          # where the edge lines begin, past a header in the writer's layout
+        if n is None:
+            u0, _, v0 = raw[:raw.find(b"\n")].partition(b" ")
+            start = len(u0) + len(v0) + 2 if u0.isdigit() and v0.isdigit() else len(raw)
+        shape = _one_shape(raw, b, nondigit, start) if start < len(raw) else None
+        if shape is not None:
             if n is None:
-                n, m = int(raw[:stops[0]]), int(raw[stops[0] + 1:stops[1]])
-                skip = 2
-            found += (len(stops) - skip) // 2
+                n, m = int(u0), int(v0)
+            found += shape[0]
+            blocks = [(start, *shape)]
         else:
-            starts, line_ends, comment, data, wrong = _scan_lines(raw)
+            stops = np.flatnonzero(nondigit)
+            runs = stops - 1                    # the digits just before each stop
+            runs[1:] -= stops[:-1]
+            runs[0] = stops[0]
+            seps = b[stops]
+            skip = 0
+            # the layout graph_to_text writes: the last stop is the final
+            # newline, so alternation also makes every line 'digits SP digits NL'
+            if (runs.min() > 0 and (seps[0::2] == ord(" ")).all()
+                    and (seps[1::2] == ord("\n")).all()):
+                if n is None:
+                    n, m = int(raw[:stops[0]]), int(raw[stops[0] + 1:stops[1]])
+                    skip = 2
+                found += (len(stops) - skip) // 2
+                blocks = _shape_blocks(stops[skip:], runs[skip:])
+            else:
+                starts, line_ends, comment, data, wrong = _scan_lines(raw)
 
-            def line(k: int) -> bytes:
-                return raw[starts[k]:line_ends[k]]
+                def line(k: int) -> bytes:
+                    return raw[starts[k]:line_ends[k]]
 
-            if len(wrong):
-                what = "bad header" if n is None and wrong[0] == data[0] else "bad edge line"
-                quoted = line(wrong[0]).decode("utf-8", "surrogatepass").strip(" \t\r")
-                raise ValueError(f"{what} {quoted!r}")
-            if n is None and len(data):
-                n, m = map(int, line(data[0]).split())
-                data, skip = data[1:], 2
-            found += len(data)
-            # the data lines hold only digits and blanks, so their tokens are
-            # the digit runs outside comment lines
-            keep = runs > 0
-            if comment.any():
-                keep &= ~np.repeat(comment, line_ends - starts + 1)[stops]
-            at = np.flatnonzero(keep)
-            stops, runs = stops.take(at), runs.take(at)
-        if bad_edge is not None or len(stops) == skip:
+                if len(wrong):
+                    what = "bad header" if n is None and wrong[0] == data[0] else "bad edge line"
+                    quoted = line(wrong[0]).decode("utf-8", "surrogatepass").strip(" \t\r")
+                    raise ValueError(f"{what} {quoted!r}")
+                if n is None and len(data):
+                    n, m = map(int, line(data[0]).split())
+                    data, skip = data[1:], 2
+                found += len(data)
+                # the data lines hold only digits and blanks, so their tokens
+                # are the digit runs outside comment lines
+                keep = runs > 0
+                if comment.any():
+                    keep &= ~np.repeat(comment, line_ends - starts + 1)[stops]
+                at = np.flatnonzero(keep)
+                stops, runs = stops.take(at), runs.take(at)
+        if bad_edge is not None:
             continue
-        ids = _read_ids(raw, d, stops[skip:], runs[skip:])
-        u, v = ids[0::2], ids[1::2]
-        bad = np.flatnonzero((u == v) | (u >= n) | (v >= n))
-        if len(bad):
-            i = skip + 2 * bad[0]
-            bad_edge = raw[stops[i] - runs[i]:stops[i + 1]]
+        if blocks is not None:         # read one block at a time
+            pieces = (_read_block(d, *block) for block in blocks)
+        elif len(stops) == skip:
             continue
-        if A is None and fits:
-            try:
-                A = np.zeros((n, n), dtype=bool)
-            except (MemoryError, ValueError):  # raised again below, after the checks
-                fits = False                   # that come before it
-        if A is not None:
-            A[u, v] = True
-            A[v, u] = True
+        else:
+            ids = _read_ids(raw, d, stops[skip:], runs[skip:])
+            pieces = [(ids[0::2], ids[1::2])]
+        for u, v in pieces:
+            bad = np.flatnonzero((u == v) | (u >= n) | (v >= n))
+            if len(bad):
+                if blocks is not None:     # ids of at most 18 digits, read exactly
+                    bad_edge = int(u[bad[0]]), int(v[bad[0]])
+                else:                      # a longer one saturated: read the line
+                    i = skip + 2 * bad[0]
+                    bad_edge = tuple(map(int, raw[stops[i] - runs[i]:stops[i + 1]].split()))
+                break
+            if A is None and fits:
+                try:
+                    A = np.zeros((n, n), dtype=bool)
+                except (MemoryError, ValueError):  # raised again below, after the checks
+                    fits = False                   # that come before it
+            if A is not None:
+                A[u, v] = True
+                A[v, u] = True
     if n is None:
         raise ValueError("no header line")
     if found != m:
         raise ValueError(f"header claims {m} edges, found {found}")
     if bad_edge is not None:
-        a, c = map(int, bad_edge.split())
+        a, c = bad_edge
         if a == c:
             raise ValueError(f"loop at vertex {a}")
         raise ValueError(f"edge ({a}, {c}) outside 0..{n - 1}")

@@ -42,8 +42,9 @@ EXHAUSTIVE = "EXHAUSTIVE"
 _DEGREE_EPS = 1e-12
 # slack of the density comparisons and the sub-part sizes ceil(rho m)
 _DENSITY_EPS = 1e-9
-# reduced states one lower-regularity check may enumerate
-_STATE_BUDGET = 10 ** 7
+# elements of the largest float32 array one lower-regularity check may build;
+# acceptance criterion 6 builds 12 * 924 * 924, about 1.02e7
+_ARRAY_BUDGET = 2 * 10 ** 7
 # shrink rounds of find_lower_regular_tuple
 _SHRINK_ROUNDS = 60
 # exchange candidates the matcher examines per partition
@@ -234,8 +235,19 @@ def tuple_density(P: Hypergraph, parts: Sequence[Iterable[int]]) -> float:
 # -- the lower-regularity check -----------------------------------------
 
 
-def _reduced_states(sizes: Sequence[int], ks: Sequence[int]) -> int:
-    return math.prod(math.comb(m, k) for m, k in zip(sizes[1:], ks[1:]))
+def _kernel_elements(sizes: Sequence[int], ks: Sequence[int]) -> int:
+    """Elements of the largest array _exhaustive_check builds: the partite
+    array, each later part's subset indicators, and the array after each
+    contraction, |V_1| times the subset counts so far times the sizes of
+    the parts still to come."""
+    shape = list(sizes)
+    largest = math.prod(shape)
+    for i in range(1, len(shape)):
+        count = math.comb(shape[i], ks[i])
+        largest = max(largest, count * shape[i])
+        shape[i] = count
+        largest = max(largest, math.prod(shape))
+    return largest
 
 
 def _exhaustive_check(P: Hypergraph, lists, ks, rho, d) -> Verdict:
@@ -279,9 +291,9 @@ def check_lower_regular(P: Hypergraph, parts: Sequence[Iterable[int]],
     """Is the tuple (rho, d)-lower-regular?
 
     Returns PASS, or FAIL with a violating exact-size sub-tuple as witness.
-    The reduced enumeration must fit _STATE_BUDGET, or ValueError is
-    raised. EXHAUSTIVE is the only mode; the argument stays because
-    acceptance criterion 6 passes it.
+    The kernel's largest array must fit _ARRAY_BUDGET elements, or
+    ValueError is raised before anything is allocated. EXHAUSTIVE is the
+    only mode; the argument stays because acceptance criterion 6 passes it.
     """
     if mode != EXHAUSTIVE:
         raise ValueError(f"unknown mode {mode!r}")
@@ -293,7 +305,7 @@ def check_lower_regular(P: Hypergraph, parts: Sequence[Iterable[int]],
     if any(len(p) == 0 for p in lists):
         raise ValueError("empty part")
     ks = [max(1, math.ceil(rho * len(p) - _DENSITY_EPS)) for p in lists]
-    if _reduced_states([len(p) for p in lists], ks) > _STATE_BUDGET:
+    if _kernel_elements([len(p) for p in lists], ks) > _ARRAY_BUDGET:
         raise ValueError("exhaustive budget exceeded")
     return _exhaustive_check(P, lists, ks, rho, d)
 
@@ -309,7 +321,7 @@ def find_lower_regular_tuple(P: Hypergraph, parts: Sequence[Iterable[int]],
     blocks of the same size, and recurses into the densest block tuple; by
     averaging that density never drops. None when parts would shrink below
     s vertices, or after _SHRINK_ROUNDS rounds. Every round is certified by
-    check_lower_regular, so a tuple over its state budget raises
+    check_lower_regular, so a tuple over its array budget raises
     ValueError. The search draws no randomness; seed is accepted and
     ignored because acceptance criterion 6 passes it.
     """

@@ -5,7 +5,11 @@ determinism contract of the CSV emitters (wall clock column excluded).
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +178,29 @@ def test_verify_fails_a_window_that_overflows(tmp_path, capsys, eta):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("FAIL declared window overflows")
+
+
+# `cyclecover verify` under a 2 GiB address-space limit on a host whose
+# 200000 x 200000 adjacency matrix (40 GB) cannot be allocated
+HUGE_HOST_SCRIPT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from cyclecover.cli import main
+sys.exit(main(["verify", sys.argv[1], sys.argv[2]]))
+"""
+
+
+def test_verify_refuses_a_host_too_large_to_hold(tmp_path):
+    g = tmp_path / "huge.txt"
+    g.write_text("200000 1\n0 1\n")
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(CycleBlowupCertificate(3, 1.0, 0.5, ((0,), (1,), (2,))).to_json())
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", HUGE_HOST_SCRIPT, str(g), str(cert_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"bad graph file {g}: ")
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("big", [10 ** 30, 2 ** 63], ids=["10e30", "2e63"])

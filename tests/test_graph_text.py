@@ -160,6 +160,18 @@ BOUNDARY = {
     "zero-padded id past 18 digits": "3 1\n" + "0" * 24 + "1 2\n",
     "zero-padded id past 18 digits on a CRLF line": "3 1\r\n" + "0" * 24 + "1\t2\r\n",
     "header only": "5 0\n",
+    # chunks whose edge lines all share one shape, read as one fixed-width matrix
+    "loop in a one-shape chunk": "20 5\n10 11\n12 13\n14 14\n15 16\n11 19\n",
+    "out-of-range id in a one-shape chunk": "20 4\n10 11\n12 13\n14 25\n15 16\n",
+    "zero-padded ids in a one-shape chunk": "20 4\n010 011\n012 013\n001 019\n000 002\n",
+    "19-digit tokens in a one-shape chunk": "20 3\n" + "0" * 17 + "10 11\n" + "0" * 17 + "12 13\n"
+                                            + "9" * 19 + " 14\n",
+    "header count wrong for a one-shape chunk": "20 5\n10 11\n12 13\n14 15\n16 17\n",
+    # lines of one length that hold other blanks: the line scan reads them
+    **{f"equal-length lines with {what}": text for what, text in (
+        ("CRLF ends", "20 3\r\n10 11\r\n12 13\r\n14 15\r\n"),
+        ("tabs", "20 3\n10\t11\n12\t13\n14\t15\n"),
+        ("two spaces", "20 3\n12 13\n1  11\n14 15\n"))},
 }
 
 
@@ -177,6 +189,53 @@ def test_every_chunk_size_matches_reference(text, monkeypatch):
         except ValueError as exc:
             got = str(exc)
         assert got == expected, size
+
+
+def counting(monkeypatch, name):
+    """Patch core.<name> to log the call arguments; returns the log."""
+    calls = []
+    real = getattr(core, name)
+
+    def logged(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, name, logged)
+    return calls
+
+
+@pytest.mark.parametrize("what", ["CRLF ends", "tabs", "two spaces"])
+def test_equal_length_lines_with_other_blanks_take_the_line_scan(what, monkeypatch):
+    text = BOUNDARY[f"equal-length lines with {what}"]
+    blocks = counting(monkeypatch, "_read_block")
+    assert graph_from_text(text) == reference_graph_from_text(text)
+    assert blocks == []
+
+
+def test_sorted_writer_text_is_read_as_fixed_width_blocks(monkeypatch):
+    """The n = 1000 bench host: past its first rows, every chunk of the
+    sorted text is a run of lines of one shape."""
+    from cyclecover.generators import GNP_REPAIRED, GeneratorSpec, generate
+
+    G = generate(GeneratorSpec(GNP_REPAIRED, 1000, p=0.97, delta_target=750, seed=0))
+    text = graph_to_text(G)
+    blocks = counting(monkeypatch, "_read_block")
+    assert graph_from_text(text) == G
+    assert sum(rows for _, _, rows, _, _ in blocks) >= 0.8 * G.edge_count()
+
+
+def test_shuffled_writer_text_past_the_shape_limit_matches_reference(monkeypatch):
+    """Edge lines in the writer's layout but in random order change shape on
+    most lines, so each chunk gathers its ids digit by digit."""
+    G = random_graph(300, 0.5, 7)
+    head, *edges = graph_to_text(G).splitlines()
+    spawn(7, "test-graph-text-shuffle").shuffle(edges)
+    text = "\n".join([head, *edges]) + "\n"
+    monkeypatch.setattr(core, "_TEXT_CHUNK", 1 << 13)
+    blocks = counting(monkeypatch, "_read_block")
+    gathers = counting(monkeypatch, "_read_ids")
+    assert graph_from_text(text) == reference_graph_from_text(text) == G
+    assert blocks == [] and len(gathers) > 1
 
 
 def test_leading_zeros_parse_as_decimal():

@@ -1,10 +1,15 @@
 """Tests for partite densities, lower-regularity checks and the matcher."""
 
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
+from cyclecover import lemmas
 from cyclecover.core import FAIL, PASS
 from cyclecover.lemmas import (
     Hypergraph,
@@ -178,6 +183,29 @@ def test_check_budget_refusal():
     P = Hypergraph.from_edges(3, range(120), [(0, 40, 80)])
     with pytest.raises(ValueError, match="budget"):
         check_lower_regular(P, parts, rho=0.5, d=0.5)
+
+
+# parts of 40000 and 24 vertices at rho 1/2: 2.7e6 subsets of the second
+# part, few enough states, but a kernel array of 1.08e11 float32 entries;
+# the check runs under a 2 GiB address-space limit
+HUGE_KERNEL_SCRIPT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from cyclecover.lemmas import Hypergraph, check_lower_regular
+parts = [range(40000), range(40000, 40024)]
+P = Hypergraph.from_edges(2, range(40024), [(0, 40000)])
+try:
+    check_lower_regular(P, parts, rho=0.5, d=0.5)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_check_refuses_a_kernel_array_past_its_budget():
+    env = dict(os.environ, PYTHONPATH=str(Path(lemmas.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", HUGE_KERNEL_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "exhaustive budget exceeded\n"), done.stderr
 
 
 # -- shrinking search ----------------------------------------------------
