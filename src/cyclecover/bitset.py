@@ -10,11 +10,10 @@ cover converts each connector pool, and each pickup's candidates, to an
 index list here once per call;
 BlowupSearch has masks converted to the word layout and to index arrays
 here once when a BlowupSearch is prepared and once per search for its
-avoid mask, never per pick. The cover's fold-in unpacks the leftover's
-rows of that view once per call and packs them, transposed, back into
-one Python int per vertex over the leftover columns (rows_from_matrix),
-on which it then works. Writing a graph file unpacks blocks of rows
-from that word layout. Reading one, and generating a random host, fill a
+avoid mask, never per pick. The cover's fold-in works on the bitmask
+rows of Graph.adj themselves, over host vertex ids. Writing a graph file
+unpacks blocks of rows from that word layout. Reading one, and
+generating a random host, fill a
 numpy bool matrix that rows_from_matrix turns into bitmask rows; the
 reader takes the ids of text in the writer's layout from fixed-width byte
 matrices, one per run of lines of one shape, and sets them in that

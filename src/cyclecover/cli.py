@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from collections import Counter
@@ -195,11 +196,14 @@ def cmd_generate(args) -> int:
                          delta_target=args.delta_target, seed=args.seed,
                          overlap=args.overlap, pieces=args.pieces)
     try:
-        G = generate(spec)
+        text = graph_to_text(generate(spec))
     except ValueError as exc:  # bad parameters
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    _emit(args, graph_to_text(G))
+    except MemoryError:
+        print(f"refused: a host of order {args.n} does not fit in memory", file=sys.stderr)
+        return 2
+    _emit(args, text)
     return 0
 
 
@@ -369,12 +373,18 @@ def cmd_sweep(args) -> int:
         print("error: nonempty ranges of n and seeds required",
               file=sys.stderr)
         return 2
+    if args.workers < 1:
+        print(f"refused: --workers {args.workers} below 1", file=sys.stderr)
+        return 2
     kind = _KINDS[args.kind]
     cells = [(n, seed, args.preset, kind, args.p, args.delta_frac,
               args.pieces) for n in ns for seed in seeds]
     rows: dict[tuple[int, int], str] = {}
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool starts every worker at once, so no more than there are cells
+    # and cores to run them
+    workers = min(args.workers, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for key, row in pool.map(_run_cell, cells):
                 rows[key] = row
     else:

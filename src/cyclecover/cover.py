@@ -18,9 +18,9 @@ import math
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
-from .bitset import iter_bits, mask_from, mask_indices, rows_from_matrix
+from .bitset import iter_bits, mask_from, mask_indices
 from .core import (
     BALANCE_QUASI,
     BALANCE_WITHIN,
@@ -513,8 +513,6 @@ def _quasi_declaration(lo: int, hi: int) -> tuple[int, float]:
 
 # key of a cluster that cannot grow by one and keep a split plan
 _NO_JOIN = (1 << 63) - 1
-# bytes of unpacked adjacency bits one block of _Fold's column bitsets holds
-_UNPACK_BYTES = 1 << 22
 
 
 class _Fold:
@@ -527,29 +525,27 @@ class _Fold:
     bounds' sums bracket f), so it is memoised on the sorted sizes. The
     memo lives as long as the fold-in, not the process: a module-level
     plan cache raised peak memory.
-    Column j is the position of a vertex in the starting leftover, and a
-    column stays alive while its vertex is leftover. Over the columns, as
-    Python int bitsets:
-    - colnbr[u] has bit j when vertex u is adjacent to column j's vertex;
-    - comp[fi][ci] is the AND of colnbr over cluster ci of family fi, so
-      bit j says column j's vertex is adjacent to all of the cluster;
+    Over the host vertex ids, as Python int bitsets:
+    - comp[fi][ci] is the AND of G.adj over cluster ci of family fi, the
+      cluster's common neighbourhood CN: bit v says v is adjacent to all
+      of the cluster;
     - okm[fi][ci] is the AND of comp over ci's reduced neighbours when
       ci can take one more vertex and keep a split plan, and 0 otherwise;
-      union[fi] is the OR of okm[fi].
+      union[fi] is the OR of okm[fi];
+    - left is the leftover, the one set of vertices still to fold in.
+    Only the bits of okm and union that are in left are ever read.
     keys[fi][ci] packs (cluster size, fi, ci) into one int, or is _NO_JOIN
-    when ci cannot grow. An insert ANDs one colnbr into its cluster, a
-    pickup recomputes the clusters it took from, and each rebuilds only
+    when ci cannot grow. An insert ANDs one row of G.adj into its cluster,
+    a pickup recomputes the clusters it took from, and each rebuilds only
     its family's keys and masks. The pickup also reads owner (the cluster
-    of each covered vertex), covered (the union of the clusters) and left
-    (the leftover), all kept current.
+    of each covered vertex) and covered (the union of the clusters), both
+    kept current.
     """
 
     def __init__(self, G: Graph, fams: list[list[list[int]]], reds: Sequence[Graph],
-                 leftover: list[int], lo: int, hi: int):
-        import numpy as np
-
+                 leftover: Iterable[int], lo: int, hi: int):
+        self.adj = G.adj
         self.fams = fams
-        self.leftover = leftover
         self.lo, self.hi = lo, hi
         self.memo: dict[tuple[int, ...], bool] = {}
         self.k = len(fams[0]) if fams else 0
@@ -557,10 +553,7 @@ class _Fold:
         # of ci, which a vertex joining ci must be complete to
         self.near = [[[cj for cj in range(self.k) if R.has_edge(ci, cj)]
                       for ci in range(self.k)] for R in reds]
-        self.cols = list(leftover)
-        self.col_of = {v: j for j, v in enumerate(leftover)}
-        self.full = (1 << len(leftover)) - 1
-        self.alive = self.full
+        self.full = (1 << G.n) - 1
         self.left = mask_from(leftover)
         self.owner: list[tuple[int, int] | None] = [None] * G.n
         for fi, fam in enumerate(fams):
@@ -568,16 +561,6 @@ class _Fold:
                 for v in cl:
                     self.owner[v] = (fi, ci)
         self.covered = mask_from(v for v, own in enumerate(self.owner) if own is not None)
-        # the adjacency is symmetric, so column j's row read at bit u says
-        # whether u is adjacent to column j; rows are cut into blocks of
-        # vertex words to bound the unpacked bits
-        rows = G.packed()[0][leftover]
-        step = max(1, _UNPACK_BYTES // (64 * max(1, len(leftover))))
-        self.colnbr: list[int] = []
-        for w in range(0, rows.shape[1], step):
-            bits = np.unpackbits(rows[:, w:w + step].view(np.uint8), axis=1, bitorder="little")
-            self.colnbr += rows_from_matrix(bits.T)
-        del self.colnbr[G.n:]
         self.comp = [[self._complete(c) for c in fam] for fam in fams]
         self.keys: list[list[int]] = [[]] * len(fams)
         self.okm: list[list[int]] = [[]] * len(fams)
@@ -597,10 +580,10 @@ class _Fold:
         return [len(c) for c in self.fams[fi]]
 
     def _complete(self, members: Sequence[int]) -> int:
-        """The columns adjacent to every vertex of members."""
+        """The vertices adjacent to every vertex of members."""
         m = self.full
         for v in members:
-            m &= self.colnbr[v]
+            m &= self.adj[v]
         return m
 
     def _rebuild(self, fi: int) -> None:
@@ -629,7 +612,7 @@ class _Fold:
     def insert(self, fi: int, ci: int, u: int) -> None:
         """Put the leftover vertex u into cluster ci of family fi."""
         insort(self.fams[fi][ci], u)
-        self.comp[fi][ci] &= self.colnbr[u]
+        self.comp[fi][ci] &= self.adj[u]
         self.owner[u] = (fi, ci)
         self.covered |= 1 << u
         self._rebuild(fi)
@@ -652,10 +635,7 @@ class _Fold:
 
     def drop(self, vertices: Sequence[int]) -> None:
         """Mark vertices of the leftover as covered."""
-        for v in vertices:
-            self.leftover.remove(v)
-            self.alive &= ~(1 << self.col_of[v])
-            self.left &= ~(1 << v)
+        self.left &= ~mask_from(vertices)
 
     def insert_sweep(self) -> None:
         """Insert leftover vertices into clusters for free.
@@ -671,22 +651,22 @@ class _Fold:
         if not self.fams:
             return
         F, k = len(self.fams), self.k
-        while self.leftover:
+        while self.left:
             at = 0
             progress = False
             while True:
                 free = 0
                 for u in self.union:
                     free |= u
-                free &= self.alive >> at << at
+                free &= self.left >> at << at
                 if not free:
                     break
-                j = (free & -free).bit_length() - 1
-                bit = 1 << j
+                v = (free & -free).bit_length() - 1
+                bit = 1 << v
                 best = min(key for fi, u in enumerate(self.union) if u & bit
                            for key, m in zip(self.keys[fi], self.okm[fi]) if m & bit)
-                self.insert(best // k % F, best % k, self.cols[j])
-                at = j + 1
+                self.insert(best // k % F, best % k, v)
+                at = v + 1
                 progress = True
             if not progress:
                 break
@@ -715,8 +695,7 @@ def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
         [sorted(c) for c in B.family.clusters] for B in base.blowups]
     reds: list[Graph] = [B.reduced for B in base.blowups]
     quasi: list[Blowup] = []  # born-quasi pickup families, never split
-    fold = _Fold(G, fams, reds, sorted(base.uncovered), lo_p, hi_p)
-    leftover = fold.leftover
+    fold = _Fold(G, fams, reds, base.uncovered, lo_p, hi_p)
 
     # insertion and pickups interleave: each pickup reshapes the donor
     # families, which can unblock insertions that failed on split
@@ -724,8 +703,8 @@ def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     # floored at 2 or the family would be all singletons.
     t_pick = max(2, m3)
     fold.insert_sweep()
-    while leftover:
-        for u in list(leftover):
+    while fold.left:
+        for u in iter_bits(fold.left):
             got = _pickup_direct(G, params, u, t_pick, fold, quasi)
             if got:
                 fold.drop(got)
@@ -734,8 +713,8 @@ def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
             break
         fold.insert_sweep()
 
-    if leftover:
-        diags.append(("endgame-stuck", len(leftover)))
+    if fold.left:
+        diags.append(("endgame-stuck", fold.left.bit_count()))
     m_q, eta_q = _quasi_declaration(lo_p, hi_p)
     out: list[Blowup] = []
     for fi in range(len(fams)):
@@ -747,7 +726,7 @@ def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
             fam = SetFamily.of(child, BALANCE_QUASI, m=m_q, eta=eta_q)
             out.append(Blowup(reds[fi], fam))
     out.extend(quasi)
-    return CoverResult(n, tuple(out), frozenset(leftover), SIMPLE, tuple(diags))
+    return CoverResult(n, tuple(out), frozenset(iter_bits(fold.left)), SIMPLE, tuple(diags))
 
 
 def _pickup_direct(G: Graph, params: CoverParams, root: int, t: int, fold: _Fold,

@@ -180,26 +180,32 @@ def test_verify_fails_a_window_that_overflows(tmp_path, capsys, eta):
     assert out.err.startswith("FAIL declared window overflows")
 
 
-# `cyclecover verify` under a 2 GiB address-space limit on a host whose
-# 200000 x 200000 adjacency matrix (40 GB) cannot be allocated
+# the command line of its arguments under a 2 GiB address-space limit, on
+# a host whose 200000 x 200000 adjacency matrix (40 GB) cannot be allocated
 HUGE_HOST_SCRIPT = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 from cyclecover.cli import main
-sys.exit(main(["verify", sys.argv[1], sys.argv[2]]))
+sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_verify_refuses_a_host_too_large_to_hold(tmp_path):
+@pytest.mark.parametrize("command", ["verify", "generate-gnp"])
+def test_cli_refuses_a_host_too_large_to_hold(tmp_path, command):
     g = tmp_path / "huge.txt"
-    g.write_text("200000 1\n0 1\n")
-    cert_path = tmp_path / "cert.json"
-    cert_path.write_text(CycleBlowupCertificate(3, 1.0, 0.5, ((0,), (1,), (2,))).to_json())
+    if command == "verify":
+        g.write_text("200000 1\n0 1\n")
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(CycleBlowupCertificate(3, 1.0, 0.5, ((0,), (1,), (2,))).to_json())
+        argv, refusal = ["verify", str(g), str(cert_path)], f"bad graph file {g}: "
+    else:
+        argv = ["generate", "--kind", "gnp", "--n", "200000", "--out", str(g)]
+        refusal = "refused: "
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", HUGE_HOST_SCRIPT, str(g), str(cert_path)],
+    done = subprocess.run([sys.executable, "-c", HUGE_HOST_SCRIPT, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 2, done.stderr
-    assert done.stderr.startswith(f"bad graph file {g}: ")
+    assert done.stderr.startswith(refusal)
     assert "Traceback" not in done.stderr
 
 
@@ -551,6 +557,48 @@ def test_sweep_worker_pool_matches_sequential(tmp_path):
     assert main(argv + ["--out", str(seq)]) == 0
     assert main(argv + ["--workers", "2", "--out", str(par)]) == 0
     assert strip_wall(seq.read_text()) == strip_wall(par.read_text())
+
+
+class InlinePool:
+    """A stand-in for ProcessPoolExecutor that records how many workers it
+    was asked for and maps in this process, so nothing is forked."""
+
+    def __init__(self, started, max_workers):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("seeds,workers,cores,started", [
+    ("0:2", "100000", 64, 2),
+    ("0:5", "8", 3, 3),
+], ids=["bound-by-cells", "bound-by-cores"])
+def test_sweep_starts_no_more_workers_than_it_can_use(tmp_path, monkeypatch, seeds, workers,
+                                                      cores, started):
+    # the pool starts every worker it is given on the first submit
+    pools = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: InlinePool(pools, max_workers))
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    seq, par = tmp_path / "s.csv", tmp_path / "p.csv"
+    argv = ["sweep", "--ns", "52", "--seeds", seeds, "--p", "0.97"]
+    assert main(argv + ["--out", str(seq)]) == 0
+    assert main(argv + ["--workers", workers, "--out", str(par)]) == 0
+    assert pools == [started]
+    assert strip_wall(seq.read_text()) == strip_wall(par.read_text())
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_refuses_workers_below_one(capsys, workers):
+    assert main(["sweep", "--ns", "52", "--seeds", "0:2", "--workers", workers]) == 2
+    assert capsys.readouterr().err == f"refused: --workers {workers} below 1\n"
 
 
 def test_sweep_csv_matches_solve_row(tmp_path):

@@ -1,12 +1,13 @@
 """The incremental fold-in of simple_blowup_cover.
 
 The cover folds its leftover vertices into the families through Python int
-bitsets over the leftover columns: each cluster's completeness, and each
-family's join keys and join masks, which only the mutated families rebuild,
-with one split-plan memo per call. It must return what the copy in
-tests/oracles.py returns, which rebuilt everything on every sweep: the same
-blow-ups, leftover, kind and diagnostics, on hosts that end stuck, hosts
-with no families, and hosts whose fold-in runs many pickups. The bitsets
+bitsets over the host vertex ids: each cluster's common neighbourhood, the
+leftover, and each family's join keys and join masks, which only the
+mutated families rebuild, with one split-plan memo per call. It must
+return what the copy in tests/oracles.py returns, which rebuilt
+everything on every sweep: the same blow-ups, leftover, kind and
+diagnostics, on hosts that end stuck, hosts with no families, and hosts
+whose fold-in runs many pickups. The bitsets
 themselves are checked against the adjacency and the split plans they
 stand for, the split-plan memo against every order of the sizes it keys
 on, and the pickup search against a tight recursion limit.
@@ -89,12 +90,11 @@ def test_structured_hosts(spec):
     same_cover(generate(spec))
 
 
-def check_fold(fold, G, reds):
+def check_fold(fold, G, reds, quasi):
     """Every bitset of fold recomputed from G.adj, and every join key from a
-    fresh split plan."""
+    fresh split plan; quasi holds the pickup families made so far."""
     F, k = len(fold.fams), fold.k
-    cols = fold.cols
-    comp = [[sum(1 << j for j, v in enumerate(cols) if all((G.adj[v] >> u) & 1 for u in cl))
+    comp = [[sum(1 << v for v in range(G.n) if all((G.adj[v] >> u) & 1 for u in cl))
              for cl in fam] for fam in fold.fams]
     covered = 0
     for fi, fam in enumerate(fold.fams):
@@ -110,7 +110,7 @@ def check_fold(fold, G, reds):
                 assert fold.okm[fi][ci] == 0
                 continue
             assert fold.keys[fi][ci] == (len(cl) * F + fi) * k + ci
-            okm = fold.full
+            okm = (1 << G.n) - 1
             for cj in range(k):
                 if reds[fi].has_edge(ci, cj):
                     okm &= comp[fi][cj]
@@ -119,37 +119,39 @@ def check_fold(fold, G, reds):
         assert fold.union[fi] == union
     assert fold.covered == covered
     assert sum(fold.owner[v] is not None for v in range(G.n)) == covered.bit_count()
-    assert fold.left == sum(1 << v for v in fold.leftover)
-    assert fold.alive == sum(1 << j for j, v in enumerate(cols) if v in fold.leftover)
+    picked = {v for B in quasi for cl in B.family.clusters for v in cl}
+    assert fold.left == sum(1 << v for v in range(G.n)
+                            if not (covered >> v) & 1 and v not in picked)
 
 
-@pytest.mark.parametrize("n,p,delta,pickups,unpack", [
-    (600, 0.8, 420, True, None),
-    (300, 0.97, 225, False, 1),  # one vertex word per unpacked block
+@pytest.mark.parametrize("n,p,delta,pickups", [
+    (600, 0.8, 420, True),
+    (300, 0.97, 225, False),
 ], ids=["sparse-600", "dense-300"])
-def test_bitsets_match_brute_force(monkeypatch, n, p, delta, pickups, unpack):
-    # checked after the first sweep and after the first pickup's removals
+def test_bitsets_match_brute_force(monkeypatch, n, p, delta, pickups):
+    # checked after the first sweep and after the sweep that follows the
+    # first pickup, when the pickup's vertices have left the leftover
     G = gnp(n, p, delta, 0)
-    if unpack is not None:
-        monkeypatch.setattr(cover, "_UNPACK_BYTES", unpack)
     reds = [B.reduced for B in almost_blowup_cover(G, DESK).blowups]
-    seen = {"insert_sweep": 0, "take_away": 0}
+    seen = {"sweeps": 0, "quasi": []}
+    sweep, pickup = cover._Fold.insert_sweep, cover._pickup_direct
 
-    def checked(name):
-        run = getattr(cover._Fold, name)
+    def checked_sweep(self):
+        sweep(self)
+        seen["sweeps"] += 1
+        if seen["sweeps"] <= 2:
+            check_fold(self, G, reds, seen["quasi"])
 
-        def wrapper(self, *args):
-            run(self, *args)
-            seen[name] += 1
-            if seen[name] == 1:
-                check_fold(self, G, reds)
-        monkeypatch.setattr(cover._Fold, name, wrapper)
+    def recorded_pickup(*args):
+        seen["quasi"] = args[-1]  # the cover's list of pickup families
+        return pickup(*args)
 
-    checked("insert_sweep")
-    checked("take_away")
+    monkeypatch.setattr(cover._Fold, "insert_sweep", checked_sweep)
+    monkeypatch.setattr(cover, "_pickup_direct", recorded_pickup)
     same_cover(G)
-    assert seen["insert_sweep"] >= 1
-    assert (seen["take_away"] >= 1) == pickups
+    # a sweep runs first and again after each pickup
+    assert seen["sweeps"] >= 1
+    assert (seen["sweeps"] >= 2) == pickups
 
 
 def test_pickup_search_depth_is_bounded():

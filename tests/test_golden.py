@@ -3,7 +3,8 @@
 Pins the SHA-256 of to_json() for a few pipeline runs, so any change that
 moves a random stream, a tie-break or a search decision shows up as a
 failing digest rather than as a silently different certificate. A change
-that alters these bytes on purpose updates the table and says so. The
+that alters these bytes on purpose updates the table and says so. One
+digest over 132 solves pins a wider set of hosts in one number. The
 graph text of a few generated hosts is pinned the same way, which holds
 both the generator's random stream and the writer's bytes.
 """
@@ -14,7 +15,8 @@ import pytest
 
 from cyclecover.core import CycleBlowupCertificate, graph_to_text
 from cyclecover.cover import PRESETS, spanning_cycle_blowup
-from cyclecover.generators import DIRAC_EXTREMAL, GNP_REPAIRED, GeneratorSpec, generate
+from cyclecover.generators import (CLIQUE_UNION_PLUS, DIRAC_EXTREMAL, GNP_REPAIRED,
+                                   GeneratorSpec, generate)
 
 GOLDEN = [
     # (n, p, delta_target, graph seed, sha256 of the certificate JSON, kind)
@@ -71,6 +73,35 @@ def test_certificate_digest(n, p, delta, seed, digest, kind):
     cert = spanning_cycle_blowup(G, PRESETS["desk"])
     assert isinstance(cert, CycleBlowupCertificate), cert
     assert hashlib.sha256(cert.to_json().encode()).hexdigest() == digest
+
+
+# (kind, n, p, delta_target, seeds) in the order the digest reads them;
+# CLIQUE_UNION_PLUS takes its default of 3 pieces
+HOST_SET = [
+    (GNP_REPAIRED, 300, 0.97, 225, range(20)),
+    (GNP_REPAIRED, 600, 0.8, 420, range(20)),
+    (GNP_REPAIRED, 1000, 0.97, 750, range(10)),
+    (GNP_REPAIRED, 300, 0.8, 210, range(40)),
+    (GNP_REPAIRED, 60, 0.8, 42, range(20)),
+    (DIRAC_EXTREMAL, 300, None, 225, range(10)),
+    (CLIQUE_UNION_PLUS, 300, None, 225, range(10)),
+    (GNP_REPAIRED, 3000, 0.97, 2250, range(2)),
+]
+
+
+def test_host_set_digest():
+    # one SHA-256 over to_json() of every solve, each of which certifies
+    h = hashlib.sha256()
+    solves = 0
+    for kind, n, p, delta, seeds in HOST_SET:
+        for seed in seeds:
+            G = generate(GeneratorSpec(kind=kind, n=n, p=p, delta_target=delta, seed=seed))
+            cert = spanning_cycle_blowup(G, PRESETS["desk"])
+            assert isinstance(cert, CycleBlowupCertificate), (kind, n, seed, cert)
+            h.update(cert.to_json().encode())
+            solves += 1
+    assert solves == 132
+    assert h.hexdigest() == "c3aecd47c8d9d558e956448bc72c62eebb6721551f8d307af60666a9c0b9c9c4"
 
 
 GRAPH_TEXT = [
