@@ -7,17 +7,17 @@ candidates at once (the picks of BlowupSearch, the side counts of
 connect_clusters) runs on the packed uint64 view of Graph.packed instead.
 connect_clusters reads only the rows of its two sides there, and the
 cover converts each connector pool, and each pickup's candidates, to an
-index list here once per call;
-BlowupSearch has masks converted to the word layout and to index arrays
-here once when a BlowupSearch is prepared and once per search for its
-avoid mask, never per pick. The cover's fold-in works on the bitmask
-rows of Graph.adj themselves, over host vertex ids. Writing a graph file
-unpacks blocks of rows from that word layout. Reading one, and
-generating a random host, fill a
-numpy bool matrix that rows_from_matrix turns into bitmask rows; the
-reader takes the ids of text in the writer's layout from fixed-width byte
-matrices, one per run of lines of one shape, and sets them in that
-matrix one chunk of text at a time.
+index list here once per call. BlowupSearch takes its frame as part masks
+and has them converted to the word layout and to index arrays here once
+when it is prepared, and its avoid mask once per search, never per pick.
+The cover's fold-in and its late placement work on bitmasks over host
+vertex ids, against the rows of Graph.adj themselves.
+Writing a graph file unpacks blocks of rows from that word layout.
+Reading one, and generating a random host, fill a numpy bool matrix that
+rows_from_matrix turns into bitmask rows; the reader takes the ids of
+text in the writer's layout from fixed-width byte matrices, one per run
+of lines of one shape, and sets them in that matrix one chunk of text at
+a time.
 """
 
 from __future__ import annotations

@@ -60,36 +60,37 @@ class BlowupSearch:
     in one array pass over the words of its neighbours' frame parts, and
     one AND applies its effect on every pool.
 
-    Part i of the frame (all of the host when there is no frame) keeps its
-    vertices in choice order after value, descending degree then
-    ascending id, so that the first of a tie is the one a pick takes. A pool
-    is held as uint64 words of its part's own id window, the word range that
-    covers the part; the pools of all s parts form one (s, W) block, W the
-    widest window. For every candidate k of part i the prepared arrays hold
-    its host rows over each neighbour's window, as scoring[i][:, :, k]
-    (a (d_i, W, B_i) array, contiguous in B_i), and as update[i][k], an
-    (s, W) block that also holds all ones over the other parts and has the
-    candidate's own bit cleared in every window that covers it; so
-    `free &= update[i][k]` applies the whole effect of a pick. The arrays
-    take about n^2 (d + s) / (8 s) bytes for s parts of d neighbours each,
-    plus the rounding of the windows to whole words: on the GNP covers of
-    PRESETS["desk"] (four parts, three neighbours) 0.30 MB at n = 1000 and
-    2.2 MB at n = 3000.
+    The frame is a sequence of s part masks, one per pattern vertex, and
+    cluster i is drawn from part i; with no frame every part is all of the
+    host. Each part keeps its vertices in choice order after value,
+    descending degree then ascending id, so that the first of a tie is the
+    one a pick takes. A pool is held as uint64 words of its part's own id
+    window, the word range that covers the part; the pools of all s parts
+    form one (s, W) block, W the widest window. For every candidate k of
+    part i the prepared arrays hold its host rows over each neighbour's
+    window, as scoring[i][:, :, k] (a (d_i, W, B_i) array, contiguous in
+    B_i), and as update[i][k], an (s, W) block that also holds all ones over
+    the other parts and has the candidate's own bit cleared in every window
+    that covers it; so `free &= update[i][k]` applies the whole effect of a
+    pick. The arrays take about n^2 (d + s) / (8 s) bytes for s parts of d
+    neighbours each, plus the rounding of the windows to whole words: on the
+    GNP covers of PRESETS["desk"] (four parts, three neighbours) 0.30 MB at
+    n = 1000 and 2.2 MB at n = 3000.
     """
 
-    def __init__(self, host: Graph, F: Graph, t: int, frame: SetFamily | None = None):
+    def __init__(self, host: Graph, F: Graph, t: int, frame: Sequence[int] | None = None):
         import numpy as np
 
         if t < 1:
             raise ValueError("t must be at least 1")
-        if frame is not None and len(frame.clusters) != F.n:
+        if frame is not None and len(frame) != F.n:
             raise ValueError("frame must have one part per pattern vertex")
         s = F.n
         n = host.n
         rows, deg = host.packed()
         everything = host.vertices_mask()
         self.host, self.F, self.t = host, F, t
-        self.parts = ([m & everything for m in frame.masks] if frame is not None
+        self.parts = ([m & everything for m in frame] if frame is not None
                       else [everything] * s)
         self.nbrs = [bits_list(F.adj[i]) for i in range(s)]
         self.nbr_rows = [np.array(js, dtype=np.int64) for js in self.nbrs]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -240,12 +239,6 @@ class SetFamily:
             raise ValueError("family has no unique singleton")
         return singles[0]
 
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Bitmask of each cluster, built on first use and then kept, so a
-        family searched many times (a frame) converts its clusters once."""
-        return tuple(mask_from(c) for c in self.clusters)
-
     def union_mask(self) -> int:
         u = 0
         for c in self.clusters:
@@ -319,8 +312,12 @@ class CycleBlowupCertificate:
         """Parse to_json output. The order and every vertex id must be JSON
         integers: a fractional or boolean one raises ValueError instead of
         being truncated to a different vertex. c and eta must be finite JSON
-        numbers: a boolean, a string, NaN or an infinity raises ValueError."""
-        obj = json.loads(text)
+        numbers: a boolean, a string, NaN or an infinity raises ValueError.
+        So does JSON nested too deeply for the parser's recursion."""
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("certificate JSON nests too deeply") from None
         n = obj["n"]
         clusters = tuple(tuple(cl) for cl in obj["clusters"])
         # type() and not isinstance(): True and False are ints to isinstance

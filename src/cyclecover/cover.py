@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Iterable, Sequence
 
-from .bitset import iter_bits, mask_from, mask_indices
+from .bitset import bits_list, iter_bits, mask_from, mask_indices
 from .core import (
     BALANCE_QUASI,
     BALANCE_WITHIN,
@@ -362,7 +362,7 @@ def almost_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     m1, _, _ = params.scales(n)
 
     block = n // s
-    parts = [list(range(i * block, (i + 1) * block)) for i in range(s)]
+    parts = [((1 << block) - 1) << (i * block) for i in range(s)]
     floor = min(16.0 * params.eta, 0.5) / 4.0
     floor_deg = (0.5 + params.eps / 2.0) * s - _EPS
     counts = _guard_shapes(G, _guard_picks(params.seed, s, block), floor_deg)
@@ -374,16 +374,15 @@ def almost_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     # a floor below _EPS passes a guard that no sample inherited
     if counts and density >= floor - _EPS:
         pattern = Graph.from_edges(s, list(max(sorted(counts), key=counts.get)))
-    frame = SetFamily.of(parts, BALANCE_WITHIN, m=block, eta=1.0)
     blowups: list[Blowup] = []
     used = 0
     # every extraction searches the same frame, so its arrays are built once
-    search = BlowupSearch(G, pattern, m1, frame) if pattern is not None else None
+    search = BlowupSearch(G, pattern, m1, parts) if pattern is not None else None
     while search is not None and not all(
-            (pm & ~used).bit_count() < params.rho * len(p) for p, pm in zip(parts, frame.masks)):
+            (pm & ~used).bit_count() < params.rho * block for pm in parts):
         b = search.find(avoid=used)
         if b is None:
-            unused = [(pm & ~used).bit_count() for pm in frame.masks]
+            unused = [(pm & ~used).bit_count() for pm in parts]
             diags.append(("extraction-stalled", tuple(unused)))
             break
         blowups.append(b)
@@ -888,23 +887,27 @@ def spanning_cycle_blowup(G: Graph, params: CoverParams):
                   for i in range(t))
     m_conn = max(1, min(m2, min_end - 1))
 
-    carve: dict[tuple[int, int], int] = {}
+    # connectors only remove vertices, so what a cluster has given is its
+    # start size less its size now; the lists stay sorted throughout
+    start = {(fj, cj): len(cl) for fj in range(t) for cj, cl in enumerate(clusters[fj])}
     pending = {(i, entry[i]) for i in range(t)} | {(i, exit_[i]) for i in range(t)}
-    connectors: list[tuple[list[int], list[int], list[int]]] = []
+    connectors: list[tuple[Sequence[int], Sequence[int], Sequence[int]]] = []
     cap = params.eta * m1
     owner = {v: (fj, cj) for fj in range(t) for cj, cl in enumerate(clusters[fj]) for v in cl}
 
     def donation(fj: int, cj: int) -> int:
         """Mask of the vertices cluster (fj, cj) may give to a middle side:
-        its lowest ids, less a reserve, until its carve count reaches cap."""
-        if carve.get((fj, cj), 0) >= cap:
+        its lowest ids less a reserve (one vertex, plus m_conn while it is
+        an end that no connector has used), until it has given cap
+        vertices."""
+        cl = clusters[fj][cj]
+        if start[fj, cj] - len(cl) >= cap:
             return 0
-        reserve = 1 + (m_conn if (fj, cj) in pending else 0)
-        room = len(clusters[fj][cj]) - reserve
-        return mask_from(sorted(clusters[fj][cj])[:room]) if room > 0 else 0
+        room = len(cl) - 1 - (m_conn if (fj, cj) in pending else 0)
+        return mask_from(cl[:room]) if room > 0 else 0
 
     # clusters are disjoint, so their donations are too; only the clusters a
-    # connector carves change theirs
+    # connector touches change theirs
     donor = {(fj, cj): donation(fj, cj) for fj in range(t) for cj in range(len(clusters[fj]))}
     donated = 0
     for m in donor.values():
@@ -916,8 +919,8 @@ def spanning_cycle_blowup(G: Graph, params: CoverParams):
         k_trim = min(len(tail_cl), len(head_cl))
         if k_trim < m_conn:
             return PipelineFailure("connect", i, {"trim": k_trim})
-        U = sorted(tail_cl)[:k_trim]
-        V = sorted(head_cl)[:k_trim]
+        U = tail_cl[:k_trim]
+        V = head_cl[:k_trim]
         pool = donated & ~donor[i, exit_[i]] & ~donor[nxt, entry[nxt]]
         # as a list: connect_clusters's np.fromiter takes 800 ids in about
         # 16 us from tolist and a list, against 38 us from the int64 array
@@ -926,20 +929,14 @@ def spanning_cycle_blowup(G: Graph, params: CoverParams):
         if res is None:
             return PipelineFailure("connect", i,
                                    {"pool": pool.bit_count(), "trim": k_trim})
-        W1, W3, W2 = sorted(res[0]), sorted(res[1]), sorted(res[2])
-        w1m, w3m = mask_from(W1), mask_from(W3)
-        clusters[i][exit_[i]] = [v for v in tail_cl if not (w1m >> v) & 1]
-        carve[(i, exit_[i])] = carve.get((i, exit_[i]), 0) + len(W1)
-        pending.discard((i, exit_[i]))
-        clusters[nxt][entry[nxt]] = [v for v in head_cl if not (w3m >> v) & 1]
-        carve[(nxt, entry[nxt])] = carve.get((nxt, entry[nxt]), 0) + len(W3)
-        pending.discard((nxt, entry[nxt]))
-        for v in W2:
-            fj, cj = owner[v]
-            clusters[fj][cj] = [x for x in clusters[fj][cj] if x != v]
-            carve[(fj, cj)] = carve.get((fj, cj), 0) + 1
-        for key in {(i, exit_[i]), (nxt, entry[nxt])} | {owner[v] for v in W2}:
-            m = donation(*key)
+        W1, W3, W2 = res  # each sorted
+        gone = mask_from(W1 + W2 + W3)
+        ends = {(i, exit_[i]), (nxt, entry[nxt])}
+        pending -= ends
+        for key in ends | {owner[v] for v in W2}:
+            fj, cj = key
+            clusters[fj][cj] = [v for v in clusters[fj][cj] if not (gone >> v) & 1]
+            m = donation(fj, cj)
             donated ^= donor[key] ^ m
             donor[key] = m
         connectors.append((W1, W2, W3))
@@ -972,19 +969,18 @@ def _place_late(G: Graph, cert: CycleBlowupCertificate, late):
     to the earlier position in cert's order) that holds fewer than the
     declared upper bound hi and whose two cyclic neighbours, as earlier
     placements left them, lie inside its neighbourhood; the cycle joins
-    then stay complete. The result is canonicalised once.
+    then stay complete. Each cluster is held as one mask, and the result
+    is canonicalised from the masks once.
     """
     _, hi = cert.size_bounds()
-    clusters = [list(c) for c in cert.clusters]
-    masks = [mask_from(c) for c in clusters]
-    k = len(clusters)
+    masks = [mask_from(c) for c in cert.clusters]
+    k = len(masks)
     for v in sorted(late):
         adj = G.adj[v]
-        fits = [i for i in range(k) if len(clusters[i]) < hi
+        fits = [i for i in range(k) if masks[i].bit_count() < hi
                 and not masks[i - 1] & ~adj and not masks[(i + 1) % k] & ~adj]
         if not fits:
             return PipelineFailure("late", None, {"vertex": v, "late": len(late)})
-        i = min(fits, key=lambda i: len(clusters[i]))
-        clusters[i].append(v)
-        masks[i] |= 1 << v
-    return CycleBlowupCertificate(cert.n, cert.c, cert.eta, canonical_cycle(clusters))
+        masks[min(fits, key=lambda i: masks[i].bit_count())] |= 1 << v
+    return CycleBlowupCertificate(cert.n, cert.c, cert.eta,
+                                  canonical_cycle([bits_list(m) for m in masks]))

@@ -233,18 +233,18 @@ def _order_key(G: Graph):
 
 
 def scalar_find_blowup(host: Graph, F: Graph, t: int, frame=None, *, avoid: int = 0):
-    """find_blowup as it scored one pool vertex per loop step."""
-    from cyclecover.bitset import bits_list, iter_bits, mask_from
+    """find_blowup as it scored one pool vertex per loop step; frame is a
+    sequence of part masks, one per pattern vertex, as BlowupSearch takes."""
+    from cyclecover.bitset import bits_list, iter_bits
     from cyclecover.core import BALANCE_EXACT, PASS, Blowup, SetFamily, verify_blowup_hosted
 
     if t < 1:
         raise ValueError("t must be at least 1")
-    if frame is not None and len(frame.clusters) != F.n:
+    if frame is not None and len(frame) != F.n:
         raise ValueError("frame must have one part per pattern vertex")
     s = F.n
     full = host.vertices_mask() & ~avoid
-    cand = [mask_from(frame.clusters[i]) & full if frame is not None else full
-            for i in range(s)]
+    cand = [frame[i] & full if frame is not None else full for i in range(s)]
     nbrs = [bits_list(F.adj[i]) for i in range(s)]
     order = sorted(range(s), key=lambda i: (-F.degree(i), i))
     adj = host.adj

@@ -10,11 +10,10 @@ import pytest
 
 import cyclecover.blowup_search as bs
 
+from cyclecover.bitset import mask_from
 from cyclecover.core import (
-    BALANCE_EXACT,
     Graph,
     PASS,
-    SetFamily,
     is_complete_bipartite,
     verify_blowup_hosted,
 )
@@ -79,8 +78,7 @@ class TestFindBiclique:
 class TestFindBlowup:
     def test_triangle_blowup_in_complete_tripartite(self):
         host = Graph.complete_multipartite([4, 4, 4])
-        frame = SetFamily.of([set(range(0, 4)), set(range(4, 8)), set(range(8, 12))],
-                             BALANCE_EXACT, m=4)
+        frame = [mask_from(range(0, 4)), mask_from(range(4, 8)), mask_from(range(8, 12))]
         blow = BlowupSearch(host, Graph.complete(3), 4, frame).find()
         assert blow is not None
         assert all(len(c) == 4 for c in blow.family.clusters)
@@ -89,7 +87,7 @@ class TestFindBlowup:
     def test_framed_clusters_stay_in_parts(self):
         host = generate(GeneratorSpec(GNP_REPAIRED, n=60, p=0.9, seed=21))
         parts = [set(range(0, 20)), set(range(20, 40)), set(range(40, 60))]
-        frame = SetFamily.of(parts, BALANCE_EXACT, m=20)
+        frame = [mask_from(p) for p in parts]
         blow = BlowupSearch(host, Graph.complete(3), 5, frame).find()
         assert blow is not None
         for cluster, part in zip(blow.family.clusters, parts):

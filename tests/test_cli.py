@@ -239,6 +239,9 @@ def test_verify_fails_a_huge_vertex_id(tmp_path, capsys, big):
     '{"n": 12, "c": 1.2, "eta": Infinity, "clusters": [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]}',
     '{"n": 12, "c": true, "eta": 0.25, "clusters": [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]}',
     '{"n": 12, "c": 1.2, "eta": "0.25", "clusters": [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]}',
+    # nesting past the JSON parser's recursion limit, which used to escape
+    # as a RecursionError
+    '{"n": 12, "c": 1.2, "eta": 0.25, "clusters": ' + "[" * 2000 + "]" * 2000 + "}",
 ])
 def test_verify_bad_certificate_exits_two(tmp_path, capsys, text):
     g = write_graph(tmp_path / "g.txt", Graph.complete(12))

@@ -293,6 +293,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match=want):
             CycleBlowupCertificate.from_json(json.dumps(blob))
 
+    def test_certificate_refuses_deep_nesting(self):
+        # past the JSON parser's recursion limit: a ValueError, not the
+        # parser's RecursionError
+        text = '{"n": 12, "c": 1.2, "eta": 0.25, "clusters": ' + "[" * 2000 + "]" * 2000 + "}"
+        with pytest.raises(ValueError, match="nests too deeply"):
+            CycleBlowupCertificate.from_json(text)
+
     def test_canonical_cycle_rotation(self):
         clusters = [(6, 7), (0, 1), (2, 3), (4, 5)]
         canon = canonical_cycle(clusters)

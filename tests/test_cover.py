@@ -6,6 +6,7 @@ oracle; structural claims are re-checked through the certificate verifier.
 
 import math
 import random
+from dataclasses import asdict, fields
 from itertools import combinations
 
 import pytest
@@ -439,6 +440,25 @@ def test_cover_params_refuse_eps_outside_unit_interval():
             CoverParams(eps=eps)
 
 
+def test_every_cover_params_field_is_read_by_a_desk_solve():
+    # the CLI's parsed-flag test cannot see a CoverParams field that the
+    # solve never consults; this one records the reads of one desk solve,
+    # so a field that a preset sets and the search ignores fails here
+    read = set()
+
+    class Recording(CoverParams):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    params = Recording(**asdict(DESK))
+    read.clear()  # __post_init__ reads its fields while checking them
+    G = generate(GeneratorSpec(GNP_REPAIRED, n=300, p=0.97, delta_target=225, seed=0))
+    cert = spanning_cycle_blowup(G, params)
+    assert not isinstance(cert, PipelineFailure), cert
+    assert {f.name for f in fields(CoverParams)} - read == set()
+
+
 # ---------------------------------------------------------------------------
 # simple cover
 
@@ -618,6 +638,23 @@ def test_pipeline_certifies_sparse_60_hosts(seed):
     cert = spanning_cycle_blowup(G, DESK)
     assert not isinstance(cert, PipelineFailure), cert
     assert verify_cycle_blowup(G, cert).status == "PASS"
+
+
+@pytest.mark.parametrize("kind,n,delta,seed,index,pool,trim", [
+    (DIRAC_EXTREMAL, 600, 360, 0, 84, 85, 2),
+    (DIRAC_EXTREMAL, 600, 360, 1, 34, 155, 2),
+    (DIRAC_EXTREMAL, 600, 360, 2, 40, 173, 3),
+    (DIRAC_EXTREMAL, 600, 360, 3, 34, 169, 3),
+    (DIRAC_EXTREMAL, 600, 360, 4, 44, 169, 3),
+    (CLIQUE_UNION_PLUS, 60, 30, 0, 4, 7, 2),
+])
+def test_pipeline_connect_failures_are_pinned(kind, n, delta, seed, index, pool, trim):
+    # the connect stage runs out of connector vertices on these hosts; the
+    # connector that fails, its pool and its trim pin the donor rule. Once
+    # desk certifies them, this should assert the certificate instead
+    G = generate(GeneratorSpec(kind, n=n, delta_target=delta, seed=seed))
+    got = spanning_cycle_blowup(G, DESK)
+    assert got == PipelineFailure("connect", index, {"pool": pool, "trim": trim})
 
 
 # ---------------------------------------------------------------------------

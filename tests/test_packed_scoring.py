@@ -17,7 +17,7 @@ import cyclecover.blowup_search as bs
 import oracles
 from cyclecover.bitset import mask_from, mask_indices
 from cyclecover.blowup_search import BlowupSearch, connect_clusters
-from cyclecover.core import BALANCE_WITHIN, Graph, SetFamily
+from cyclecover.core import Graph
 from cyclecover.seeding import spawn
 
 from oracles import scalar_connect_clusters, scalar_find_blowup
@@ -77,8 +77,7 @@ def test_find_blowup_matches_scalar(n):
         F = random_graph(s, 0.7, seed, "packed-pattern")
         t = (1, 2, 3, 6)[seed % 4]
         block = n // s
-        frame = SetFamily.of([range(i * block, (i + 1) * block) for i in range(s)],
-                             BALANCE_WITHIN, m=block, eta=1.0)
+        frame = [mask_from(range(i * block, (i + 1) * block)) for i in range(s)]
         avoid = mask_from(v for v in range(n) if rng.random() < 0.3)
         for fr, av in ((None, 0), (frame, 0), (None, avoid), (frame, avoid),
                        (None, avoid | ~G.adj[seed])):  # a negative mask
@@ -91,8 +90,7 @@ def test_find_blowup_matches_scalar(n):
 
 def thirds(n):
     block = n // 3
-    return SetFamily.of([range(i * block, (i + 1) * block) for i in range(3)],
-                        BALANCE_WITHIN, m=block, eta=1.0)
+    return [mask_from(range(i * block, (i + 1) * block)) for i in range(3)]
 
 
 # hosts where the greedy pass for three clusters of four dies, while the
