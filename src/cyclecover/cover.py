@@ -351,15 +351,23 @@ def almost_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     reach min(16 eta, 1/2) / 4. When it does, the most frequent inheriting
     shape among those same samples becomes the pattern (ties go to the
     lexicographically smallest edge list), and framed extraction
-    pulls blow-ups with clusters of the cover scale m1 = floor(c1 ln n)
-    until the unused fraction of every block drops below rho, or until the
-    first extraction whose greedy pass dies (a stall). A rejected guard or
-    a stall leaves a partial cover plus diagnostics, never an invalid
-    structure; simple_blowup_cover folds the rest in.
+    pulls blow-ups with clusters of t vertices until the unused fraction of
+    every block drops below rho, or until the first extraction whose greedy
+    pass dies (a stall). t is the largest size up to the cover scale
+    m1 = floor(c1 ln n) whose s clusters have a split plan under the piece
+    band, so every family can be cut into quasi families; when no t in
+    2..m1 has one, nothing is extracted. A rejected guard or a stall leaves
+    a partial cover plus diagnostics, never an invalid structure;
+    simple_blowup_cover folds the rest in.
     """
     n = G.n
     s = params.s
     m1, _, _ = params.scales(n)
+    try:
+        band = _piece_band(params, n)
+    except ValueError:  # no piece size fits the window, so no family splits
+        band = None
+    t = next((t for t in range(m1, 1, -1) if band and _split_plan((t,) * s, *band)), 0)
 
     block = n // s
     parts = [((1 << block) - 1) << (i * block) for i in range(s)]
@@ -377,7 +385,7 @@ def almost_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     blowups: list[Blowup] = []
     used = 0
     # every extraction searches the same frame, so its arrays are built once
-    search = BlowupSearch(G, pattern, m1, parts) if pattern is not None else None
+    search = BlowupSearch(G, pattern, t, parts) if pattern is not None and t else None
     while search is not None and not all(
             (pm & ~used).bit_count() < params.rho * block for pm in parts):
         b = search.find(avoid=used)
@@ -402,7 +410,8 @@ def _piece_band(params: CoverParams, n: int) -> tuple[int, int]:
 
     The band rides the pickup scale m3 but is clamped into the declared
     certificate window (_declaration), whose upper bound every surviving
-    cluster must respect.
+    cluster must respect. Its low end is also the pickup cluster size, and
+    it sets the extraction size of almost_blowup_cover.
     """
     _, _, m3 = params.scales(n)
     _, hi_cert = _declaration(params, n).size_bounds()
@@ -428,30 +437,18 @@ def _split_plan(sizes: Sequence[int], lo: int, hi: int):
     f_hi = total // (1 + (k - 1) * lo)
     f_lo = -(-total // (1 + (k - 1) * hi))
     for f in range(f_hi, max(1, f_lo) - 1, -1):
-        if f < 1:
-            break
-        lows = []
-        highs = []
-        ok = True
-        for sz in sizes:
-            lb = max(0, -(-(lo * f - sz) // (lo - 1)))
-            ub = (hi * f - sz) // (hi - 1)
-            ub = min(ub, f)
-            if ub < lb:
-                ok = False
-                break
-            lows.append(lb)
-            highs.append(ub)
-        if not ok or sum(lows) > f or sum(highs) < f:
+        lows = [max(0, -(-(lo * f - sz) // (lo - 1))) for sz in sizes]
+        highs = [min(f, (hi * f - sz) // (hi - 1)) for sz in sizes]
+        if sum(lows) > f or sum(highs) < f or any(h < l for l, h in zip(lows, highs)):
             continue
-        sigma = list(lows)
-        need = f - sum(sigma)
-        for i in range(k):
-            give = min(need, highs[i] - sigma[i])
-            sigma[i] += give
+        # the highs bracket f, so filling the quotas in order reaches it
+        need = f - sum(lows)
+        sigma = []
+        for l, h in zip(lows, highs):
+            give = min(need, h - l)
+            sigma.append(l + give)
             need -= give
-        if need == 0:
-            return f, sigma
+        return f, sigma
     return None
 
 
@@ -459,46 +456,24 @@ def _split_family(clusters: Sequence[Sequence[int]], f: int,
                   sigma: Sequence[int]) -> list[list[list[int]]]:
     """Cut one covered family into f quasi families per the sigma plan.
 
-    Cluster i gives its first sigma_i vertices as singletons and splits the
-    rest into f - sigma_i near-equal pieces. Singleton ranges are laid out
-    consecutively, so child k takes cluster i's singleton exactly when k
-    falls in cluster i's range and a piece otherwise; each child ends up
-    with exactly one singleton.
+    Cluster i's column is its f - sigma_i near-equal pieces, larger first,
+    cut from its vertices past its sigma_i lowest ids; those sigma_i
+    vertices are spliced into the column as singletons at offset
+    sigma_0 + ... + sigma_{i-1}. The children are the rows of the columns,
+    so each child takes exactly one singleton.
     """
-    k = len(clusters)
-    singles: list[list[int]] = []
-    pieces: list[list[list[int]]] = []
-    for i, cl in enumerate(clusters):
+    columns = []
+    at = 0
+    for cl, sg in zip(clusters, sigma):
         vs = sorted(cl)
-        singles.append(vs[: sigma[i]])
-        rest = vs[sigma[i]:]
-        cnt = f - sigma[i]
-        out: list[list[int]] = []
-        if cnt > 0:
-            base, rem = divmod(len(rest), cnt)
-            at = 0
-            for p in range(cnt):
-                size = base + (1 if p < rem else 0)
-                out.append(rest[at: at + size])
-                at += size
-        pieces.append(out)
-    starts = [0] * k
-    acc = 0
-    for i in range(k):
-        starts[i] = acc
-        acc += sigma[i]
-    fams: list[list[list[int]]] = []
-    next_piece = [0] * k
-    for child in range(f):
-        fam: list[list[int]] = []
-        for i in range(k):
-            if starts[i] <= child < starts[i] + sigma[i]:
-                fam.append([singles[i][child - starts[i]]])
-            else:
-                fam.append(pieces[i][next_piece[i]])
-                next_piece[i] += 1
-        fams.append(fam)
-    return fams
+        cnt = f - sg
+        base, rem = divmod(len(vs) - sg, max(cnt, 1))
+        cuts = [sg + p * base + min(p, rem) for p in range(cnt + 1)]
+        column = [vs[a:b] for a, b in zip(cuts, cuts[1:])]
+        column[at:at] = [[v] for v in vs[:sg]]
+        columns.append(column)
+        at += sg
+    return [list(row) for row in zip(*columns)]
 
 
 def _quasi_declaration(lo: int, hi: int) -> tuple[int, float]:
@@ -674,18 +649,17 @@ class _Fold:
 def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     """Partition V(G) into quasi-balanced blow-up families.
 
-    Runs the almost cover at scale m1, folds the leftover in (insertion
-    into compatible clusters first, a pickup family around one root when
-    insertion cannot place a vertex), then splits every covered family into
-    quasi families by the singleton-creation scheme: one cluster of size
-    one, the others as equal as possible inside the piece band. When
-    folding stalls, the vertices still leftover are the late set L: the
-    families are split all the same (every fold-in step keeps their split
-    plans), and the SIMPLE cover returns L as its uncovered set with an
-    endgame-stuck diagnostic.
+    Runs the almost cover, whose families all start with a split plan,
+    folds the leftover in (insertion into compatible clusters first, a
+    pickup family around one root when insertion cannot place a vertex),
+    then splits every covered family into quasi families by the
+    singleton-creation scheme: one cluster of size one, the others as equal
+    as possible inside the piece band. When folding stalls, the vertices
+    still leftover are the late set L: the families are split all the same
+    (every fold-in step keeps their split plans), and the SIMPLE cover
+    returns L as its uncovered set with an endgame-stuck diagnostic.
     """
     n = G.n
-    _, _, m3 = params.scales(n)
     lo_p, hi_p = _piece_band(params, n)
 
     base = almost_blowup_cover(G, params)
@@ -698,13 +672,11 @@ def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
 
     # insertion and pickups interleave: each pickup reshapes the donor
     # families, which can unblock insertions that failed on split
-    # arithmetic alone, so sweep again after every success. Pickup scale is
-    # floored at 2 or the family would be all singletons.
-    t_pick = max(2, m3)
+    # arithmetic alone, so sweep again after every success
     fold.insert_sweep()
     while fold.left:
         for u in iter_bits(fold.left):
-            got = _pickup_direct(G, params, u, t_pick, fold, quasi)
+            got = _pickup_direct(G, params, u, lo_p, fold, quasi)
             if got:
                 fold.drop(got)
                 break
@@ -718,7 +690,7 @@ def simple_blowup_cover(G: Graph, params: CoverParams) -> CoverResult:
     out: list[Blowup] = []
     for fi in range(len(fams)):
         plan = _split_plan(fold.sizes(fi), lo_p, hi_p)
-        if plan is None:  # pragma: no cover - guarded at every mutation
+        if plan is None:  # pragma: no cover - extraction and every mutation keep one
             raise AssertionError("committed family lost its split plan")
         f, sigma = plan
         for child in _split_family(fams[fi], f, sigma):
@@ -733,12 +705,13 @@ def _pickup_direct(G: Graph, params: CoverParams, root: int, t: int, fold: _Fold
     """Build a pickup family for one root straight out of donor clusters.
 
     The root becomes the singleton of a new quasi family on K_s, and its
-    s-1 other clusters of t vertices each come from the root's neighbours:
-    covered vertices taken from their clusters, and uncovered ones, which
-    join for free. A depth-first search fills the clusters in id order,
-    keeping each pair of them completely joined. Every covered vertex it
-    places is charged to a removal ledger, and the family it leaves is
-    re-planned on the spot, so a find is committable as it stands. Pickup
+    s-1 other clusters of t vertices each (the piece band's low end) come
+    from the root's neighbours: covered vertices taken from their clusters,
+    and uncovered ones, which join for free. A depth-first search fills the
+    clusters in id order, keeping each pair of them completely joined. Each
+    covered candidate it visits is charged once to its donor family's
+    removal ledger and tried in the clusters only if that family keeps a
+    split plan without it, so a find is committable as it stands. Pickup
     clusters need no internal edges, so a cluster may mix vertices of
     several donor clusters. Returns the uncovered vertices the new family
     takes in (root included), empty when the search fails or runs out of
@@ -755,7 +728,7 @@ def _pickup_direct(G: Graph, params: CoverParams, root: int, t: int, fold: _Fold
     owner = fold.owner
     # the removal ledger: each donor family's cluster sizes less what the
     # search has placed out of them
-    live: dict[int, list[int]] = {}
+    live = [fold.sizes(fi) for fi in range(len(fold.fams))]
     budget = 20_000
 
     def dfs(idx: int, filled: int) -> bool:
@@ -771,44 +744,36 @@ def _pickup_direct(G: Graph, params: CoverParams, root: int, t: int, fold: _Fold
             v = cand[idx]
             adj = G.adj[v]
             # no cluster changes between the tries of v, so the clusters v
-            # is not complete to are found once
+            # is not complete to are found once, and so is whether its
+            # donor family keeps a split plan without it
             miss = [l for l in range(k) if (adj & masks[l]) != masks[l]]
-            for j in range(k):
-                if len(clusters[j]) == t:
-                    continue
-                if miss and miss != [j]:
-                    continue
-                own = owner[v]
-                if own is not None:
-                    fi, ci = own
-                    sizes = live.get(fi)
-                    if sizes is None:
-                        sizes = live[fi] = fold.sizes(fi)
-                    sizes[ci] -= 1
-                    ok = fold.feasible(sizes)
-                else:
-                    ok = True
-                if ok:
+            own = owner[v]
+            if own is not None:
+                fi, ci = own
+                live[fi][ci] -= 1
+            if own is None or fold.feasible(live[fi]):
+                for j in range(k):
+                    if len(clusters[j]) == t or (miss and miss != [j]):
+                        continue
                     clusters[j].append(v)
                     masks[j] |= 1 << v
                     if dfs(idx + 1, filled + 1):
                         return True
                     clusters[j].pop()
                     masks[j] &= ~(1 << v)
-                if own is not None:
-                    sizes[ci] += 1
-                if not clusters[j]:
-                    break  # empty clusters are interchangeable
+                    if not clusters[j]:
+                        break  # empty clusters are interchangeable
+            if own is not None:
+                live[fi][ci] += 1
             idx += 1
         return False
 
     if not dfs(0, 0):
         return []
-    taken = 0
-    for cl in clusters:
-        taken |= mask_from(cl)
+    taken = sum(masks)  # the clusters are disjoint
     fold.take_away(taken)
-    out = [[root]] + [sorted(cl) for cl in clusters]
+    # the search fills each cluster in ascending id
+    out = [[root]] + clusters
     fam = SetFamily.of(out, BALANCE_QUASI, m=t, eta=1.0 / t + _EPS)
     quasi.append(Blowup(Graph.complete(s), fam))
     return [root] + list(iter_bits(taken & fold.left))

@@ -8,16 +8,18 @@ tests only; none of this ships in the library API.
 The exception is the last four sections: verbatim copies of the scalar
 find_blowup and connect_clusters that scored one candidate at a time with
 Python int bitmasks, of the fold-in of simple_blowup_cover that rebuilt
-every family's join masks on each insert sweep, of the GNP sampler that
-called random() once per pair with the degree repair that rescanned every
-degree per added edge, and of the partition guard of almost_blowup_cover
-that drew and classified its samples one at a time. The package now scores
-on a packed numpy view, folds in incrementally, draws its coins in blocks,
+every family's join masks on each insert sweep, with the split plan and
+the split that cut each family through per-child singleton ranges, of the
+GNP sampler that called random() once per pair with the degree repair that
+rescanned every degree per added edge, and of the partition guard of
+almost_blowup_cover that drew and classified its samples one at a time.
+The package now scores on a packed numpy view, folds in incrementally,
+cuts each family as a transpose of its columns, draws its coins in blocks,
 repairs from a heap and classifies the guard's samples in one pass over
 samples drawn once, and the copies pin that every choice, tie-break,
-telemetry value and edge is unchanged. They share the helpers the rewrites
-did not touch: the almost cover, the split arithmetic, the seeding streams
-and the core verifiers.
+telemetry value, edge, plan and child is unchanged. They share the helpers
+the rewrites did not touch: the almost cover, the piece band, the seeding
+streams and the core verifiers.
 """
 
 from __future__ import annotations
@@ -372,7 +374,7 @@ def reference_simple_blowup_cover(G: Graph, params):
     from cyclecover.bitset import mask_from
     from cyclecover.core import BALANCE_QUASI, Blowup, SetFamily
     from cyclecover.cover import (SIMPLE, CoverResult, _piece_band, _quasi_declaration,
-                                  _split_family, _split_plan, almost_blowup_cover)
+                                  almost_blowup_cover)
 
     n = G.n
     _, _, m3 = params.scales(n)
@@ -389,7 +391,7 @@ def reference_simple_blowup_cover(G: Graph, params):
         return [len(c) for c in fams[fi]]
 
     def splittable(sizes):
-        return _split_plan(sizes, lo_p, hi_p) is not None
+        return reference_split_plan(sizes, lo_p, hi_p) is not None
 
     def join_masks(fi):
         R = reds[fi]
@@ -452,8 +454,8 @@ def reference_simple_blowup_cover(G: Graph, params):
     m_q, eta_q = _quasi_declaration(lo_p, hi_p)
     out = []
     for fi in range(len(fams)):
-        f, sigma = _split_plan(sizes_of(fi), lo_p, hi_p)
-        for child in _split_family(fams[fi], f, sigma):
+        f, sigma = reference_split_plan(sizes_of(fi), lo_p, hi_p)
+        for child in reference_split_family(fams[fi], f, sigma):
             fam = SetFamily.of(child, BALANCE_QUASI, m=m_q, eta=eta_q)
             out.append(Blowup(reds[fi], fam))
     out.extend(quasi)
@@ -463,7 +465,7 @@ def reference_simple_blowup_cover(G: Graph, params):
 def _reference_pickup_direct(G: Graph, params, root, t, fams, leftover, quasi, lo_p, hi_p):
     from cyclecover.bitset import mask_from
     from cyclecover.core import BALANCE_QUASI, Blowup, SetFamily
-    from cyclecover.cover import _EPS, _split_plan
+    from cyclecover.cover import _EPS
 
     s = params.s
     nb = G.adj[root]
@@ -487,7 +489,7 @@ def _reference_pickup_direct(G: Graph, params, root, t, fams, leftover, quasi, l
         for (f2, c2), cnt in removals.items():
             if f2 == fi:
                 sizes[c2] -= cnt
-        return min(sizes) >= 0 and _split_plan(sizes, lo_p, hi_p) is not None
+        return min(sizes) >= 0 and reference_split_plan(sizes, lo_p, hi_p) is not None
 
     budget = [20_000]
 
@@ -540,6 +542,93 @@ def _reference_pickup_direct(G: Graph, params, root, t, fams, leftover, quasi, l
     fam = SetFamily.of(out, BALANCE_QUASI, m=t, eta=1.0 / t + _EPS)
     quasi.append(Blowup(Graph.complete(s), fam))
     return [root] + [v for v in free if (taken >> v) & 1]
+
+
+def reference_split_plan(sizes, lo: int, hi: int):
+    """Feasible (family count f, singleton quotas sigma) for cutting the
+    clusters into f quasi families, each drawing one singleton from one
+    cluster and a piece of size lo..hi from every other. None if no f works.
+
+    Scans f downward so pieces land near the small end of the band, which
+    keeps later donations viable.
+    """
+    total = sum(sizes)
+    k = len(sizes)
+    if k < 2 or lo < 2 or hi < lo:
+        return None
+    f_hi = total // (1 + (k - 1) * lo)
+    f_lo = -(-total // (1 + (k - 1) * hi))
+    for f in range(f_hi, max(1, f_lo) - 1, -1):
+        if f < 1:
+            break
+        lows = []
+        highs = []
+        ok = True
+        for sz in sizes:
+            lb = max(0, -(-(lo * f - sz) // (lo - 1)))
+            ub = (hi * f - sz) // (hi - 1)
+            ub = min(ub, f)
+            if ub < lb:
+                ok = False
+                break
+            lows.append(lb)
+            highs.append(ub)
+        if not ok or sum(lows) > f or sum(highs) < f:
+            continue
+        sigma = list(lows)
+        need = f - sum(sigma)
+        for i in range(k):
+            give = min(need, highs[i] - sigma[i])
+            sigma[i] += give
+            need -= give
+        if need == 0:
+            return f, sigma
+    return None
+
+
+def reference_split_family(clusters, f: int, sigma):
+    """Cut one covered family into f quasi families per the sigma plan.
+
+    Cluster i gives its first sigma_i vertices as singletons and splits the
+    rest into f - sigma_i near-equal pieces. Singleton ranges are laid out
+    consecutively, so child k takes cluster i's singleton exactly when k
+    falls in cluster i's range and a piece otherwise; each child ends up
+    with exactly one singleton.
+    """
+    k = len(clusters)
+    singles = []
+    pieces = []
+    for i, cl in enumerate(clusters):
+        vs = sorted(cl)
+        singles.append(vs[: sigma[i]])
+        rest = vs[sigma[i]:]
+        cnt = f - sigma[i]
+        out = []
+        if cnt > 0:
+            base, rem = divmod(len(rest), cnt)
+            at = 0
+            for p in range(cnt):
+                size = base + (1 if p < rem else 0)
+                out.append(rest[at: at + size])
+                at += size
+        pieces.append(out)
+    starts = [0] * k
+    acc = 0
+    for i in range(k):
+        starts[i] = acc
+        acc += sigma[i]
+    fams = []
+    next_piece = [0] * k
+    for child in range(f):
+        fam = []
+        for i in range(k):
+            if starts[i] <= child < starts[i] + sigma[i]:
+                fam.append([singles[i][child - starts[i]]])
+            else:
+                fam.append(pieces[i][next_piece[i]])
+                next_piece[i] += 1
+        fams.append(fam)
+    return fams
 
 
 # ---------------------------------------------------------------------------

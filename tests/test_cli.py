@@ -369,6 +369,15 @@ def test_cover_reports_simple_partition(tmp_path, capsys):
     assert "verify PASS" in out
 
 
+@pytest.mark.parametrize("n", [13, 20])
+def test_cover_splits_every_family_where_m1_has_no_split_plan(tmp_path, capsys, n):
+    # desk's m1 = 3 clusters admit no split plan under the (2, 2) piece
+    # band of these orders, so no family may be extracted at that size
+    g = write_graph(tmp_path / "g.txt", Graph.complete(n))
+    assert main(["cover", g]) == 0
+    assert "verify PASS" in capsys.readouterr().out
+
+
 def test_cover_reads_a_lone_carriage_return_as_a_space(tmp_path, capsys):
     head, first, *rest = graph_to_text(Graph.complete(60)).splitlines()
     g = tmp_path / "g.txt"

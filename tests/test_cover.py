@@ -28,6 +28,7 @@ from cyclecover.cover import (
     AbsorptionError,
     CoverParams,
     CoverResult,
+    N_FLOOR,
     PipelineFailure,
     PRESETS,
     _EPS,
@@ -235,6 +236,18 @@ def test_piece_band_values():
     assert _piece_band(DESK, 61) == (2, 3)
     assert _piece_band(DESK, 200) == (2, 4)
     assert _piece_band(DESK, 300) == (2, 4)
+
+
+def test_every_preset_order_has_an_extraction_size():
+    # the almost cover extracts clusters of the largest size t <= m1 whose
+    # s clusters keep a split plan, and nothing when no t has one; every
+    # preset must have such a t at every order it solves. m1 and the band
+    # decide the answer, so each distinct pair is checked once
+    for name, params in PRESETS.items():
+        for m1, band in {(params.scales(n)[0], _piece_band(params, n))
+                         for n in range(N_FLOOR, 20_001)}:
+            assert any(_split_plan((t,) * params.s, *band) for t in range(2, m1 + 1)), \
+                (name, m1, band)
 
 
 def test_split_plan_infeasible_shape():
@@ -627,6 +640,26 @@ def test_pipeline_certifies_extremal_host_in_one_pass(monkeypatch):
     assert not isinstance(cert, PipelineFailure), cert
     assert verify_cycle_blowup(G, cert).status == "PASS"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Graph.complete(65),
+    lambda: Graph.complete(100),
+    lambda: Graph.complete(148),
+    lambda: generate(GeneratorSpec(GNP_REPAIRED, n=92, p=0.97, delta_target=69, seed=2)),
+    lambda: generate(GeneratorSpec(DIRAC_EXTREMAL, n=93, delta_target=70, seed=2)),
+    lambda: generate(GeneratorSpec(CLIQUE_UNION_PLUS, n=95, delta_target=72, seed=2)),
+], ids=["K65", "K100", "K148", "gnp-92", "extremal-93", "clique-union-95"])
+def test_pipeline_certifies_hosts_where_m1_has_no_split_plan(make):
+    # at n = 65-148 desk has m1 = 5 and the piece band (2, 3), under which
+    # four 5-vertex clusters have no split plan; extraction takes the
+    # largest cluster size that has one
+    G = make()
+    assert DESK.scales(G.n)[0] == 5 and _piece_band(DESK, G.n) == (2, 3)
+    assert _split_plan((5,) * DESK.s, 2, 3) is None
+    cert = spanning_cycle_blowup(G, DESK)
+    assert isinstance(cert, CycleBlowupCertificate), cert
+    assert verify_cycle_blowup(G, cert).status == "PASS"
 
 
 @pytest.mark.parametrize("seed", range(20))

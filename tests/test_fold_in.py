@@ -10,7 +10,8 @@ diagnostics, on hosts that end stuck, hosts with no families, and hosts
 whose fold-in runs many pickups. The bitsets
 themselves are checked against the adjacency and the split plans they
 stand for, the split-plan memo against every order of the sizes it keys
-on, and the pickup search against a tight recursion limit.
+on, the split plan and the split against the copies the reference cover
+uses, and the pickup search against a tight recursion limit.
 """
 
 import sys
@@ -21,12 +22,12 @@ import pytest
 
 from cyclecover import cover
 from cyclecover.core import Graph
-from cyclecover.cover import (PRESETS, SIMPLE, _NO_JOIN, _split_plan, almost_blowup_cover,
-                              simple_blowup_cover)
+from cyclecover.cover import (PRESETS, SIMPLE, _NO_JOIN, _piece_band, _split_family,
+                              _split_plan, almost_blowup_cover, simple_blowup_cover)
 from cyclecover.generators import (CLIQUE_UNION_PLUS, DIRAC_EXTREMAL, GNP_REPAIRED,
                                    GeneratorSpec, generate)
 
-from oracles import reference_simple_blowup_cover
+from oracles import reference_simple_blowup_cover, reference_split_family, reference_split_plan
 
 DESK = PRESETS["desk"]
 
@@ -180,3 +181,24 @@ def test_split_feasibility_memo_ignores_the_order_of_sizes(lo, hi):
             for order in set(permutations(sizes)):
                 assert fold.feasible(order) == (_split_plan(order, lo, hi) is not None)
     assert len(fold.memo) == comb(14, 3) + comb(15, 4) + comb(12, 5)
+
+
+# the desk bands from n = 50 to 10^4, and the band of the s = 6 params
+# of tests/test_cover.py at n = 300
+WIDE_BAND = _piece_band(cover.CoverParams(eps=0.25, s=6, c1=1.2, c2=1.2, c3=0.6, eta=0.1), 300)
+
+
+@pytest.mark.parametrize("lo,hi", sorted({(2, 3), (2, 4), (3, 6), WIDE_BAND}))
+def test_split_matches_the_reference_copies(lo, hi):
+    # every size multiset gets the reference plan, and every plan cuts a
+    # family of consecutive ids into the reference children
+    for k, top in ((3, 12), (4, 12), (5, 8)):
+        for sizes in combinations_with_replacement(range(1, top + 1), k):
+            plan = _split_plan(sizes, lo, hi)
+            assert plan == reference_split_plan(sizes, lo, hi)
+            if plan is None:
+                continue
+            f, sigma = plan
+            ends = [sum(sizes[:i + 1]) for i in range(k)]
+            clusters = [list(range(end - sz, end)) for sz, end in zip(sizes, ends)]
+            assert _split_family(clusters, f, sigma) == reference_split_family(clusters, f, sigma)
